@@ -25,8 +25,8 @@ from .errors import (
 )
 from .linalg import (
     PositiveOperator,
+    _eigh,
     _resolve_cutoff,
-    eig_hermitian,
     excision,
     geometric_mean,
     hermitian_part,
@@ -118,6 +118,18 @@ def is_singular(rho, sigma, cutoff: float | None = None, tol: float = SINGULARIT
     )
 
 
+def _ac_verdict(r: PositiveOperator, s: PositiveOperator) -> tuple[np.ndarray, float, float]:
+    """Excision of s onto supp r, its min eigenvalue and its positivity floor.
+
+    r << s iff the min eigenvalue exceeds the floor. Takes a validated pair
+    with a nonzero reference and builds no witness.
+    """
+    exc = excision(s, r)
+    w, _ = _eigh(exc)
+    floor = _excision_pos_tol(exc.shape[0], float(w[0]) if len(w) else 0.0, s.norm2, r.cutoff)
+    return exc, float(w[-1]), floor
+
+
 @dataclass(frozen=True)
 class AbsoluteContinuityCheck:
     """Verdict for rho << sigma plus the witness diagnostic when it holds."""
@@ -143,10 +155,7 @@ def is_absolutely_continuous(rho, sigma, cutoff: float | None = None) -> Absolut
     r, s = _pair(rho, sigma, cutoff)
     if r.rank == 0:
         raise ZeroOperatorError("absolute continuity needs a nonzero reference")
-    exc = excision(s, r)
-    w, _ = eig_hermitian(exc)
-    min_eig = float(w[-1])
-    floor = _excision_pos_tol(exc.shape[0], float(w[0]) if len(w) else 0.0, s.norm2, r.cutoff)
+    exc, min_eig, floor = _ac_verdict(r, s)
     holds = min_eig > floor
     witness = None
     residual = None
@@ -255,7 +264,7 @@ def support_split(rho, sigma, cutoff: float | None = None) -> SupportSplit:
     v_supp = r.support_basis()
     v_ker = r.kernel_basis()
     exc = excision(s, r)
-    w, u = eig_hermitian(exc)
+    w, u = _eigh(exc)
     pos_tol = _excision_pos_tol(exc.shape[0], float(w[0]), s.norm2, r.cutoff)
     m = int(np.count_nonzero(w > pos_tol))
     if m == 0:
@@ -377,7 +386,7 @@ def lebesgue_decompose_direct(sigma, rho, cutoff: float | None = None) -> Lebesg
     v, wv = s.eigenvectors, s.eigenvalues
     root = (v * np.sqrt(wv)) @ v.conj().T
     sandwich = hermitian_part(root @ r.matrix @ root)
-    w, u = eig_hermitian(sandwich)
+    w, u = _eigh(sandwich)
     cut = sandwich.shape[0] * r.norm2 * s.norm2 * c
     kept = w > cut
     if not np.any(kept):
@@ -418,17 +427,19 @@ def qllr(sigma, rho, cutoff: float | None = None) -> QllrVersion:
 
     The identity block on ker rho fixes one version among the many valid
     ones; it makes qllr(rho, rho) vanish.
+
+    The precondition is decided by the same excision test as
+    ``is_absolutely_continuous``, without building that check's witness.
     """
     c = _resolve_cutoff(cutoff)
     r, s = _pair(rho, sigma, c)
     if r.rank == 0:
         raise ZeroOperatorError("log-likelihood ratio needs a nonzero reference")
-    ac = is_absolutely_continuous(r, s, c)
-    if not ac:
+    _, min_eig, floor = _ac_verdict(r, s)
+    if not min_eig > floor:
         raise NotAbsolutelyContinuousError(
             "rho is not absolutely continuous with respect to sigma "
-            f"(min excision eigenvalue {ac.excision_min_eigenvalue:.3e} <= "
-            f"floor {ac.positivity_floor:.3e})"
+            f"(min excision eigenvalue {min_eig:.3e} <= floor {floor:.3e})"
         )
     d = r.dim
     k = r.rank

@@ -74,6 +74,10 @@ class QueryOutOfSafeRangeError(QlebError, ValueError):
     """Per-site trace strayed too far from 1 for a safe n-th power."""
 
 
+class UnreachableOverlapError(QlebError, ValueError):
+    """A rotation cannot bring the overlap of two operators to the target."""
+
+
 class InvalidRanksError(QlebError, ValueError):
     """Requested ranks are not realizable at the given dimension."""
 

@@ -144,7 +144,11 @@ def eig_hermitian(a) -> SpectralDecomposition:
     deterministic orthonormalization of the standard basis projected onto the
     eigenspace, so the returned basis does not depend on solver internals.
     """
-    h = hermitize(a)
+    return _eigh(hermitize(a))
+
+
+def _eigh(h: np.ndarray) -> SpectralDecomposition:
+    """``eig_hermitian`` of a matrix that is already ``hermitian_part``-exact."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -218,7 +222,7 @@ def positive(a, cutoff: float | None = None, *, scale_floor: float = 0.0) -> Pos
         a = a.matrix
     c = _resolve_cutoff(cutoff)
     m = hermitize(a)
-    w, v = eig_hermitian(m)
+    w, v = _eigh(m)
     d = m.shape[0]
     norm2 = max(abs(w[0]), abs(w[-1])) if d else 0.0
     rank_tol = d * max(norm2, float(scale_floor)) * c
@@ -289,11 +293,13 @@ def expm(a) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     tol = HERMITIAN_TOL * max(1.0, _maxabs(m))
     with np.errstate(over="ignore", invalid="ignore"):
+        # each branch test is the one ``hermitize`` would repeat on the
+        # operand handed to the eigensolver
         if _maxabs(m - m.conj().T) <= tol:
-            w, v = eig_hermitian(m)
+            w, v = _eigh(hermitian_part(m))
             out = hermitian_part((v * np.exp(w)) @ v.conj().T)
         elif _maxabs(m + m.conj().T) <= tol:
-            w, v = eig_hermitian(-1j * m)
+            w, v = _eigh(hermitian_part(-1j * m))
             out = (v * np.exp(1j * w)) @ v.conj().T
         else:
             out = scipy.linalg.expm(m)
@@ -326,7 +332,7 @@ def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:
     root = (va * np.sqrt(wa)) @ va.conj().T
     iroot = (va * (1.0 / np.sqrt(wa))) @ va.conj().T
     inner = hermitian_part(iroot @ pb.matrix @ iroot)
-    wi, vi = eig_hermitian(inner)
+    wi, vi = _eigh(inner)
     sqrt_inner = (vi * np.sqrt(np.clip(wi, 0.0, None))) @ vi.conj().T
     x = hermitian_part(root @ sqrt_inner @ root)
     return positive(x, pa.cutoff, scale_floor=max(pa.norm2, pb.norm2))

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidRanksError, NotUnitError
+from .errors import (
+    DimensionMismatchError,
+    InvalidRanksError,
+    NotUnitError,
+    UnreachableOverlapError,
+)
 from .linalg import PositiveOperator, expm, hermitian_part, positive
 from .matio import matrix_from_json_dict
 from .qlan import ParametricModel
@@ -189,6 +194,11 @@ NEAR_SINGULAR_OVERLAP = 1e-9
 #: smallest kept eigenvalue in the near-rank-deficient mode
 NEAR_DEFICIENT_EIG = 1e-8
 
+#: doublings of the rotation angle tried before a target overlap is declared
+#: unreachable; 2^64 times the starting angle is far past the period of any
+#: rotation the generators here produce
+_MAX_DOUBLINGS = 64
+
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -252,7 +262,11 @@ def random_psd_pair(spec: RandomPsdPairSpec) -> tuple[PositiveOperator, Positive
 
 def _rotate_to_overlap(rho: np.ndarray, sigma: np.ndarray, gen: np.ndarray,
                        target: float) -> np.ndarray:
-    """Conjugate sigma by e^{t gen} until Tr rho sigma sits near target."""
+    """Conjugate sigma by e^{t gen} until Tr rho sigma sits near target.
+
+    Raises UnreachableOverlapError when no angle tried gets there, e.g. when
+    the target exceeds the largest overlap the rotation attains.
+    """
 
     def overlap(t: float) -> tuple[float, np.ndarray]:
         w = expm(t * gen)
@@ -266,13 +280,22 @@ def _rotate_to_overlap(rho: np.ndarray, sigma: np.ndarray, gen: np.ndarray,
     for _ in range(8):
         if 0.8 * target <= value <= 1.25 * target:
             return rotated
+        if value <= 0.0:
+            break
         t *= np.sqrt(target / value)
         value, rotated = overlap(t)
     lo, hi = 0.0, t
     val_hi = value
+    doublings = 0
     while val_hi < target:
+        if doublings == _MAX_DOUBLINGS:
+            raise UnreachableOverlapError(
+                f"no rotation angle up to {hi:.3e} reaches overlap {target:.3e} "
+                f"(overlap there {val_hi:.3e})"
+            )
         hi *= 2.0
         val_hi, rotated = overlap(hi)
+        doublings += 1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         value, rotated = overlap(mid)
@@ -282,7 +305,9 @@ def _rotate_to_overlap(rho: np.ndarray, sigma: np.ndarray, gen: np.ndarray,
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(f"could not reach overlap {target}; stuck at {value}")
+    raise UnreachableOverlapError(
+        f"bisection did not reach overlap {target:.3e}; stuck at {value:.3e}"
+    )
 
 
 def pure_pair(psi, xi) -> tuple[PositiveOperator, PositiveOperator]:

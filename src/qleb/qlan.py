@@ -30,7 +30,7 @@ from .errors import (
     SupportViolationError,
 )
 from .gaussian import GaussianSpec, as_query, lecam_limit_spec, qcf
-from .linalg import eig_hermitian, expm, hermitian_part, hermitize, positive
+from .linalg import PositiveOperator, expm, hermitian_part, hermitize, positive
 
 #: central-difference step for state derivatives
 FD_STEP = 1e-5
@@ -85,7 +85,8 @@ def check_model(model: ParametricModel, thetas, cutoff: float | None = None) -> 
             )
         if abs(st.trace() - 1.0) > 1e-10:
             raise ValueError(f"state at {theta} has trace {st.trace()!r}")
-        if not decomp.is_absolutely_continuous(rho0, st, cutoff):
+        _, min_eig, floor = decomp._ac_verdict(rho0, st)
+        if not min_eig > floor:
             raise SupportViolationError(
                 f"state at {theta} does not dominate the base state", theta=theta
             )
@@ -118,7 +119,12 @@ def sld(model: ParametricModel, direction: int, step: float = FD_STEP,
         raise DimensionMismatchError(
             f"direction {direction} out of range for theta_dim {model.theta_dim}"
         )
-    rho0 = positive(model.state0(), cutoff)
+    return _sld(model, positive(model.state0(), cutoff), direction, step)
+
+
+def _sld(model: ParametricModel, rho0: PositiveOperator, direction: int,
+         step: float) -> np.ndarray:
+    """``sld`` at the already validated base state ``rho0``."""
     drho = _partial_state(model, direction, step)
     gap = float(np.max(np.abs(drho - drho.conj().T)))
     if gap > FD_TOL:
@@ -159,13 +165,17 @@ def fisher_j(model: ParametricModel, cutoff: float | None = None) -> np.ndarray:
 
 
 def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:
-    rho0 = hermitize(model.state0())
-    ls = tuple(sld(model, i, cutoff=cutoff) for i in range(model.theta_dim))
+    return _sld_set(model, positive(model.state0(), cutoff))
+
+
+def _sld_set(model: ParametricModel, rho0: PositiveOperator) -> SldSet:
+    """``sld_set`` at the already validated base state ``rho0``."""
+    ls = tuple(_sld(model, rho0, i, FD_STEP) for i in range(model.theta_dim))
     k = model.theta_dim
     j = np.zeros((k, k), dtype=complex)
     for i in range(k):
         for jj in range(k):
-            j[i, jj] = np.trace(rho0 @ ls[jj] @ ls[i])
+            j[i, jj] = np.trace(rho0.matrix @ ls[jj] @ ls[i])
     j = hermitize(j, tol=1e-8)
     # J itself is a Gram matrix and may be singular (pure models saturate
     # the uncertainty bound); only a singular covariance Re J degenerates
@@ -175,7 +185,7 @@ def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:
         warnings.warn(
             "covariance Re J is not strictly positive definite; "
             "the Gaussian limit law is degenerate",
-            stacklevel=2,
+            stacklevel=3,
         )
     return SldSet(l_ops=ls, j_matrix=j)
 
@@ -215,8 +225,18 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
     q = as_query(query, len(ops))
     if int(n) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    n = int(n)
-    z = _site_trace(state, ops, q, 1.0 / np.sqrt(n))
+    return _guarded_power(state, ops, q, int(n), guard)
+
+
+def _guarded_power(state: np.ndarray, ops: Sequence[np.ndarray], query: np.ndarray,
+                   n: int, guard: float = QCF_GUARD, extra: np.ndarray | None = None,
+                   etas: np.ndarray | None = None) -> complex:
+    """z^n = exp(n log z) for z = Tr rho prod_t exp(i (xi_t . A + eta_t R) / sqrt(n)).
+
+    Operands are trusted: ``state``, ``ops`` and ``extra`` hermitized,
+    ``query`` normalized by ``as_query``, ``n`` a positive int.
+    """
+    z = _site_trace(state, ops, query, 1.0 / np.sqrt(n), extra=extra, etas=etas)
     if abs(z - 1.0) >= guard:
         raise QueryOutOfSafeRangeError(
             f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1 "
@@ -323,17 +343,16 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
                 cutoff: float | None = None) -> ConvergenceReport:
     """Central-limit check: collective SLD observables against N(0, J)."""
     ns = _normalize_n_grid(n_grid)
-    slds = sld_set(model, cutoff)
+    rho0 = positive(model.state0(), cutoff)
+    slds = _sld_set(model, rho0)
     queries = _normalize_queries(query_grid, model.theta_dim)
     limit = GaussianSpec(np.zeros(model.theta_dim), slds.j_matrix)
-    rho0 = hermitize(model.state0())
-    errors = []
-    for n in ns:
-        err = max(
-            abs(collective_qcf_factorized(rho0, slds.l_ops, q, n) - qcf(limit, q))
-            for q in queries
-        )
-        errors.append(err)
+    limits = [qcf(limit, q) for q in queries]
+    errors = [
+        max(abs(_guarded_power(rho0.matrix, slds.l_ops, q, n) - lim)
+            for q, lim in zip(queries, limits))
+        for n in ns
+    ]
     return _rate_report("qclt", ns, errors, rate_threshold)
 
 
@@ -362,9 +381,10 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
         raise DimensionMismatchError(
             f"h has dimension {h.shape[0]}, expected {model.theta_dim}"
         )
-    rho0 = hermitize(model.state0())
+    base = positive(model.state0(), cutoff)
+    rho0 = base.matrix
     _centered_or_raise(rho0, ops)
-    slds = sld_set(model, cutoff)
+    slds = _sld_set(model, base)
     k = len(ops)
     sigma = np.zeros((k, k), dtype=complex)
     tau = np.zeros((k, model.theta_dim), dtype=complex)
@@ -375,21 +395,22 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
             tau[i, j] = np.trace(rho0 @ slds.l_ops[j] @ ops[i])
     limit = lecam_limit_spec(sigma, tau, h)
     queries = _normalize_queries(query_grid, k)
-    base = positive(rho0, cutoff)
+    limits = [qcf(limit, q) for q in queries]
     t0 = np.asarray(model.theta0, dtype=float)
     errors = []
     for n in ns:
         theta_n = t0 + h / np.sqrt(n)
-        rho_n = hermitize(model.state_at(theta_n))
-        if not decomp.is_absolutely_continuous(base, rho_n, cutoff):
+        _, rho_n = decomp._pair(base, model.state_at(theta_n), cutoff)
+        _, min_eig, floor = decomp._ac_verdict(base, rho_n)
+        if not min_eig > floor:
             raise SupportViolationError(
                 f"shifted state at n = {n} does not dominate the base state",
                 n=n,
                 theta=theta_n,
             )
         err = max(
-            abs(collective_qcf_factorized(rho_n, ops, q, n) - qcf(limit, q))
-            for q in queries
+            abs(_guarded_power(rho_n.matrix, ops, q, n) - lim)
+            for q, lim in zip(queries, limits)
         )
         errors.append(err)
     return _rate_report("lecam", ns, errors, rate_threshold)
@@ -412,22 +433,19 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int, site_ops=None,
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    rho0 = positive(model.state0(), cutoff)
     ops = [hermitize(op) for op in site_ops] if site_ops is not None else list(
-        sld_set(model, cutoff).l_ops
+        _sld_set(model, rho0).l_ops
     )
     t0 = np.asarray(model.theta0, dtype=float)
-    rho0 = hermitize(model.state0())
-    rho_n = model.state_at(t0 + h / np.sqrt(n))
-    l_matrix = decomp.qllr(rho_n, rho0, cutoff).l_matrix
-    half = expm(l_matrix / 2.0)
-    sandwiched = hermitian_part(half @ rho0 @ half)
-    q = as_query(query, len(ops))
-    z = _site_trace(sandwiched, ops, q, 1.0 / np.sqrt(n))
-    if abs(z - 1.0) >= QCF_GUARD:
-        raise QueryOutOfSafeRangeError(
-            f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1"
-        )
-    return complex(np.exp(n * np.log(z)))
+    sandwiched = _sandwiched_state(model.state_at(t0 + h / np.sqrt(n)), rho0, cutoff)
+    return _guarded_power(sandwiched, ops, as_query(query, len(ops)), n)
+
+
+def _sandwiched_state(rho_n, rho0: PositiveOperator, cutoff: float | None) -> np.ndarray:
+    """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of rho_n along rho0."""
+    half = expm(decomp.qllr(rho_n, rho0, cutoff).l_matrix / 2.0)
+    return hermitian_part(half @ rho0.matrix @ half)
 
 
 def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
@@ -435,18 +453,21 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
                     cutoff: float | None = None) -> ConvergenceReport:
     """Gap between the sandwiched and true shifted collective QCFs, per n."""
     ns = _normalize_n_grid(n_grid)
-    ops = list(sld_set(model, cutoff).l_ops)
+    h = np.asarray(h, dtype=float).reshape(-1)
+    if h.shape[0] != model.theta_dim:
+        raise DimensionMismatchError(
+            f"h has dimension {h.shape[0]}, expected {model.theta_dim}"
+        )
+    rho0 = positive(model.state0(), cutoff)
+    ops = list(_sld_set(model, rho0).l_ops)
     queries = _normalize_queries(query_grid, len(ops))
     t0 = np.asarray(model.theta0, dtype=float)
-    h = np.asarray(h, dtype=float).reshape(-1)
     errors = []
     for n in ns:
         rho_n = hermitize(model.state_at(t0 + h / np.sqrt(n)))
+        sandwiched = _sandwiched_state(rho_n, rho0, cutoff)
         gap = max(
-            abs(
-                sandwich_qcf(model, h, q, n, site_ops=ops, cutoff=cutoff)
-                - collective_qcf_factorized(rho_n, ops, q, n)
-            )
+            abs(_guarded_power(sandwiched, ops, q, n) - _guarded_power(rho_n, ops, q, n))
             for q in queries
         )
         errors.append(gap)
@@ -501,7 +522,7 @@ def oh2_report(model: ParametricModel, radii=(0.2, 0.1, 0.05, 0.025),
     if len(radii) < 2 or radii[-1] <= 0:
         raise ValueError("need at least two positive radii")
     dirs = _sphere_directions(model.theta_dim, n_directions, seed)
-    rho0 = hermitize(model.state0())
+    rho0 = positive(model.state0(), cutoff)
     t0 = np.asarray(model.theta0, dtype=float)
     g_values = []
     for r in radii:
@@ -509,7 +530,7 @@ def oh2_report(model: ParametricModel, radii=(0.2, 0.1, 0.05, 0.025),
         for u in dirs:
             theta = t0 + r * u
             l_matrix = decomp.qllr(model.state_at(theta), rho0, cutoff).l_matrix
-            tr = float(np.trace(rho0 @ expm(l_matrix)).real)
+            tr = float(np.trace(rho0.matrix @ expm(l_matrix)).real)
             worst = max(worst, (1.0 - tr) / (r * r))
         g_values.append(float(worst))
     gs = np.asarray(g_values)
@@ -563,14 +584,16 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
     values sit from the eta-free limit and from the eta-free finite-n values.
     """
     ns = _normalize_n_grid(n_grid)
-    slds = sld_set(model, cutoff)
+    base = positive(model.state0(), cutoff)
+    slds = _sld_set(model, base)
     ops = list(slds.l_ops)
     queries = _normalize_queries(query_grid, len(ops))
     etas = [float(e) for e in eta_grid]
     if not etas:
         raise ValueError("eta grid is empty")
     limit = GaussianSpec(np.zeros(len(ops)), slds.j_matrix)
-    rho0 = hermitize(model.state0())
+    limits = [qcf(limit, q) for q in queries]
+    rho0 = base.matrix
     deviations = []
     excesses = []
     for n in ns:
@@ -582,18 +605,11 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
             )
         dev = 0.0
         exc = 0.0
-        scale = 1.0 / np.sqrt(n)
-        for q in queries:
-            plain = collective_qcf_factorized(rho0, ops, q, n)
-            lim = qcf(limit, q)
+        for q, lim in zip(queries, limits):
+            plain = _guarded_power(rho0, ops, q, n)
             for eta in etas:
                 eta_vec = np.full(q.shape[0], eta)
-                z = _site_trace(rho0, ops, q, scale, extra=extra, etas=eta_vec)
-                if abs(z - 1.0) >= QCF_GUARD:
-                    raise QueryOutOfSafeRangeError(
-                        f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1"
-                    )
-                joint = complex(np.exp(n * np.log(z)))
+                joint = _guarded_power(rho0, ops, q, n, extra=extra, etas=eta_vec)
                 dev = max(dev, abs(joint - lim))
                 exc = max(exc, abs(joint - plain))
         deviations.append(dev)
@@ -615,10 +631,10 @@ def iid_remainder_rule(model: ParametricModel, h,
     for a second-order-normalized family this tends to zero with n.
     """
     h = np.asarray(h, dtype=float).reshape(-1)
-    slds = sld_set(model, cutoff)
+    rho0 = positive(model.state0(), cutoff)
+    slds = _sld_set(model, rho0)
     lin = _combination(slds.l_ops, h)
     jquad = float((h @ (slds.j_matrix @ h)).real)
-    rho0 = hermitize(model.state0())
     t0 = np.asarray(model.theta0, dtype=float)
     eye = np.eye(model.dim, dtype=complex)
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from qleb import decomp, linalg
+from qleb import decomp, linalg, models
 from qleb.errors import (
     DimensionMismatchError,
     MutuallySingularError,
     NotAbsolutelyContinuousError,
+    QlebError,
     ZeroOperatorError,
 )
 
@@ -274,6 +275,33 @@ class TestQllr:
     def test_zero_reference_rejected(self):
         with pytest.raises(ZeroOperatorError):
             decomp.qllr(np.eye(2), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("mode", ["generic", "orthogonal", "near_singular",
+                                      "near_deficient"])
+    def test_precondition_matches_absolute_continuity(self, mode):
+        # qllr refuses a pair exactly when is_absolutely_continuous says no
+        checked = 0
+        for d in range(2, 7):
+            for kr in range(1, d + 1):
+                for ks in range(1, d + 1):
+                    if mode in ("orthogonal", "near_singular") and kr + ks > d:
+                        continue
+                    spec = models.RandomPsdPairSpec(d, kr, ks, seed=d * 100 + kr * 10 + ks,
+                                                    mode=mode)
+                    rho, sigma = models.random_psd_pair(spec)
+                    holds = bool(decomp.is_absolutely_continuous(rho.matrix, sigma.matrix))
+                    try:
+                        decomp.qllr(sigma.matrix, rho.matrix)
+                        refused = False
+                    except NotAbsolutelyContinuousError:
+                        refused = True
+                    except QlebError:
+                        # other failures (e.g. a singular geometric-mean operand)
+                        # happen only after the precondition passed
+                        refused = False
+                    assert refused == (not holds), (spec, holds)
+                    checked += 1
+        assert checked > 0
 
 
 class TestAcBallRadius:

@@ -1,12 +1,18 @@
 """Tests for the built-in state families and random pair generators."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from qleb import decomp, linalg, models
-from qleb.errors import DimensionMismatchError, InvalidRanksError, NotUnitError
+from qleb.errors import (
+    DimensionMismatchError,
+    InvalidRanksError,
+    NotUnitError,
+    UnreachableOverlapError,
+)
 
 
 class TestSpinPure:
@@ -208,6 +214,41 @@ class TestRandomPsdPair:
         with pytest.raises(ValueError):
             models.random_psd_pair(
                 models.RandomPsdPairSpec(3, 1, 1, 0, mode="twisted"))
+
+
+class TestRotateToOverlap:
+    @staticmethod
+    def _count_rotations(monkeypatch):
+        calls = []
+        real = models.expm
+        monkeypatch.setattr(models, "expm", lambda a: calls.append(1) or real(a))
+        return calls
+
+    @pytest.mark.parametrize("rho, sigma, gen, target", [
+        # Tr rho e^{tG} sigma e^{-tG} = sin^2 t never exceeds 1
+        (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+         np.array([[0.0, -1.0], [1.0, 0.0]]), 5.0),
+        # the generator moves sigma only inside ker rho: the overlap stays 0
+        (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
+         np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), 1e-9),
+    ])
+    def test_unreachable_target_raises_typed_error(self, monkeypatch, rho, sigma,
+                                                   gen, target):
+        calls = self._count_rotations(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnreachableOverlapError, match="reaches overlap"):
+                models._rotate_to_overlap(rho.astype(complex), sigma.astype(complex),
+                                          gen.astype(complex), target)
+        # the start, at most 8 square-root updates and the bounded doublings
+        assert len(calls) <= 1 + 8 + models._MAX_DOUBLINGS
+
+    def test_reachable_target_is_hit(self):
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        sigma = np.diag([0.0, 1.0]).astype(complex)
+        gen = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+        rotated = models._rotate_to_overlap(rho, sigma, gen, 0.5)
+        assert 0.4 <= float(np.trace(rho @ rotated).real) <= 0.625
 
 
 class TestPurePair:

@@ -267,6 +267,25 @@ class TestSandwich:
         want = qlan.collective_qcf_factorized(ac, slds.l_ops, E1, n)
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["quartic", "cubic", "squared"])
+    def test_report_equals_public_qcf_gaps(self, family):
+        # each error is the max over queries of |sandwich_qcf - true QCF|,
+        # both computed through the public, self-validating functions
+        m = models.spin_perturbed_model(family)
+        h = np.array([0.3, 0.1])
+        queries = [E1, E2, -E1, -E2, np.full(2, 0.5)]
+        ns = (100, 1000, 10000)
+        rep = qlan.sandwich_report(m, h, [q[None, :] for q in queries], ns)
+        ops = qlan.sld_set(m).l_ops
+        for n, err in zip(ns, rep.errors):
+            rho_n = m.state_at(h / np.sqrt(n))
+            want = max(
+                abs(qlan.sandwich_qcf(m, h, q, n)
+                    - qlan.collective_qcf_factorized(rho_n, ops, q, n))
+                for q in queries
+            )
+            assert err == want
+
 
 class TestOh2Report:
     def test_quartic_family_passes_with_slope_two(self):
