@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, decomp, matio, models, qlan
+from . import __version__, decomp, linalg, matio, models, qlan
 from .errors import QlebError, SupportViolationError
-from .linalg import default_cutoff, hermitize, positive
+from .linalg import default_cutoff, hermitize
 
 #: routes must agree on sigma_ac to this max-entry norm unless overridden
 ROUTE_TOL = 1e-8
@@ -79,7 +79,8 @@ def _resolve_cutoff(args) -> float | None:
 
 
 def _load_operator(path: str, hermitian_tol: float, cutoff: float | None):
-    return positive(hermitize(matio.load_matrix(path), tol=hermitian_tol), cutoff)
+    m = hermitize(matio.load_matrix(path), tol=hermitian_tol)
+    return linalg._positive(m, linalg._resolve_cutoff(cutoff))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -203,8 +204,7 @@ def cmd_qlan(args) -> int:
         if study == "qclt":
             report = qlan.qclt_report(model, query_grid, n_grid, cutoff=cutoff)
         elif study == "lecam":
-            b_ops = qlan.sld_set(model, cutoff).l_ops
-            report = qlan.lecam_report(model, b_ops, h, query_grid, n_grid,
+            report = qlan.lecam_report(model, None, h, query_grid, n_grid,
                                        cutoff=cutoff)
         elif study == "sandwich":
             report = qlan.sandwich_report(model, h, query_grid, n_grid,

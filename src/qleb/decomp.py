@@ -26,9 +26,12 @@ from .errors import (
 from .linalg import (
     PositiveOperator,
     _eigh,
+    _eigh_raw,
+    _geometric_mean,
+    _positive,
     _resolve_cutoff,
+    default_cutoff,
     excision,
-    geometric_mean,
     hermitian_part,
     log_pd,
     positive,
@@ -57,6 +60,17 @@ def _spectral_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def _trace_singular(r: PositiveOperator, s: PositiveOperator) -> bool:
+    """The trace criterion of mutual singularity: Tr rho sigma within tolerance."""
+    tr = float(np.trace(r.matrix @ s.matrix).real)
+    return tr <= SINGULARITY_TOL * r.norm2 * s.norm2
+
+
+def _witness_mean(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
+    """Matrix of A # B for fresh ``hermitian_part``-exact operands A, B."""
+    return _geometric_mean(_positive(a, cutoff), _positive(b, cutoff)).matrix
 
 
 def _excision_pos_tol(exc_dim: int, exc_norm: float, sigma_norm: float, cutoff: float) -> float:
@@ -125,7 +139,7 @@ def _ac_verdict(r: PositiveOperator, s: PositiveOperator) -> tuple[np.ndarray, f
     with a nonzero reference and builds no witness.
     """
     exc = excision(s, r)
-    w, _ = _eigh(exc)
+    w = _eigh_raw(exc).eigenvalues
     floor = _excision_pos_tol(exc.shape[0], float(w[0]) if len(w) else 0.0, s.norm2, r.cutoff)
     return exc, float(w[-1]), floor
 
@@ -163,7 +177,8 @@ def is_absolutely_continuous(rho, sigma, cutoff: float | None = None) -> Absolut
         k = r.rank
         rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
         sigma0_inv = np.linalg.inv(exc)
-        x = geometric_mean(rho0, hermitian_part(sigma0_inv)).matrix
+        # the witness mean runs at the process-wide cutoff, not ``cutoff``
+        x = _witness_mean(rho0, hermitian_part(sigma0_inv), default_cutoff())
         v = r.support_basis()
         witness = hermitian_part(v @ x @ v.conj().T)
         # evaluate R sigma R through sigma's spectral root: R can be large
@@ -256,11 +271,15 @@ def support_split(rho, sigma, cutoff: float | None = None) -> SupportSplit:
     r, s = _pair(rho, sigma, cutoff)
     if r.rank == 0 or s.rank == 0:
         raise ZeroOperatorError("support split needs two nonzero operators")
-    tr = float(np.trace(r.matrix @ s.matrix).real)
-    if tr <= SINGULARITY_TOL * r.norm2 * s.norm2:
+    if _trace_singular(r, s):
         raise MutuallySingularError(
             "operators are mutually singular; the adapted split is empty"
         )
+    return _support_split(r, s)
+
+
+def _support_split(r: PositiveOperator, s: PositiveOperator) -> SupportSplit:
+    """``support_split`` of a validated pair already found not trace-singular."""
     v_supp = r.support_basis()
     v_ker = r.kernel_basis()
     exc = excision(s, r)
@@ -304,7 +323,7 @@ class LebesgueDecomposition:
 
 def _zero_decomposition(s: PositiveOperator, cutoff: float, route: str) -> LebesgueDecomposition:
     d = s.dim
-    zero = positive(np.zeros((d, d), dtype=complex), cutoff)
+    zero = _positive(np.zeros((d, d), dtype=complex), cutoff)
     return LebesgueDecomposition(
         sigma_ac=zero,
         sigma_sing=s,
@@ -330,10 +349,9 @@ def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecom
     r, s = _pair(rho, sigma, c)
     if r.rank == 0:
         raise ZeroOperatorError("decomposition needs a nonzero reference operator")
-    tr = float(np.trace(r.matrix @ s.matrix).real)
-    if s.rank == 0 or tr <= SINGULARITY_TOL * r.norm2 * s.norm2:
+    if s.rank == 0 or _trace_singular(r, s):
         return _zero_decomposition(s, c, "block")
-    split = support_split(r, s, c)
+    split = _support_split(r, s)
     n1, n2, n3 = split.dims
     d = r.dim
     i2 = slice(n1, n1 + n2)
@@ -352,7 +370,7 @@ def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecom
     sing_b[i3, i3] = beta - cross
     e_b = np.eye(d, dtype=complex)
     e_b[i2, i3] = sigma0_inv @ alpha
-    x = geometric_mean(sigma0, hermitian_part(np.linalg.inv(split.rho0)), c).matrix
+    x = _witness_mean(sigma0, hermitian_part(np.linalg.inv(split.rho0)), c)
     mid = np.zeros((d, d), dtype=complex)
     mid[i2, i2] = x
     r_b = hermitian_part(e_b.conj().T @ mid @ e_b)
@@ -360,9 +378,9 @@ def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecom
     to_ambient = lambda blk: hermitian_part(basis @ blk @ basis.conj().T)
     floor = s.norm2
     return LebesgueDecomposition(
-        sigma_ac=positive(to_ambient(ac_b), c, scale_floor=floor),
-        sigma_sing=positive(to_ambient(sing_b), c, scale_floor=floor),
-        witness_r=positive(to_ambient(r_b), c, scale_floor=max(floor, 1.0)),
+        sigma_ac=_positive(to_ambient(ac_b), c, scale_floor=floor),
+        sigma_sing=_positive(to_ambient(sing_b), c, scale_floor=floor),
+        witness_r=_positive(to_ambient(r_b), c, scale_floor=max(floor, 1.0)),
         route="block",
     )
 
@@ -395,12 +413,14 @@ def lebesgue_decompose_direct(sigma, rho, cutoff: float | None = None) -> Lebesg
     inv_root = (uk * (1.0 / np.sqrt(w[kept]))) @ uk.conj().T
     witness = hermitian_part(root @ inv_root @ root)
     ac = hermitian_part(witness @ r.matrix @ witness)
-    sing = s.matrix - ac
+    # the difference of two exactly Hermitian matrices is Hermitian up to
+    # the sign of zero imaginary parts, which hermitian_part fixes
+    sing = hermitian_part(s.matrix - ac)
     floor = s.norm2
     return LebesgueDecomposition(
-        sigma_ac=positive(ac, c, scale_floor=floor),
-        sigma_sing=positive(sing, c, scale_floor=floor),
-        witness_r=positive(witness, c, scale_floor=max(floor, 1.0)),
+        sigma_ac=_positive(ac, c, scale_floor=floor),
+        sigma_sing=_positive(sing, c, scale_floor=floor),
+        witness_r=_positive(witness, c, scale_floor=max(floor, 1.0)),
         route="direct",
     )
 
@@ -448,13 +468,13 @@ def qllr(sigma, rho, cutoff: float | None = None) -> QllrVersion:
     sigma0 = hermitian_part(sb[:k, :k])
     alpha = sb[:k, k:]
     rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
-    x = geometric_mean(sigma0, hermitian_part(np.linalg.inv(rho0)), c).matrix
+    x = _witness_mean(sigma0, hermitian_part(np.linalg.inv(rho0)), c)
     e = np.eye(d, dtype=complex)
     e[:k, k:] = np.linalg.inv(sigma0) @ alpha
     mid = np.eye(d, dtype=complex)
     mid[:k, :k] = x
     r_plus = hermitian_part(e.conj().T @ mid @ e)
-    l_basis = log_pd(positive(r_plus, c, scale_floor=1.0), c)
+    l_basis = log_pd(_positive(r_plus, c, scale_floor=1.0), c)
     l_matrix = hermitian_part(v @ l_basis @ v.conj().T) * 2.0
     return QllrVersion(
         l_matrix=l_matrix,

@@ -5,18 +5,24 @@ validating constructor for Hermitian input; ``PositiveOperator`` bundles a
 PSD matrix with its eigendecomposition (eigenvalues descending), the rank
 cutoff in force, and the numerical rank derived from it. Eigenbases are made
 deterministic by re-orthonormalizing degenerate eigenspaces against the
-standard basis, so block conventions downstream are reproducible run to run.
+standard basis, so block conventions downstream are reproducible run to run;
+a ``PositiveOperator`` does this on the first read of its eigenvectors.
+
+Public functions validate their input; the private kernels (``_positive``,
+``_geometric_mean``, ``_eigh``) take operands the package has just built and
+skip the checks those operands pass by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DimensionMismatchError,
     EigenConvergenceError,
     InvalidMatrixError,
     NonSquareError,
@@ -109,13 +115,15 @@ def _standard_basis_section(cols: np.ndarray) -> np.ndarray:
     d, k = cols.shape
     proj = cols @ cols.conj().T
     picked: list[np.ndarray] = []
+    picked_conj: list[np.ndarray] = []
     for j in range(d):
         u = proj[:, j].copy()
-        for q in picked:
-            u -= q * (q.conj() @ u)
+        for q, q_conj in zip(picked, picked_conj):
+            u -= q * (q_conj @ u)
         nrm = float(np.linalg.norm(u))
         if nrm > 1e-8:
             picked.append(u / nrm)
+            picked_conj.append(picked[-1].conj())
             if len(picked) == k:
                 break
     if len(picked) < k:
@@ -124,17 +132,26 @@ def _standard_basis_section(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(picked)
 
 
-def _canonicalize_clusters(w: np.ndarray, v: np.ndarray) -> None:
+def _clusters(w: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each degenerate cluster of descending eigenvalues ``w``."""
     d = len(w)
-    if d == 0:
-        return
-    tol = _CLUSTER_TOL * max(1.0, abs(w[0]), abs(w[-1]))
+    if d < 2:
+        return []
+    vals = w.tolist()
+    tol = _CLUSTER_TOL * max(1.0, abs(vals[0]), abs(vals[-1]))
+    clusters = []
     start = 0
     for stop in range(1, d + 1):
-        if stop == d or w[stop - 1] - w[stop] > tol:
+        if stop == d or vals[stop - 1] - vals[stop] > tol:
             if stop - start > 1:
-                v[:, start:stop] = _standard_basis_section(v[:, start:stop])
+                clusters.append((start, stop))
             start = stop
+    return clusters
+
+
+def _canonicalize_clusters(v: np.ndarray, clusters: list[tuple[int, int]]) -> None:
+    for start, stop in clusters:
+        v[:, start:stop] = _standard_basis_section(v[:, start:stop])
 
 
 def eig_hermitian(a) -> SpectralDecomposition:
@@ -149,14 +166,23 @@ def eig_hermitian(a) -> SpectralDecomposition:
 
 def _eigh(h: np.ndarray) -> SpectralDecomposition:
     """``eig_hermitian`` of a matrix that is already ``hermitian_part``-exact."""
+    w, v = _eigh_raw(h)
+    _canonicalize_clusters(v, _clusters(w))
+    return SpectralDecomposition(w, v)
+
+
+def _eigh_raw(h: np.ndarray) -> SpectralDecomposition:
+    """The solver's eigenpairs of ``h``, descending, in fresh arrays.
+
+    Degenerate eigenspaces keep whatever basis the solver returned, so use it
+    where only the eigenvalues are read.
+    """
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed: {exc}") from exc
-    w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
-    _canonicalize_clusters(w, v)
-    return SpectralDecomposition(w, v)
+    return SpectralDecomposition(np.ascontiguousarray(w[::-1]),
+                                 np.ascontiguousarray(v[:, ::-1]))
 
 
 @dataclass(frozen=True)
@@ -167,13 +193,35 @@ class PositiveOperator:
     ``rank_tol`` is the absolute threshold below which eigenvalues count as
     zero. ``matrix`` keeps the (hermitized) input, not a resynthesis, so
     traces and products see the caller's data.
+
+    ``eigenvectors`` is built on its first read: the solver's basis with
+    each degenerate eigenspace re-orthonormalized against the standard
+    basis. Until then ``_basis`` holds the solver's vectors and ``_pending``
+    the degenerate clusters still to canonicalize, decided on the unclipped
+    eigenvalues; afterwards ``_basis`` is the frozen canonical basis.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _basis: np.ndarray = field(repr=False)
     cutoff: float
     rank_tol: float
+    _pending: list[tuple[int, int]] = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        # the arrays are the operator's own: freeze them in place
+        self.matrix.flags.writeable = False
+        self.eigenvalues.flags.writeable = False
+        if not self._pending:
+            self._basis.flags.writeable = False
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._pending:
+            _canonicalize_clusters(self._basis, self._pending)
+            self._basis.flags.writeable = False
+            object.__setattr__(self, "_pending", [])
+        return self._basis
 
     @property
     def dim(self) -> int:
@@ -199,15 +247,6 @@ class PositiveOperator:
         return float(np.trace(self.matrix).real)
 
 
-def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    out = []
-    for a in arrays:
-        b = np.array(a, copy=True)
-        b.flags.writeable = False
-        out.append(b)
-    return tuple(out)
-
-
 def positive(a, cutoff: float | None = None, *, scale_floor: float = 0.0) -> PositiveOperator:
     """Validate a PSD matrix and wrap it with its spectral data.
 
@@ -221,18 +260,28 @@ def positive(a, cutoff: float | None = None, *, scale_floor: float = 0.0) -> Pos
             return a
         a = a.matrix
     c = _resolve_cutoff(cutoff)
-    m = hermitize(a)
-    w, v = _eigh(m)
+    return _positive(hermitize(a), c, scale_floor)
+
+
+def _positive(m: np.ndarray, cutoff: float, scale_floor: float = 0.0) -> PositiveOperator:
+    """``positive`` of a fresh, ``hermitian_part``-exact square matrix.
+
+    Skips the Hermiticity check, which such a matrix passes with gap 0, and
+    takes ``cutoff`` already resolved. ``m`` becomes the operator's frozen
+    ``matrix``, so the caller must not hold it for writing.
+    """
+    if not np.all(np.isfinite(m)):
+        raise InvalidMatrixError("matrix has non-finite entries")
+    w, v = _eigh_raw(m)
     d = m.shape[0]
     norm2 = max(abs(w[0]), abs(w[-1])) if d else 0.0
-    rank_tol = d * max(norm2, float(scale_floor)) * c
+    rank_tol = d * max(norm2, float(scale_floor)) * cutoff
     if d and w[-1] < -rank_tol:
         raise NotPositiveError(
             f"eigenvalue {w[-1]:.6e} below -rank_tol = {-rank_tol:.6e}"
         )
-    w = np.clip(w, 0.0, None)
-    m, w, v = _freeze(m, w, v)
-    return PositiveOperator(m, w, v, c, float(rank_tol))
+    return PositiveOperator(m, np.clip(w, 0.0, None), v, cutoff, float(rank_tol),
+                            _clusters(w))
 
 
 def _from_spectrum(vals: np.ndarray, vecs: np.ndarray, cutoff: float) -> PositiveOperator:
@@ -243,7 +292,6 @@ def _from_spectrum(vals: np.ndarray, vecs: np.ndarray, cutoff: float) -> Positiv
     m = hermitian_part((vecs * vals) @ vecs.conj().T)
     d = m.shape[0]
     rank_tol = d * (float(vals[0]) if d else 0.0) * cutoff
-    m, vals, vecs = _freeze(m, vals, vecs)
     return PositiveOperator(m, vals, vecs, cutoff, float(rank_tol))
 
 
@@ -317,9 +365,14 @@ def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:
     pa = positive(a, cutoff)
     pb = positive(b, cutoff)
     if pa.dim != pb.dim:
-        raise SingularInputError(
+        raise DimensionMismatchError(
             f"operands must share a dimension, got {pa.dim} and {pb.dim}"
         )
+    return _geometric_mean(pa, pb)
+
+
+def _geometric_mean(pa: PositiveOperator, pb: PositiveOperator) -> PositiveOperator:
+    """``geometric_mean`` of validated operands of one dimension, at ``pa.cutoff``."""
     for name, p in (("left", pa), ("right", pb)):
         if p.dim and p.rank < p.dim:
             raise SingularInputError(
@@ -335,7 +388,7 @@ def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:
     wi, vi = _eigh(inner)
     sqrt_inner = (vi * np.sqrt(np.clip(wi, 0.0, None))) @ vi.conj().T
     x = hermitian_part(root @ sqrt_inner @ root)
-    return positive(x, pa.cutoff, scale_floor=max(pa.norm2, pb.norm2))
+    return _positive(x, pa.cutoff, scale_floor=max(pa.norm2, pb.norm2))
 
 
 def excision(sigma, rho, cutoff: float | None = None) -> np.ndarray:
@@ -356,7 +409,7 @@ def excision(sigma, rho, cutoff: float | None = None) -> np.ndarray:
         raise ZeroOperatorError("cannot excise onto the support of the zero operator")
     s = sigma if isinstance(sigma, PositiveOperator) else positive(sigma, cutoff)
     if s.dim != r.dim:
-        raise SingularInputError(
+        raise DimensionMismatchError(
             f"operands must share a dimension, got {s.dim} and {r.dim}"
         )
     w = r.support_basis().conj().T @ s.eigenvectors

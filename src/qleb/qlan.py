@@ -373,9 +373,10 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     Sigma_ij = Tr rho0 B_j B_i and tau_ij = Tr rho0 L_j B_i. Each n is
     evaluated under the local shift theta0 + h / sqrt(n); shifts that break
     absolute continuity of the base state raise SupportViolationError.
+    ``b_ops=None`` takes the SLDs at theta0 as the observables B.
     """
     ns = _normalize_n_grid(n_grid)
-    ops = [hermitize(op) for op in b_ops]
+    ops = None if b_ops is None else [hermitize(op) for op in b_ops]
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.shape[0] != model.theta_dim:
         raise DimensionMismatchError(
@@ -383,8 +384,10 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
         )
     base = positive(model.state0(), cutoff)
     rho0 = base.matrix
-    _centered_or_raise(rho0, ops)
     slds = _sld_set(model, base)
+    if ops is None:
+        ops = list(slds.l_ops)
+    _centered_or_raise(rho0, ops)
     k = len(ops)
     sigma = np.zeros((k, k), dtype=complex)
     tau = np.zeros((k, model.theta_dim), dtype=complex)

@@ -1,15 +1,16 @@
-"""Eigensolver-call budgets of the hot paths.
+"""Eigensolver-call and validation budgets of the hot paths.
 
 At the dimensions this package targets (d <= 6) a call to the eigensolver
 costs less than the Python work around it, so the number of calls is the
-figure that tracks repeated work. ``numpy.linalg.eigh`` is wrapped with a
-counter inside each test only; the library itself never counts.
+figure that tracks repeated work. ``numpy.linalg.eigh`` and
+``linalg.hermitize`` are wrapped with a counter inside each test only; the
+library itself never counts.
 """
 
 import numpy as np
 import pytest
 
-from qleb import cli, decomp, models, qlan
+from qleb import cli, decomp, linalg, models, qlan
 
 #: budgets of spin-perturbed:quartic studies with the CLI defaults
 SANDWICH_BUDGET = 72
@@ -62,3 +63,28 @@ def test_oh2_report_budget(eigh_calls):
     rep = qlan.oh2_report(model, seed=0)
     assert rep.passed()
     assert 0 < len(eigh_calls) <= OH2_BUDGET
+
+
+#: the decomposition pipeline; each validates its two raw operands once
+PIPELINE = ("is_singular", "is_absolutely_continuous", "is_mutually_ac",
+            "lebesgue_decompose", "lebesgue_decompose_direct", "qllr")
+
+
+@pytest.mark.parametrize("name", PIPELINE)
+@pytest.mark.parametrize("dim,rank_rho,rank_sigma", [(4, 4, 4), (6, 2, 4)])
+def test_pipeline_validates_raw_operands_once(monkeypatch, name, dim, rank_rho, rank_sigma):
+    rho, sigma = models.random_psd_pair(
+        models.RandomPsdPairSpec(dim, rank_rho, rank_sigma, seed=2))
+    rho_m, sigma_m = rho.matrix, sigma.matrix
+    assert decomp.is_absolutely_continuous(rho_m, sigma_m)
+    calls = []
+    real = linalg.hermitize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitize", counting)
+    args = (rho_m, sigma_m) if name.startswith("is_") else (sigma_m, rho_m)
+    getattr(decomp, name)(*args)
+    assert len(calls) == 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qleb
-from qleb import cli, matio, models
+from qleb import cli, matio, models, qlan
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 #: the ``src`` directory holding the ``qleb`` package this suite imported
@@ -253,6 +253,21 @@ class TestQlan:
         assert rc == 4
         err = capsys.readouterr().err
         assert "support violation" in err and "n = 100" in err
+
+
+def test_lecam_study_computes_the_slds_once(monkeypatch, tmp_path):
+    calls = []
+    real = qlan._sld_set
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qlan, "_sld_set", counting)
+    rc = run_cli("qlan", "--model", "spin-perturbed:quartic", "--study", "lecam",
+                 "--out", str(tmp_path / "lecam.json"))
+    assert rc == 0
+    assert len(calls) == 1
 
 
 class TestParseXi:

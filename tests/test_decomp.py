@@ -137,6 +137,10 @@ class TestSupportSplit:
         with pytest.raises(MutuallySingularError):
             decomp.support_split(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
+    def test_zero_operator_rejected(self):
+        with pytest.raises(ZeroOperatorError):
+            decomp.support_split(self.RHO, np.zeros((3, 3)))
+
 
 class TestLebesgueDecompose:
     def test_commuting_diagonal_split(self):

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from qleb import linalg
 from qleb.errors import (
+    DimensionMismatchError,
     NonSquareError,
     NotHermitianError,
     NotPositiveError,
@@ -83,6 +84,61 @@ def test_positive_operator_is_frozen():
         p.matrix[0, 0] = 7.0
     with pytest.raises(ValueError):
         p.eigenvalues[0] = 7.0
+    with pytest.raises(ValueError):
+        p.eigenvectors[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("a", [np.eye(4), np.diag([2.0, 1.0]), np.diag([3.0, 0.5, 0.5, 0.0])])
+def test_eigenvectors_read_twice_are_one_frozen_array(a):
+    p = linalg.positive(a)
+    v = p.eigenvectors
+    assert p.eigenvectors is v
+    assert not v.flags.writeable
+
+
+def test_positive_leaves_callers_array_writeable():
+    a = np.diag([2.0, 1.0, 1.0]).astype(complex)
+    p = linalg.positive(a)
+    assert a.flags.writeable
+    a[0, 0] = 5.0
+    assert p.matrix[0, 0] == 2.0
+
+
+def _canonical_cases():
+    rng = np.random.default_rng(11)
+    yield np.eye(5, dtype=complex)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    yield linalg.hermitian_part((q * np.array([3.0, 3.0, 3.0, 1.0, 1.0, 0.5])) @ q.conj().T)
+    # kernel noise straddling zero: clipped to 0 the last two eigenvalues
+    # would form one cluster, unclipped they are two
+    yield linalg.hermitian_part((q * np.array([1.0, 0.5, 0.2, 0.1, 5e-15, -2e-14])) @ q.conj().T)
+    for dim in (2, 3, 4, 6, 8, 16, 32, 64):
+        for rank in sorted({1, dim // 2, dim - 1}):
+            yield random_psd(rng, dim, rank)
+
+
+def test_lazy_eigenvectors_equal_eager_canonical_basis():
+    for a in _canonical_cases():
+        np.testing.assert_array_equal(linalg.positive(a).eigenvectors,
+                                      linalg.eig_hermitian(a).eigenvectors)
+
+
+def test_canonical_basis_is_built_on_first_read(monkeypatch):
+    calls = []
+    real = linalg._standard_basis_section
+
+    def counting(cols):
+        calls.append(cols.shape)
+        return real(cols)
+
+    monkeypatch.setattr(linalg, "_standard_basis_section", counting)
+    p = linalg.positive(np.zeros((8, 8)))
+    assert p.rank == 0
+    assert calls == []
+    np.testing.assert_array_equal(p.kernel_basis(), np.eye(8))
+    assert calls == [(8, 8)]
+    p.eigenvectors
+    assert calls == [(8, 8)]
 
 
 def test_positive_accepts_positive_operator_passthrough():
@@ -189,6 +245,11 @@ def test_geometric_mean_rejects_singular_operand():
         linalg.geometric_mean(np.diag([1.0, 0.0]), np.eye(2))
 
 
+def test_geometric_mean_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        linalg.geometric_mean(np.eye(3), np.eye(2))
+
+
 def test_excision_worked_examples():
     rho = np.diag([1.0, 0.0])
     plus = np.full((2, 2), 0.5)
@@ -203,7 +264,7 @@ def test_excision_of_zero_reference():
 
 
 def test_excision_dimension_mismatch():
-    with pytest.raises(SingularInputError):
+    with pytest.raises(DimensionMismatchError):
         linalg.excision(np.eye(3), np.eye(2))
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qleb import models, qlan
+from qleb import cli, matio, models, qlan
 from qleb.errors import (
     DerivativeLeavesSupportError,
     DerivativeUnstableError,
@@ -211,6 +211,17 @@ class TestLecamReport:
                                 (100, 400, 1600))
         assert rep.passed() and rep.monotone
         assert rep.study == "lecam"
+
+    @pytest.mark.parametrize("family", ["spin-pure", "spin-perturbed:quartic",
+                                        "spin-perturbed:squared", "qubit-fullrank"])
+    def test_default_observables_are_the_slds(self, family):
+        m = models.get_model(family)
+        queries = [q[None, :] for q in cli._default_queries(m.theta_dim)]
+        args = (cli._default_h(m.theta_dim), queries, (100, 1000, 10000))
+        explicit = qlan.lecam_report(m, qlan.sld_set(m).l_ops, *args)
+        default = qlan.lecam_report(m, None, *args)
+        assert (matio.dumps_json(default.to_json_dict())
+                == matio.dumps_json(explicit.to_json_dict()))
 
     def test_centering_is_enforced(self):
         m = models.spin_pure_model()
