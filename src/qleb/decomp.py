@@ -21,19 +21,26 @@ from .errors import (
     DimensionMismatchError,
     MutuallySingularError,
     NotAbsolutelyContinuousError,
+    QlebError,
     ZeroOperatorError,
 )
 from .linalg import (
     PositiveOperator,
+    _dagger,
     _eigh,
     _eigh_raw,
+    _excision,
     _geometric_mean,
+    _geometric_mean_stack,
+    _Live,
+    _log_stack,
+    _one,
     _positive,
+    _positive_stack,
     _resolve_cutoff,
-    default_cutoff,
+    _Spectra,
     excision,
     hermitian_part,
-    log_pd,
     positive,
     support_projector,
 )
@@ -138,10 +145,18 @@ def _ac_verdict(r: PositiveOperator, s: PositiveOperator) -> tuple[np.ndarray, f
     r << s iff the min eigenvalue exceeds the floor. Takes a validated pair
     with a nonzero reference and builds no witness.
     """
-    exc = excision(s, r)
-    w = _eigh_raw(exc).eigenvalues
-    floor = _excision_pos_tol(exc.shape[0], float(w[0]) if len(w) else 0.0, s.norm2, r.cutoff)
-    return exc, float(w[-1]), floor
+    exc, min_eigs, floors = _ac_verdicts(r, _one(s))
+    return exc[0], min_eigs[0], floors[0]
+
+
+def _ac_verdicts(r: PositiveOperator, s: _Spectra) -> tuple[np.ndarray, list[float], list[float]]:
+    """``_ac_verdict`` of r against each slice of a stack (canonical eigenvectors)."""
+    exc = _excision(r.support_basis(), s.vectors, s.eigenvalues)
+    k = exc.shape[-1]
+    vals = _eigh_raw(exc).eigenvalues.tolist()
+    floors = [_excision_pos_tol(k, w[0] if k else 0.0, norm, r.cutoff)
+              for w, norm in zip(vals, s.norms())]
+    return exc, [w[-1] for w in vals], floors
 
 
 @dataclass(frozen=True)
@@ -177,14 +192,13 @@ def is_absolutely_continuous(rho, sigma, cutoff: float | None = None) -> Absolut
         k = r.rank
         rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
         sigma0_inv = np.linalg.inv(exc)
-        # the witness mean runs at the process-wide cutoff, not ``cutoff``
-        x = _witness_mean(rho0, hermitian_part(sigma0_inv), default_cutoff())
+        x = _witness_mean(rho0, hermitian_part(sigma0_inv), r.cutoff)
         v = r.support_basis()
         witness = hermitian_part(v @ x @ v.conj().T)
         # evaluate R sigma R through sigma's spectral root: R can be large
         # (~ 1/sqrt of a small overlap) while R @ root stays O(||rho||^1/2),
         # so the identity is checked without amplifying rounding by ||R||^2
-        root = s.eigenvectors * np.sqrt(np.clip(s.eigenvalues, 0.0, None))
+        root = s.eigenvectors * np.sqrt(s.eigenvalues)
         m = witness @ root
         residual = float(np.max(np.abs(m @ m.conj().T - r.matrix)))
     return AbsoluteContinuityCheck(
@@ -453,33 +467,58 @@ def qllr(sigma, rho, cutoff: float | None = None) -> QllrVersion:
     """
     c = _resolve_cutoff(cutoff)
     r, s = _pair(rho, sigma, c)
+    return QllrVersion(
+        l_matrix=_qllr_stack(r, _one(s), _Live(1))[0],
+        gamma_choice="identity on the kernel of the reference operator",
+    )
+
+
+def _qllr_stack(r: PositiveOperator, s: _Spectra, live: _Live) -> np.ndarray:
+    """``qllr`` of each slice of a stack along one reference, at ``r.cutoff``.
+
+    ``s`` holds validated operators of r's dimension with canonical
+    eigenvectors. Each slice meets ``qllr``'s checks in ``qllr``'s order;
+    a failing slice is dropped from ``live`` and the L of the live ones is
+    returned. The operand inv(rho0) that every slice shares is built once.
+    """
     if r.rank == 0:
-        raise ZeroOperatorError("log-likelihood ratio needs a nonzero reference")
-    _, min_eig, floor = _ac_verdict(r, s)
-    if not min_eig > floor:
-        raise NotAbsolutelyContinuousError(
+        live.fail_all(ZeroOperatorError("log-likelihood ratio needs a nonzero reference"))
+    _, min_eigs, floors = _ac_verdicts(r, s)
+    failed = {
+        j: NotAbsolutelyContinuousError(
             "rho is not absolutely continuous with respect to sigma "
             f"(min excision eigenvalue {min_eig:.3e} <= floor {floor:.3e})"
         )
+        for j, (min_eig, floor) in enumerate(zip(min_eigs, floors)) if not min_eig > floor
+    }
+    if failed:
+        s = s.take(live.drop(failed))
+    c = r.cutoff
     d = r.dim
     k = r.rank
     v = r.eigenvectors
-    sb = v.conj().T @ s.matrix @ v
-    sigma0 = hermitian_part(sb[:k, :k])
-    alpha = sb[:k, k:]
+    sb = _dagger(v) @ s.matrix @ v
+    sigma0 = hermitian_part(sb[:, :k, :k])
+    alpha = sb[:, :k, k:]
     rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
-    x = _witness_mean(sigma0, hermitian_part(np.linalg.inv(rho0)), c)
-    e = np.eye(d, dtype=complex)
-    e[:k, k:] = np.linalg.inv(sigma0) @ alpha
-    mid = np.eye(d, dtype=complex)
-    mid[:k, :k] = x
-    r_plus = hermitian_part(e.conj().T @ mid @ e)
-    l_basis = log_pd(_positive(r_plus, c, scale_floor=1.0), c)
-    l_matrix = hermitian_part(v @ l_basis @ v.conj().T) * 2.0
-    return QllrVersion(
-        l_matrix=l_matrix,
-        gamma_choice="identity on the kernel of the reference operator",
-    )
+    rho0_inv = hermitian_part(np.linalg.inv(rho0))
+    index = live.index
+    pa = _positive_stack(sigma0, c, 0.0, live).canonical()
+    try:
+        pb = _positive(rho0_inv, c)
+    except QlebError as exc:
+        live.fail_all(exc)
+    x = _geometric_mean_stack(pa, pb, live).matrix
+    if len(live.index) < len(index):
+        at = live.since(index)
+        sigma0, alpha = sigma0[at], alpha[at]
+    e = np.eye(d, dtype=complex)[None].repeat(len(x), axis=0)
+    mid = e.copy()
+    e[:, :k, k:] = np.linalg.inv(sigma0) @ alpha
+    mid[:, :k, :k] = x
+    r_plus = hermitian_part(_dagger(e) @ mid @ e)
+    l_basis = _log_stack(_positive_stack(r_plus, c, 1.0, live), live)
+    return hermitian_part(v @ l_basis @ _dagger(v)) * 2.0
 
 
 def ac_ball_radius(rho, cutoff: float | None = None) -> float:

@@ -11,12 +11,17 @@ a ``PositiveOperator`` does this on the first read of its eigenvectors.
 Public functions validate their input; the private kernels (``_positive``,
 ``_geometric_mean``, ``_eigh``) take operands the package has just built and
 skip the checks those operands pass by construction.
+
+The spectral kernels also take stacks ``(N, d, d)``: the q-LAN reports
+evaluate whole grids of small matrices in one pass, and a single matrix is a
+stack of one. ``_Live`` keeps a stacked evaluation's errors those of the
+point-by-point loop it replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 import scipy.linalg
@@ -73,19 +78,24 @@ def _as_square(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidMatrixError("matrix has non-finite entries")
     return m
 
 
 def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(a) -> np.ndarray:
-    """(A + A^dagger) / 2, without any validation."""
+    """(A + A^dagger) / 2, without any validation; stacks work slice by slice."""
     m = np.asarray(a, dtype=complex)
-    return (m + m.conj().T) / 2
+    return (m + _dagger(m)) / 2
 
 
 def hermitize(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -110,6 +120,96 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+class _Live:
+    """The live slices of a stack that stands for a point-by-point loop.
+
+    Slice j of a stack is the j-th point the loop would visit. Kernels keep
+    arrays for the live slices only. When a check fails on some of them,
+    ``drop`` records each one's error (keyed by its position among the live
+    slices) and returns the mask of the survivors. The earliest recorded
+    failure is raised as soon as no live slice precedes it, since no later
+    stage can change which error the loop would have met first; ``close``
+    raises it after the last stage.
+    """
+
+    __slots__ = ("index", "errors")
+
+    def __init__(self, n: int):
+        self.index = range(n)
+        self.errors: dict[int, Exception] = {}
+
+    def drop(self, failed: dict[int, Exception]) -> np.ndarray:
+        index = self.index
+        for j, exc in failed.items():
+            self.errors[index[j]] = exc
+        self.index = [i for j, i in enumerate(index) if j not in failed]
+        if not self.index or self.index[0] > min(self.errors):
+            self._raise()
+        return np.array([j not in failed for j in range(len(index))])
+
+    def fail_all(self, exc: Exception) -> NoReturn:
+        """Every live slice fails with ``exc``: raise the earliest failure."""
+        self.errors.update(dict.fromkeys(self.index, exc))
+        self.index = []
+        self._raise()
+
+    def since(self, index) -> np.ndarray:
+        """Positions in an earlier ``index`` of the slices still live."""
+        return np.searchsorted(index, self.index)
+
+    def close(self) -> None:
+        if self.errors:
+            self._raise()
+
+    def _raise(self) -> NoReturn:
+        # raise a copy: the recorded error stays unraised, so no traceback
+        # ties it to the frames that hold it and nothing waits for the
+        # cycle collector
+        exc = self.errors[min(self.errors)]
+        raise type(exc)(*exc.args) from None
+
+
+def _kept(items: list, keep: np.ndarray) -> list:
+    return [x for x, k in zip(items, keep.tolist()) if k]
+
+
+class _Spectra(NamedTuple):
+    """A stack of validated PSD matrices with their spectral data.
+
+    ``eigenvalues`` are descending and clipped to [0, inf); ``rank_tol`` is
+    each slice's zero threshold. ``vectors`` are the solver's eigenvectors
+    with the degenerate clusters listed in ``pending`` (decided on the
+    unclipped eigenvalues) still to canonicalize; ``canonical`` does that.
+    """
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    rank_tol: list[float]
+    pending: list[list[tuple[int, int]]]
+    cutoff: float
+
+    def take(self, keep: np.ndarray) -> "_Spectra":
+        return _Spectra(self.matrix[keep], self.eigenvalues[keep], self.vectors[keep],
+                        _kept(self.rank_tol, keep), _kept(self.pending, keep), self.cutoff)
+
+    def canonical(self) -> "_Spectra":
+        if not any(self.pending):
+            return self
+        for v, clusters in zip(self.vectors, self.pending):
+            _canonicalize_clusters(v, clusters)
+        return _Spectra(self.matrix, self.eigenvalues, self.vectors, self.rank_tol,
+                        [[]] * len(self.pending), self.cutoff)
+
+    def ranks(self) -> list[int]:
+        return [sum(x > tol for x in w)
+                for w, tol in zip(self.eigenvalues.tolist(), self.rank_tol)]
+
+    def norms(self) -> list[float]:
+        """Spectral norm of each slice (of dimension at least 1)."""
+        return self.eigenvalues[:, 0].tolist()
+
+
 def _standard_basis_section(cols: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of span(cols) grown from e_1, e_2, ..."""
     d, k = cols.shape
@@ -132,12 +232,11 @@ def _standard_basis_section(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(picked)
 
 
-def _clusters(w: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each degenerate cluster of descending eigenvalues ``w``."""
-    d = len(w)
+def _clusters(vals: list[float]) -> list[tuple[int, int]]:
+    """(start, stop) of each degenerate cluster of descending eigenvalues ``vals``."""
+    d = len(vals)
     if d < 2:
         return []
-    vals = w.tolist()
     tol = _CLUSTER_TOL * max(1.0, abs(vals[0]), abs(vals[-1]))
     clusters = []
     start = 0
@@ -165,14 +264,16 @@ def eig_hermitian(a) -> SpectralDecomposition:
 
 
 def _eigh(h: np.ndarray) -> SpectralDecomposition:
-    """``eig_hermitian`` of a matrix that is already ``hermitian_part``-exact."""
+    """``eig_hermitian`` of a matrix, or a stack, that is ``hermitian_part``-exact."""
     w, v = _eigh_raw(h)
-    _canonicalize_clusters(v, _clusters(w))
+    n, d = (1, w.shape[0]) if w.ndim == 1 else w.shape
+    for vals, vecs in zip(w.reshape(n, d).tolist(), v.reshape(n, d, d)):
+        _canonicalize_clusters(vecs, _clusters(vals))
     return SpectralDecomposition(w, v)
 
 
 def _eigh_raw(h: np.ndarray) -> SpectralDecomposition:
-    """The solver's eigenpairs of ``h``, descending, in fresh arrays.
+    """The solver's eigenpairs of ``h`` (or of each slice), descending, in fresh arrays.
 
     Degenerate eigenspaces keep whatever basis the solver returned, so use it
     where only the eigenvalues are read.
@@ -181,8 +282,13 @@ def _eigh_raw(h: np.ndarray) -> SpectralDecomposition:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(np.ascontiguousarray(w[::-1]),
-                                 np.ascontiguousarray(v[:, ::-1]))
+    return SpectralDecomposition(np.ascontiguousarray(w[..., ::-1]),
+                                 np.ascontiguousarray(v[..., ::-1]))
+
+
+def _synth(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """V diag(f(w)) V^dagger from eigenvectors ``v`` and values ``fw``, stacked or not."""
+    return (v * fw[..., None, :]) @ _dagger(v)
 
 
 @dataclass(frozen=True)
@@ -270,18 +376,49 @@ def _positive(m: np.ndarray, cutoff: float, scale_floor: float = 0.0) -> Positiv
     takes ``cutoff`` already resolved. ``m`` becomes the operator's frozen
     ``matrix``, so the caller must not hold it for writing.
     """
-    if not np.all(np.isfinite(m)):
-        raise InvalidMatrixError("matrix has non-finite entries")
+    sp = _positive_stack(m[None], cutoff, scale_floor, _Live(1))
+    return PositiveOperator(m, sp.eigenvalues[0], sp.vectors[0], cutoff, sp.rank_tol[0],
+                            sp.pending[0])
+
+
+def _positive_stack(m: np.ndarray, cutoff: float, scale_floor, live: _Live) -> _Spectra:
+    """``_positive`` of each slice of a stack, dropping the slices that fail.
+
+    ``scale_floor`` is one float for every slice or a list of one per slice.
+    """
+    floors = scale_floor if isinstance(scale_floor, list) else [float(scale_floor)] * len(m)
+    if not np.isfinite(m).all():
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        keep = live.drop({j: InvalidMatrixError("matrix has non-finite entries")
+                          for j in np.flatnonzero(~finite).tolist()})
+        m, floors = m[keep], _kept(floors, keep)
     w, v = _eigh_raw(m)
-    d = m.shape[0]
-    norm2 = max(abs(w[0]), abs(w[-1])) if d else 0.0
-    rank_tol = d * max(norm2, float(scale_floor)) * cutoff
-    if d and w[-1] < -rank_tol:
-        raise NotPositiveError(
-            f"eigenvalue {w[-1]:.6e} below -rank_tol = {-rank_tol:.6e}"
-        )
-    return PositiveOperator(m, np.clip(w, 0.0, None), v, cutoff, float(rank_tol),
-                            _clusters(w))
+    d = m.shape[-1]
+    vals = w.tolist()
+    rank_tols = []
+    failed = {}
+    for j, (wj, floor) in enumerate(zip(vals, floors)):
+        norm2 = max(abs(wj[0]), abs(wj[-1])) if d else 0.0
+        rank_tol = d * max(norm2, floor) * cutoff
+        if d and wj[-1] < -rank_tol:
+            failed[j] = NotPositiveError(
+                f"eigenvalue {wj[-1]:.6e} below -rank_tol = {-rank_tol:.6e}"
+            )
+        rank_tols.append(rank_tol)
+    sp = _Spectra(m, np.maximum(w, 0.0), v, rank_tols, [_clusters(wj) for wj in vals], cutoff)
+    return sp.take(live.drop(failed)) if failed else sp
+
+
+def _one(p: PositiveOperator) -> _Spectra:
+    """A validated operator as a stack of one, with its canonical eigenvectors."""
+    return _Spectra(p.matrix[None], p.eigenvalues[None], p.eigenvectors[None], [p.rank_tol],
+                    [[]], p.cutoff)
+
+
+def _operator(sp: _Spectra) -> PositiveOperator:
+    """The operator of a stack of one."""
+    return PositiveOperator(sp.matrix[0], sp.eigenvalues[0], sp.vectors[0], sp.cutoff,
+                            sp.rank_tol[0], sp.pending[0])
 
 
 def _from_spectrum(vals: np.ndarray, vecs: np.ndarray, cutoff: float) -> PositiveOperator:
@@ -289,7 +426,7 @@ def _from_spectrum(vals: np.ndarray, vecs: np.ndarray, cutoff: float) -> Positiv
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    m = hermitian_part((vecs * vals) @ vecs.conj().T)
+    m = hermitian_part(_synth(vecs, vals))
     d = m.shape[0]
     rank_tol = d * (float(vals[0]) if d else 0.0) * cutoff
     return PositiveOperator(m, vals, vecs, cutoff, float(rank_tol))
@@ -321,13 +458,26 @@ def log_pd(a, cutoff: float | None = None) -> np.ndarray:
     p = positive(a, cutoff)
     if p.dim == 0:
         return np.zeros((0, 0), dtype=complex)
-    if p.rank < p.dim:
-        raise SingularInputError(
-            f"logarithm needs a strictly positive matrix; numerical rank "
-            f"{p.rank} < dim {p.dim}"
+    return _log_stack(_one(p), _Live(1))[0]
+
+
+def _log_stack(p: _Spectra, live: _Live) -> np.ndarray:
+    """``log_pd`` of each slice of a nonempty stack, dropping the rank-deficient ones."""
+    d = p.matrix.shape[-1]
+    failed = {
+        j: SingularInputError(
+            f"logarithm needs a strictly positive matrix; numerical rank {rank} < dim {d}"
         )
-    v = p.eigenvectors
-    return hermitian_part((v * np.log(p.eigenvalues)) @ v.conj().T)
+        for j, rank in enumerate(p.ranks()) if rank < d
+    }
+    if failed:
+        p = p.take(live.drop(failed))
+    p = p.canonical()
+    return hermitian_part(_synth(p.vectors, np.log(p.eigenvalues)))
+
+
+#: message of the OverflowError that ``expm`` raises
+_EXPM_OVERFLOW = "matrix exponential overflowed the float range"
 
 
 def expm(a) -> np.ndarray:
@@ -336,24 +486,55 @@ def expm(a) -> np.ndarray:
     Hermitian and anti-Hermitian input go through the spectral decomposition;
     everything else through scaling-and-squaring.
     """
-    m = _as_square(a)
-    if m.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    tol = HERMITIAN_TOL * max(1.0, _maxabs(m))
+    out, overflowed = _expm_stack(_as_square(a)[None])
+    if overflowed:
+        raise OverflowError(_EXPM_OVERFLOW)
+    return out[0]
+
+
+def _expm_stack(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``expm`` of each slice of a stack of finite square matrices.
+
+    Returns the exponentials and the positions of the slices that
+    overflowed; each slice takes the branch ``expm`` would take on it alone.
+    """
+    if not m.size:
+        return np.zeros(m.shape, dtype=complex), []
+    tols = [HERMITIAN_TOL * max(1.0, x) for x in np.abs(m).max(axis=(-2, -1)).tolist()]
     with np.errstate(over="ignore", invalid="ignore"):
         # each branch test is the one ``hermitize`` would repeat on the
         # operand handed to the eigensolver
-        if _maxabs(m - m.conj().T) <= tol:
-            w, v = _eigh(hermitian_part(m))
-            out = hermitian_part((v * np.exp(w)) @ v.conj().T)
-        elif _maxabs(m + m.conj().T) <= tol:
-            w, v = _eigh(hermitian_part(-1j * m))
-            out = (v * np.exp(1j * w)) @ v.conj().T
+        gaps = np.abs(m - _dagger(m)).max(axis=(-2, -1)).tolist()
+        herm = [gap <= tol for gap, tol in zip(gaps, tols)]
+        if all(herm):
+            out = _exp_hermitian(m)
         else:
-            out = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("matrix exponential overflowed the float range")
-    return out
+            gaps = np.abs(m + _dagger(m)).max(axis=(-2, -1)).tolist()
+            anti = [not h and gap <= tol for h, gap, tol in zip(herm, gaps, tols)]
+            if all(anti):
+                out = _exp_anti_hermitian(m)
+            else:
+                out = np.empty_like(m)
+                if any(herm):
+                    out[herm] = _exp_hermitian(m[herm])
+                if any(anti):
+                    out[anti] = _exp_anti_hermitian(m[anti])
+                for j, (h, a) in enumerate(zip(herm, anti)):
+                    if not (h or a):
+                        out[j] = scipy.linalg.expm(m[j])
+    if np.isfinite(out).all():
+        return out, []
+    return out, np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))).tolist()
+
+
+def _exp_hermitian(m: np.ndarray) -> np.ndarray:
+    w, v = _eigh(hermitian_part(m))
+    return hermitian_part(_synth(v, np.exp(w)))
+
+
+def _exp_anti_hermitian(m: np.ndarray) -> np.ndarray:
+    w, v = _eigh(hermitian_part(-1j * m))
+    return _synth(v, np.exp(1j * w))
 
 
 def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:
@@ -373,22 +554,43 @@ def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:
 
 def _geometric_mean(pa: PositiveOperator, pb: PositiveOperator) -> PositiveOperator:
     """``geometric_mean`` of validated operands of one dimension, at ``pa.cutoff``."""
-    for name, p in (("left", pa), ("right", pb)):
-        if p.dim and p.rank < p.dim:
-            raise SingularInputError(
-                f"geometric mean needs strictly positive operands; {name} "
-                f"operand has numerical rank {p.rank} < dim {p.dim}"
-            )
     if pa.dim == 0:
         return _from_spectrum(np.zeros(0), np.zeros((0, 0), dtype=complex), pa.cutoff)
-    va, wa = pa.eigenvectors, pa.eigenvalues
-    root = (va * np.sqrt(wa)) @ va.conj().T
-    iroot = (va * (1.0 / np.sqrt(wa))) @ va.conj().T
+    return _operator(_geometric_mean_stack(_one(pa), pb, _Live(1)))
+
+
+def _rank_error(name: str, rank: int, dim: int) -> SingularInputError | None:
+    if rank >= dim:
+        return None
+    return SingularInputError(
+        f"geometric mean needs strictly positive operands; {name} "
+        f"operand has numerical rank {rank} < dim {dim}"
+    )
+
+
+def _geometric_mean_stack(pa: _Spectra, pb: PositiveOperator, live: _Live) -> _Spectra:
+    """A # B for each slice A of ``pa``, at ``pa.cutoff``.
+
+    ``pa`` has canonical eigenvectors and dimension at least 1; slices with
+    a singular operand are dropped from ``live``.
+    """
+    d = pa.matrix.shape[-1]
+    right = _rank_error("right", pb.rank, pb.dim)
+    failed = {}
+    for j, rank in enumerate(pa.ranks()):
+        exc = _rank_error("left", rank, d) or right
+        if exc is not None:
+            failed[j] = exc
+    if failed:
+        pa = pa.take(live.drop(failed))
+    va, wa = pa.vectors, pa.eigenvalues
+    root = _synth(va, np.sqrt(wa))
+    iroot = _synth(va, 1.0 / np.sqrt(wa))
     inner = hermitian_part(iroot @ pb.matrix @ iroot)
     wi, vi = _eigh(inner)
-    sqrt_inner = (vi * np.sqrt(np.clip(wi, 0.0, None))) @ vi.conj().T
-    x = hermitian_part(root @ sqrt_inner @ root)
-    return _positive(x, pa.cutoff, scale_floor=max(pa.norm2, pb.norm2))
+    x = hermitian_part(root @ _synth(vi, np.sqrt(np.maximum(wi, 0.0))) @ root)
+    floors = [max(norm, pb.norm2) for norm in pa.norms()]
+    return _positive_stack(x, pa.cutoff, floors, live)
 
 
 def excision(sigma, rho, cutoff: float | None = None) -> np.ndarray:
@@ -412,5 +614,9 @@ def excision(sigma, rho, cutoff: float | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"operands must share a dimension, got {s.dim} and {r.dim}"
         )
-    w = r.support_basis().conj().T @ s.eigenvectors
-    return hermitian_part((w * s.eigenvalues) @ w.conj().T)
+    return _excision(r.support_basis(), s.eigenvectors, s.eigenvalues)
+
+
+def _excision(basis: np.ndarray, vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``excision`` onto span(``basis``) of the operator(s) with spectra ``(vecs, vals)``."""
+    return hermitian_part(_synth(_dagger(basis) @ vecs, vals))

@@ -25,12 +25,23 @@ from .errors import (
     DerivativeUnstableError,
     DimensionMismatchError,
     DimensionTooLargeError,
+    InvalidMatrixError,
     NotCenteredError,
     QueryOutOfSafeRangeError,
     SupportViolationError,
 )
 from .gaussian import GaussianSpec, as_query, lecam_limit_spec, qcf
-from .linalg import PositiveOperator, expm, hermitian_part, hermitize, positive
+from .linalg import (
+    _EXPM_OVERFLOW,
+    PositiveOperator,
+    _expm_stack,
+    _Live,
+    _positive_stack,
+    expm,
+    hermitian_part,
+    hermitize,
+    positive,
+)
 
 #: central-difference step for state derivatives
 FD_STEP = 1e-5
@@ -197,19 +208,6 @@ def _combination(ops: Sequence[np.ndarray], xi: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _site_trace(state: np.ndarray, ops: Sequence[np.ndarray], query: np.ndarray,
-                scale: float, extra: np.ndarray | None = None,
-                etas: np.ndarray | None = None) -> complex:
-    d = state.shape[0]
-    prod = np.eye(d, dtype=complex)
-    for t in range(query.shape[0]):
-        gen = _combination(ops, query[t])
-        if extra is not None and etas is not None:
-            gen = gen + etas[t] * extra
-        prod = prod @ expm(1j * scale * gen)
-    return complex(np.trace(state @ prod))
-
-
 def collective_qcf_factorized(site_state, site_ops, query, n: int,
                               guard: float = QCF_GUARD) -> complex:
     """QCF of collective observables over n sites, via exact factorization.
@@ -225,24 +223,77 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
     q = as_query(query, len(ops))
     if int(n) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return _guarded_power(state, ops, q, int(n), guard)
+    return _guarded_powers([state], ops, [q], int(n), guard)[0][0]
 
 
-def _guarded_power(state: np.ndarray, ops: Sequence[np.ndarray], query: np.ndarray,
-                   n: int, guard: float = QCF_GUARD, extra: np.ndarray | None = None,
-                   etas: np.ndarray | None = None) -> complex:
-    """z^n = exp(n log z) for z = Tr rho prod_t exp(i (xi_t . A + eta_t R) / sqrt(n)).
+def _guarded_powers(states: Sequence[np.ndarray], ops: Sequence[np.ndarray],
+                    queries: Sequence[np.ndarray], n: int, guard: float = QCF_GUARD,
+                    extra: np.ndarray | None = None,
+                    etas: Sequence[float | None] | None = None) -> list[list[complex]]:
+    """z^n = exp(n log z) for z = Tr rho prod_t exp(i (xi_t . A + eta R) / sqrt(n)).
 
-    Operands are trusted: ``state``, ``ops`` and ``extra`` hermitized,
-    ``query`` normalized by ``as_query``, ``n`` a positive int.
+    One value per state and per slice: slice j is the query ``queries[j]``,
+    with eta_j R (R = ``extra``) added to each factor's generator when
+    ``etas[j]`` is not None. The factors of all slices are exponentiated in
+    one stacked pass, and each slice's product is built once and traced
+    against every state. Errors are those of a loop over the slices in
+    order: each factor's exponential, then |z - 1| < ``guard`` for each
+    state in turn.
+
+    Operands are trusted: ``states``, ``ops`` and ``extra`` hermitized,
+    queries normalized by ``as_query``, ``n`` a positive int.
     """
-    z = _site_trace(state, ops, query, 1.0 / np.sqrt(n), extra=extra, etas=etas)
-    if abs(z - 1.0) >= guard:
-        raise QueryOutOfSafeRangeError(
-            f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1 "
-            f"(guard {guard}); shrink ||xi|| / sqrt(n)"
-        )
-    return complex(np.exp(n * np.log(z)))
+    count = len(queries)
+    d = ops[0].shape[0]
+    t_max = max(q.shape[0] for q in queries)
+    # shorter queries get identity factors in front; eye @ eye is exactly
+    # eye, so every product is the one a loop over that query alone builds
+    coef = np.zeros((count, t_max, len(ops)), dtype=complex)
+    real = np.zeros((count, t_max), dtype=bool)
+    for j, q in enumerate(queries):
+        coef[j, t_max - q.shape[0]:] = q
+        real[j, t_max - q.shape[0]:] = True
+    gen = np.zeros((count, t_max, d, d), dtype=complex)
+    for i, op in enumerate(ops):
+        gen = gen + coef[:, :, i, None, None] * op
+    if etas is not None:
+        shifted = [j for j, eta in enumerate(etas) if eta is not None]
+        eta_col = np.array([etas[j] for j in shifted])[:, None, None, None]
+        gen[shifted] = gen[shifted] + eta_col * extra
+    factors = 1j * (1.0 / np.sqrt(n)) * gen[real]
+    at = np.flatnonzero(real.ravel())
+    finite = np.isfinite(factors).all(axis=(-2, -1))
+    exps, overflowed = _expm_stack(factors[finite])
+    mats = np.broadcast_to(np.eye(d, dtype=complex), gen.shape).copy()
+    mats.reshape(-1, d, d)[at[finite]] = exps
+    live = _Live(count)
+    if overflowed or not finite.all():
+        # a slice fails with the error of its first failing factor
+        errors = {f: InvalidMatrixError("matrix has non-finite entries")
+                  for f in at[~finite].tolist()}
+        errors.update(dict.fromkeys(at[finite][overflowed].tolist(),
+                                    OverflowError(_EXPM_OVERFLOW)))
+        failed = {}
+        for f in sorted(errors):
+            failed.setdefault(f // t_max, errors[f])
+        mats = mats[live.drop(failed)]
+    prod = np.eye(d, dtype=complex)
+    for t in range(t_max):
+        prod = prod @ mats[:, t]
+    traces = [np.trace(state @ prod, axis1=-2, axis2=-1).tolist() for state in states]
+    failed = {}
+    for j, zs in enumerate(zip(*traces)):
+        for z in zs:
+            if abs(z - 1.0) >= guard:
+                failed[j] = QueryOutOfSafeRangeError(
+                    f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1 "
+                    f"(guard {guard}); shrink ||xi|| / sqrt(n)"
+                )
+                break
+    if failed:
+        live.drop(failed)
+    live.close()
+    return [[complex(np.exp(n * np.log(z))) for z in zs] for zs in traces]
 
 
 def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -349,8 +400,8 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
     limit = GaussianSpec(np.zeros(model.theta_dim), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
     errors = [
-        max(abs(_guarded_power(rho0.matrix, slds.l_ops, q, n) - lim)
-            for q, lim in zip(queries, limits))
+        max(abs(z - lim)
+            for z, lim in zip(_guarded_powers([rho0.matrix], slds.l_ops, queries, n)[0], limits))
         for n in ns
     ]
     return _rate_report("qclt", ns, errors, rate_threshold)
@@ -411,11 +462,8 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
                 n=n,
                 theta=theta_n,
             )
-        err = max(
-            abs(_guarded_power(rho_n.matrix, ops, q, n) - lim)
-            for q, lim in zip(queries, limits)
-        )
-        errors.append(err)
+        powers = _guarded_powers([rho_n.matrix], ops, queries, n)[0]
+        errors.append(max(abs(z - lim) for z, lim in zip(powers, limits)))
     return _rate_report("lecam", ns, errors, rate_threshold)
 
 
@@ -442,7 +490,7 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int, site_ops=None,
     )
     t0 = np.asarray(model.theta0, dtype=float)
     sandwiched = _sandwiched_state(model.state_at(t0 + h / np.sqrt(n)), rho0, cutoff)
-    return _guarded_power(sandwiched, ops, as_query(query, len(ops)), n)
+    return _guarded_powers([sandwiched], ops, [as_query(query, len(ops))], n)[0][0]
 
 
 def _sandwiched_state(rho_n, rho0: PositiveOperator, cutoff: float | None) -> np.ndarray:
@@ -469,11 +517,9 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     for n in ns:
         rho_n = hermitize(model.state_at(t0 + h / np.sqrt(n)))
         sandwiched = _sandwiched_state(rho_n, rho0, cutoff)
-        gap = max(
-            abs(_guarded_power(sandwiched, ops, q, n) - _guarded_power(rho_n, ops, q, n))
-            for q in queries
-        )
-        errors.append(gap)
+        # one product per query, traced against both states
+        shifted, unshifted = _guarded_powers([sandwiched, rho_n], ops, queries, n)
+        errors.append(max(abs(a - b) for a, b in zip(shifted, unshifted)))
     return _rate_report("sandwich", ns, errors, rate_threshold)
 
 
@@ -502,6 +548,28 @@ class Oh2Report:
         }
 
 
+def _states_at(model: ParametricModel, thetas, rho0: PositiveOperator
+               ) -> tuple[np.ndarray, Exception | None]:
+    """Hermitized states of the model at ``thetas``, as one stack.
+
+    Stops at the first theta whose state cannot join the stack (``state_at``
+    or ``hermitize`` raises, or the dimension differs from rho0's) and
+    returns that error with the states before it: a loop over the points
+    meets it only after those.
+    """
+    states = []
+    failure = None
+    try:
+        for theta in thetas:
+            state = hermitize(model.state_at(theta))
+            if state.shape != rho0.matrix.shape:
+                decomp._pair(rho0, state, rho0.cutoff)
+            states.append(state)
+    except Exception as exc:
+        failure = exc
+    return np.array(states, dtype=complex).reshape(-1, *rho0.matrix.shape), failure
+
+
 def _sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(count) / count
@@ -527,13 +595,23 @@ def oh2_report(model: ParametricModel, radii=(0.2, 0.1, 0.05, 0.025),
     dirs = _sphere_directions(model.theta_dim, n_directions, seed)
     rho0 = positive(model.state0(), cutoff)
     t0 = np.asarray(model.theta0, dtype=float)
+    # every (radius, direction) point in one stack, radius-major as a loop
+    # over radii and then directions would visit them
+    states, failure = _states_at(model, [t0 + r * u for r in radii for u in dirs], rho0)
+    live = _Live(len(states))
+    spectra = _positive_stack(states, rho0.cutoff, 0.0, live).canonical()
+    l_stack = decomp._qllr_stack(rho0, spectra, live)
+    exps, overflowed = _expm_stack(l_stack)
+    if overflowed:
+        exps = exps[live.drop(dict.fromkeys(overflowed, OverflowError(_EXPM_OVERFLOW)))]
+    traces = np.trace(rho0.matrix @ exps, axis1=-2, axis2=-1).real.tolist()
+    live.close()
+    if failure is not None:
+        raise failure
     g_values = []
-    for r in radii:
+    for i, r in enumerate(radii):
         worst = -np.inf
-        for u in dirs:
-            theta = t0 + r * u
-            l_matrix = decomp.qllr(model.state_at(theta), rho0, cutoff).l_matrix
-            tr = float(np.trace(rho0.matrix @ expm(l_matrix)).real)
+        for tr in traces[i * len(dirs):(i + 1) * len(dirs)]:
             worst = max(worst, (1.0 - tr) / (r * r))
         g_values.append(float(worst))
     gs = np.asarray(g_values)
@@ -606,13 +684,16 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
                 f"remainder at n = {n} has dimension {extra.shape[0]}, "
                 f"expected {model.dim}"
             )
+        # per query: the eta-free slice, then one slice per eta
+        slices = [(q, eta) for q in queries for eta in (None, *etas)]
+        powers = iter(_guarded_powers([rho0], ops, [q for q, _ in slices], n, extra=extra,
+                                      etas=[eta for _, eta in slices])[0])
         dev = 0.0
         exc = 0.0
-        for q, lim in zip(queries, limits):
-            plain = _guarded_power(rho0, ops, q, n)
-            for eta in etas:
-                eta_vec = np.full(q.shape[0], eta)
-                joint = _guarded_power(rho0, ops, q, n, extra=extra, etas=eta_vec)
+        for lim in limits:
+            plain = next(powers)
+            for _ in etas:
+                joint = next(powers)
                 dev = max(dev, abs(joint - lim))
                 exc = max(exc, abs(joint - plain))
         deviations.append(dev)

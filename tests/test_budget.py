@@ -12,9 +12,13 @@ import pytest
 
 from qleb import cli, decomp, linalg, models, qlan
 
-#: budgets of spin-perturbed:quartic studies with the CLI defaults
-SANDWICH_BUDGET = 72
-OH2_BUDGET = 290
+#: budgets of spin-perturbed:quartic studies with the CLI defaults; the
+#: reports evaluate each grid in stacked eigensolves (one stacked call counts
+#: once), so these are the per-report counts of the stacked path
+SANDWICH_BUDGET = 40
+OH2_BUDGET = 42
+QCLT_BUDGET = 14
+PROBE_BUDGET = 48
 QLLR_BUDGET = 8
 
 
@@ -63,6 +67,25 @@ def test_oh2_report_budget(eigh_calls):
     rep = qlan.oh2_report(model, seed=0)
     assert rep.passed()
     assert 0 < len(eigh_calls) <= OH2_BUDGET
+
+
+def test_qclt_report_budget(eigh_calls):
+    model = models.get_model("spin-perturbed:quartic")
+    _, queries, n_grid = _cli_defaults(model)
+    eigh_calls.clear()
+    rep = qlan.qclt_report(model, queries, n_grid)
+    assert rep.passed()
+    assert 0 < len(eigh_calls) <= QCLT_BUDGET
+
+
+def test_infinitesimal_probe_budget(eigh_calls):
+    model = models.get_model("spin-perturbed:quartic")
+    h, queries, n_grid = _cli_defaults(model)
+    rule = qlan.iid_remainder_rule(model, h)
+    eigh_calls.clear()
+    rep = qlan.infinitesimal_probe(rule, model, queries, (0.5, 1.0), n_grid)
+    assert rep.passed()
+    assert 0 < len(eigh_calls) <= PROBE_BUDGET
 
 
 #: the decomposition pipeline; each validates its two raw operands once

@@ -128,6 +128,13 @@ class TestCheck:
         assert run_cli("check", "ac", "--rho", rho, "--sigma", sigma) == 0
         assert "witness residual" in capsys.readouterr().out
 
+    def test_ac_cutoff_reaches_the_witness(self, tmp_path, capsys):
+        # rho has rank 2 only at cutoff 1e-15; the witness must be built there
+        rho = write_matrix(tmp_path, "r.json", np.diag([1.0, 1e-13]))
+        sigma = write_matrix(tmp_path, "s.json", np.eye(2))
+        assert run_cli("check", "ac", "--cutoff", "1e-15", "--rho", rho, "--sigma", sigma) == 0
+        assert "witness residual" in capsys.readouterr().out
+
     def test_ac_false(self, tmp_path):
         rho = write_matrix(tmp_path, "r.json", np.eye(2) / 2)
         sigma = write_matrix(tmp_path, "s.json", np.diag([1.0, 0.0]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qleb import decomp, linalg, models
+from qleb import cli, decomp, linalg, models
 from qleb.errors import (
     DimensionMismatchError,
     MutuallySingularError,
@@ -75,6 +75,15 @@ class TestAbsoluteContinuity:
         rho = np.diag([0.5, 0.5, 0.0])
         sigma = np.diag([1.0, 0.0, 0.0])
         assert not decomp.is_absolutely_continuous(rho, sigma)
+
+    def test_witness_runs_at_the_call_cutoff(self):
+        # rank 2 at cutoff 1e-15, rank 1 at the default 1e-11: the witness
+        # mean must see the cutoff the verdict was decided at
+        rho = np.diag([1.0, 1e-13])
+        chk = decomp.is_absolutely_continuous(rho, np.eye(2), cutoff=1e-15)
+        assert chk.absolutely_continuous
+        assert chk.witness_residual <= 1e-9
+        decomp.qllr(np.eye(2), rho, cutoff=1e-15)
 
 
 class TestMutualContinuity:
@@ -331,3 +340,49 @@ class TestAcBallRadius:
             sigma = rho + h
             assert np.linalg.eigvalsh(sigma)[0] > 0
             assert decomp.is_absolutely_continuous(rho, sigma)
+
+
+class TestOracles:
+    """Closed forms checked against the rewritten kernels.
+
+    Tolerances are those of the tier-1 gate, fixed before any run: 1e-9 for
+    witness identities and ``cli.ROUTE_TOL`` between a route and an exact
+    answer.
+    """
+
+    @pytest.mark.parametrize("route", ["lebesgue_decompose", "lebesgue_decompose_direct"])
+    @pytest.mark.parametrize("mode", ["generic", "orthogonal"])
+    def test_rank_one_reference(self, route, mode):
+        # rho = |psi><psi|: sigma_ac = sigma |psi><psi| sigma / <psi|sigma|psi>,
+        # which is 0 when the supports are orthogonal
+        checked = 0
+        for d in range(2, 9):
+            for ks in range(1, d + 1 if mode == "generic" else d):
+                spec = models.RandomPsdPairSpec(d, 1, ks, seed=700 + 10 * d + ks, mode=mode)
+                rho, sigma = models.random_psd_pair(spec)
+                s = sigma.matrix
+                if mode == "generic":
+                    col = s @ rho.support_basis()[:, 0]
+                    expected = np.outer(col, col.conj()) / (rho.support_basis()[:, 0].conj() @ col)
+                else:
+                    expected = np.zeros((d, d))
+                got = getattr(decomp, route)(s, rho.matrix).sigma_ac.matrix
+                assert np.max(np.abs(got - expected)) <= cli.ROUTE_TOL, spec
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_qllr_sandwich_identity_every_rank_mix(self, d):
+        # exp(L/2) rho exp(L/2) = sigma_ac whenever rho << sigma: supp rho is
+        # spanned by the first kr columns of a Haar frame, supp sigma by the
+        # first ks >= kr
+        rng = np.random.default_rng(900 + d)
+        for kr in range(1, d + 1):
+            for ks in range(kr, d + 1):
+                u = models.haar_unitary(d, rng)
+                rho = (u[:, :kr] * rng.uniform(0.2, 1.0, kr)) @ u[:, :kr].conj().T
+                a = rng.standard_normal((ks, ks)) + 1j * rng.standard_normal((ks, ks))
+                sigma = u[:, :ks] @ (a @ a.conj().T) @ u[:, :ks].conj().T
+                half = linalg.expm(decomp.qllr(sigma, rho).l_matrix / 2)
+                ac = decomp.lebesgue_decompose(sigma, rho).sigma_ac.matrix
+                assert np.max(np.abs(half @ rho @ half - ac)) <= 1e-9, (kr, ks)

@@ -1,0 +1,315 @@
+"""Stacked spectral kernels against the point-by-point loops they replace.
+
+The q-LAN reports evaluate their grids through kernels that take a leading
+stack axis (``linalg._expm_stack``, ``decomp._qllr_stack``,
+``qlan._guarded_powers``). Each test keeps the per-point loop over the
+public single-matrix functions as the reference: values must be equal to
+the last bit (``np.array_equal``), and a failing grid must raise the error,
+type and text, that the loop meets first.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+
+from qleb import decomp, linalg, models, qlan
+from qleb.errors import (
+    InvalidMatrixError,
+    QlebError,
+    NotAbsolutelyContinuousError,
+    NotPositiveError,
+    QueryOutOfSafeRangeError,
+)
+from qleb.gaussian import as_query
+
+
+def random_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def hermitian_with(rng, eigs):
+    u = random_unitary(rng, len(eigs))
+    return linalg.hermitian_part((u * np.asarray(eigs, float)) @ u.conj().T)
+
+
+def spectra(rng, d):
+    """Eigenvalue lists at dimension d: generic, repeated, and rank-deficient."""
+    generic = rng.uniform(0.1, 1.0, d)
+    repeated = np.repeat(rng.uniform(0.1, 1.0, (d + 1) // 2), 2)[:d]
+    deficient = np.concatenate([rng.uniform(0.1, 1.0, d - d // 2), np.zeros(d // 2)])
+    return generic, repeated, deficient
+
+
+def first_error(calls):
+    """Type and text of the first exception a loop over ``calls`` raises."""
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:  # the loop is the reference, whatever it raises
+            return type(exc), str(exc)
+    return None
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def stacked_qllr(states, r):
+    live = linalg._Live(len(states))
+    spectra_ = linalg._positive_stack(np.array(states), r.cutoff, 0.0, live).canonical()
+    l_stack = decomp._qllr_stack(r, spectra_, live)
+    live.close()
+    return l_stack
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_qllr_stack_is_the_per_point_qllr(d):
+    rng = np.random.default_rng(40 + d)
+    generic, repeated, deficient = spectra(rng, d)
+    # full-rank states (repeated eigenvalues among them) dominate any reference
+    states = [hermitian_with(rng, rng.uniform(0.1, 1.0, d)) for _ in range(6)]
+    states += [hermitian_with(rng, repeated) for _ in range(3)]
+    states += [np.eye(d, dtype=complex) / d]
+    for eigs in (generic, repeated, deficient, np.eye(d)[0]):
+        r = linalg.positive(hermitian_with(rng, eigs))
+        l_stack = stacked_qllr(states, r)
+        assert len(l_stack) == len(states)
+        for state, l_matrix in zip(states, l_stack):
+            assert np.array_equal(l_matrix, decomp.qllr(state, r).l_matrix)
+
+
+@pytest.mark.parametrize("bad", [
+    {3: "not_ac"},
+    {3: "not_ac", 5: "indefinite"},
+    {5: "not_ac", 3: "indefinite"},
+    {0: "indefinite", 1: "not_ac"},
+    {6: "not_ac"},
+])
+def test_qllr_stack_raises_the_first_failing_point(bad):
+    rng = np.random.default_rng(7)
+    d = 3
+    r = linalg.positive(hermitian_with(rng, [0.5, 0.3, 0.0]))
+    states = [hermitian_with(rng, rng.uniform(0.1, 1.0, d)) for _ in range(7)]
+    for j, kind in bad.items():
+        if kind == "not_ac":
+            # supported on ker rho plus one direction of supp rho only
+            k = r.kernel_basis()[:, 0]
+            s = r.support_basis()[:, 0]
+            states[j] = linalg.hermitian_part(np.outer(k, k.conj()) + 0.5 * np.outer(s, s.conj()))
+        else:
+            states[j] = hermitian_with(rng, [1.0, 0.5, -0.2])
+    expected = first_error([lambda s=s: decomp.qllr(s, r) for s in states])
+    assert expected is not None and expected[0] in (NotAbsolutelyContinuousError,
+                                                    NotPositiveError)
+    assert raised(lambda: stacked_qllr(states, r)) == expected
+
+
+def test_failing_checks_leave_no_reference_cycles():
+    # a recorded error that was raised itself would hold, through its
+    # traceback, the frames that hold it; garbage for the cycle collector
+    failing = [lambda: linalg.log_pd(np.diag([1.0, 0.0])),
+               lambda: decomp.qllr(np.diag([1.0, 0.0]), np.eye(2) / 2),
+               lambda: linalg.positive(-np.eye(2)),
+               lambda: linalg.geometric_mean(np.diag([1.0, 0.0]), np.eye(2))]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in failing:
+            try:
+                call()
+            except QlebError:
+                pass
+            else:
+                raise AssertionError("expected a QlebError")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_expm_stack_is_the_per_slice_expm():
+    rng = np.random.default_rng(5)
+    for d in range(2, 7):
+        generic, repeated, deficient = spectra(rng, d)
+        herms = [hermitian_with(rng, eigs) for eigs in (generic, repeated, deficient)]
+        herms += [np.zeros((d, d), dtype=complex), 2.0 * np.eye(d, dtype=complex)]
+        general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        # all three branches, interleaved in one stack
+        stack = np.array([m for h in herms for m in (h, 1j * h, general + h)])
+        out, overflowed = linalg._expm_stack(stack)
+        assert overflowed == []
+        for m, e in zip(stack, out):
+            assert np.array_equal(e, linalg.expm(m))
+        # uniform stacks take the same branch as their slices
+        for part in (stack[0::3], stack[1::3]):
+            out, _ = linalg._expm_stack(part)
+            for m, e in zip(part, out):
+                assert np.array_equal(e, linalg.expm(m))
+
+
+def test_expm_stack_reports_each_overflow():
+    stack = np.array([np.eye(2), np.diag([1e4, 0.0]), -1j * np.eye(2), np.diag([1e4, 1.0])],
+                     dtype=complex)
+    out, overflowed = linalg._expm_stack(stack)
+    assert overflowed == [1, 3]
+    for j in (0, 2):
+        assert np.array_equal(out[j], linalg.expm(stack[j]))
+    with pytest.raises(OverflowError, match=linalg._EXPM_OVERFLOW):
+        linalg.expm(stack[1])
+
+
+def site_power_loop(state, ops, query, n, extra=None, eta=None, guard=qlan.QCF_GUARD):
+    """The per-query construction: a product of public ``expm`` factors."""
+    prod = np.eye(state.shape[0], dtype=complex)
+    for t in range(query.shape[0]):
+        gen = qlan._combination(ops, query[t])
+        if eta is not None:
+            gen = gen + np.full(query.shape[0], eta)[t] * extra
+        prod = prod @ linalg.expm(1j * (1.0 / np.sqrt(n)) * gen)
+    z = complex(np.trace(state @ prod))
+    if abs(z - 1.0) >= guard:
+        raise QueryOutOfSafeRangeError(
+            f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1 "
+            f"(guard {guard}); shrink ||xi|| / sqrt(n)"
+        )
+    return complex(np.exp(n * np.log(z)))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_site_products_are_the_per_query_products(d):
+    rng = np.random.default_rng(60 + d)
+    generic, repeated, _ = spectra(rng, d)
+    states = [hermitian_with(rng, generic / generic.sum()),
+              hermitian_with(rng, repeated / repeated.sum())]
+    ops = [hermitian_with(rng, rng.uniform(-1.0, 1.0, d)) for _ in range(2)]
+    ops.append(hermitian_with(rng, repeated))
+    extra = hermitian_with(rng, rng.uniform(-1.0, 1.0, d))
+    n = 400
+    queries = [rng.standard_normal((t, 3)) * 0.5 for t in (1, 3, 2, 1)]
+    queries.append(rng.standard_normal((2, 3)) * 0.3 + 0.2j * rng.standard_normal((2, 3)))
+    queries = [as_query(q, 3) for q in queries]
+    slices = [(q, eta) for q in queries for eta in (None, 0.5, -1.0)]
+    powers = qlan._guarded_powers(states, ops, [q for q, _ in slices], n, extra=extra,
+                                  etas=[eta for _, eta in slices])
+    for state, values in zip(states, powers):
+        for (q, eta), value in zip(slices, values):
+            assert value == site_power_loop(state, ops, q, n, extra, eta)
+            if eta is None:
+                assert value == qlan.collective_qcf_factorized(state, ops, q, n)
+
+
+@pytest.mark.parametrize("order", ["overflow_first", "invalid_first"])
+def test_site_products_fail_at_the_first_failing_factor(order):
+    state = np.eye(2, dtype=complex) / 2
+    ops = [np.diag([1.0, -1.0]).astype(complex), np.diag([1e300, -1e300]).astype(complex)]
+    overflow = [1000j, 0.0]  # the factor exp(-1000 sigma_z) overflows
+    invalid = [0.0, 1e10]  # 1e10 * 1e300 is not finite
+    failing = [overflow, invalid] if order == "overflow_first" else [invalid, overflow]
+    queries = [as_query([[0.1, 0.0]], 2), as_query(failing, 2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = first_error([lambda q=q: site_power_loop(state, ops, q, 1) for q in queries])
+        got = raised(lambda: qlan._guarded_powers([state], ops, queries, 1))
+    assert expected[0] is (OverflowError if order == "overflow_first" else InvalidMatrixError)
+    assert got == expected
+
+
+def _quartic():
+    model = models.get_model("spin-perturbed:quartic")
+    rho0 = linalg.positive(model.state0())
+    return model, rho0, qlan.sld_set(model).l_ops
+
+
+def test_qclt_report_raises_the_loops_guard_error():
+    model, rho0, ops = _quartic()
+    queries = [np.array([[0.3, 0.1]]), np.array([[40.0, -25.0]]), np.array([[0.2, 0.2]]),
+               np.array([[-30.0, 60.0]])]
+    ns = (10, 100, 1000)
+    expected = first_error([lambda q=q, n=n: qlan.collective_qcf_factorized(rho0.matrix, ops, q, n)
+                            for n in ns for q in queries])
+    assert expected is not None and expected[0] is QueryOutOfSafeRangeError
+    assert raised(lambda: qlan.qclt_report(model, queries, ns)) == expected
+
+
+def test_sandwich_report_raises_the_loops_guard_error():
+    model, _, ops = _quartic()
+    h = np.array([0.5, -0.25])
+    queries = [np.array([[0.3, 0.1]]), np.array([[60.0, 35.0]])]
+    ns = (10, 100)
+    t0 = np.asarray(model.theta0, float)
+    calls = []
+    for n in ns:
+        rho_n = model.state_at(t0 + h / np.sqrt(n))
+        for q in queries:
+            calls.append(lambda q=q, n=n: qlan.sandwich_qcf(model, h, q, n))
+            calls.append(lambda q=q, n=n, s=rho_n: qlan.collective_qcf_factorized(s, ops, q, n))
+    expected = first_error(calls)
+    assert expected is not None and expected[0] is QueryOutOfSafeRangeError
+    assert raised(lambda: qlan.sandwich_report(model, h, queries, ns)) == expected
+
+
+RHO0 = np.diag([0.7, 0.3]).astype(complex)
+
+
+def oh2_model(bad: dict[int, str]):
+    """Full-rank states near RHO0, except at the listed grid points."""
+    radii = (0.2, 0.1, 0.05, 0.025)
+    dirs = qlan._sphere_directions(2, 8, 0)
+    points = [r * u for r in radii for u in dirs]
+
+    def state_at(theta):
+        for j, kind in bad.items():
+            if np.array_equal(theta, points[j]):
+                if kind == "not_ac":
+                    return np.diag([1.0, 0.0])
+                if kind == "indefinite":
+                    return np.diag([1.2, -0.2])
+                if kind == "not_hermitian":
+                    return np.array([[0.7, 0.2], [0.0, 0.3]])
+                raise ValueError(f"no state at point {j}")
+        a, b = 0.1 * theta
+        return RHO0 + np.array([[a, b - 0.5j * a], [b + 0.5j * a, -a]])
+
+    model = qlan.ParametricModel("oh2-toy", 2, 2, np.zeros(2), state_at)
+    return model, radii, points
+
+
+@pytest.mark.parametrize("bad", [
+    {13: "not_ac"},
+    {20: "not_ac", 7: "indefinite"},
+    {3: "not_ac", 9: "raise"},
+    {9: "not_ac", 3: "raise"},
+    {12: "not_hermitian", 30: "not_ac"},
+    {31: "not_ac"},
+    {0: "raise"},
+])
+def test_oh2_report_raises_the_first_failing_point(bad):
+    model, radii, points = oh2_model(bad)
+    rho0 = linalg.positive(model.state0())
+    expected = first_error([lambda p=p: decomp.qllr(model.state_at(p), rho0) for p in points])
+    assert expected is not None
+    assert raised(lambda: qlan.oh2_report(model, radii=radii)) == expected
+
+
+def test_oh2_report_without_directions():
+    model = models.get_model("spin-perturbed:quartic")
+    rep = qlan.oh2_report(model, n_directions=0)
+    assert rep.g_values == (-np.inf,) * 4 and rep.verdict == "fail"
+
+
+def test_oh2_report_of_a_good_custom_model_matches_the_loop():
+    model, radii, points = oh2_model({})
+    rho0 = linalg.positive(model.state0())
+    rep = qlan.oh2_report(model, radii=radii)
+    traces = [float(np.trace(rho0.matrix @ linalg.expm(decomp.qllr(model.state_at(p), rho0)
+                                                         .l_matrix)).real) for p in points]
+    for i, r in enumerate(radii):
+        worst = -np.inf
+        for tr in traces[8 * i:8 * (i + 1)]:
+            worst = max(worst, (1.0 - tr) / (r * r))
+        assert rep.g_values[i] == float(worst)
