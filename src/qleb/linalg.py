@@ -20,8 +20,9 @@ point-by-point loop it replaces.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 import scipy.linalg
@@ -83,10 +84,6 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.abs(a).max()) if a.size else 0.0
-
-
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix of a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -103,14 +100,34 @@ def hermitize(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
     The violation is measured entrywise against tol * max(1, max|A_ij|).
     """
-    m = _as_square(a)
-    gap = _maxabs(m - m.conj().T)
-    bound = tol * max(1.0, _maxabs(m))
-    if gap > bound:
-        raise NotHermitianError(
-            f"Hermiticity violation {gap:.3e} exceeds tolerance {bound:.3e}"
-        )
-    return hermitian_part(m)
+    m, failure = _hermitize_stack(_as_square(a)[None], tol)
+    if failure is not None:
+        raise failure
+    return m[0]
+
+
+def _hermitize_stack(m: np.ndarray, tol: float = HERMITIAN_TOL
+                     ) -> tuple[np.ndarray, Exception | None]:
+    """``hermitize`` of each slice of a stack, up to the first slice that fails.
+
+    Returns the Hermitian parts of the slices before that one, and its error
+    (None when every slice passes).
+    """
+    finite = np.isfinite(m).all(axis=(-2, -1)).tolist()
+    stop = finite.index(False) if False in finite else len(finite)
+    failure = InvalidMatrixError("matrix has non-finite entries") if stop < len(finite) else None
+    m = m[:stop]
+    gaps = np.abs(m - _dagger(m)).max(axis=(-2, -1), initial=0.0).tolist()
+    for j, gap in enumerate(gaps):
+        # the bound is at least tol, so only a larger gap needs it
+        bound = tol * max(1.0, float(np.abs(m[j]).max())) if gap > tol else tol
+        if gap > bound:
+            m = m[:j]
+            failure = NotHermitianError(
+                f"Hermiticity violation {gap:.3e} exceeds tolerance {bound:.3e}"
+            )
+            break
+    return hermitian_part(m), failure
 
 
 class SpectralDecomposition(NamedTuple):
@@ -162,11 +179,26 @@ class _Live:
             self._raise()
 
     def _raise(self) -> NoReturn:
-        # raise a copy: the recorded error stays unraised, so no traceback
-        # ties it to the frames that hold it and nothing waits for the
-        # cycle collector
-        exc = self.errors[min(self.errors)]
-        raise type(exc)(*exc.args) from None
+        # raise a copy (attributes included): the recorded error stays
+        # unraised, so no traceback ties it to the frames that hold it and
+        # nothing waits for the cycle collector
+        raise copy.copy(self.errors[min(self.errors)]) from None
+
+
+def _prefix(fn: Callable, points) -> tuple[list, Exception | None]:
+    """``fn`` at each point up to the first that raises: the values before it and its error.
+
+    The error of the first point is raised at once, since no value precedes it.
+    """
+    values = []
+    for point in points:
+        try:
+            values.append(fn(point))
+        except Exception as exc:
+            if not values:
+                raise
+            return values, exc
+    return values, None
 
 
 def _kept(items: list, keep: np.ndarray) -> list:
@@ -342,8 +374,23 @@ class PositiveOperator:
         return int(np.count_nonzero(self.eigenvalues > self.rank_tol))
 
     def support_basis(self) -> np.ndarray:
-        """Columns spanning the numerical support."""
-        return self.eigenvectors[:, : self.rank]
+        """Columns spanning the numerical support.
+
+        Canonicalizes only the degenerate clusters that reach into the
+        support; the kernel's stay pending for ``eigenvectors``. Clusters are
+        canonicalized independently, so the columns are those of
+        ``eigenvectors[:, :rank]``.
+        """
+        rank = self.rank
+        if not self._pending:
+            return self._basis[:, :rank]
+        _canonicalize_clusters(self._basis, [c for c in self._pending if c[0] < rank])
+        object.__setattr__(self, "_pending", [c for c in self._pending if c[0] >= rank])
+        if not self._pending:
+            self._basis.flags.writeable = False
+        support = self._basis[:, :rank]
+        support.flags.writeable = False
+        return support
 
     def kernel_basis(self) -> np.ndarray:
         """Columns spanning the numerical kernel."""
@@ -525,6 +572,18 @@ def _expm_stack(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     if np.isfinite(out).all():
         return out, []
     return out, np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))).tolist()
+
+
+def _expm_live(m: np.ndarray, live: _Live) -> np.ndarray:
+    """``expm`` of each slice of a stack, dropping the slices it fails on from ``live``."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        m = m[live.drop({j: InvalidMatrixError("matrix has non-finite entries")
+                         for j in np.flatnonzero(~finite).tolist()})]
+    out, overflowed = _expm_stack(m)
+    if overflowed:
+        out = out[live.drop(dict.fromkeys(overflowed, OverflowError(_EXPM_OVERFLOW)))]
+    return out
 
 
 def _exp_hermitian(m: np.ndarray) -> np.ndarray:

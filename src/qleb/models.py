@@ -24,7 +24,15 @@ from .errors import (
     NotUnitError,
     UnreachableOverlapError,
 )
-from .linalg import PositiveOperator, expm, hermitian_part, positive
+from .linalg import (
+    PositiveOperator,
+    _expm_live,
+    _Live,
+    _prefix,
+    expm,
+    hermitian_part,
+    positive,
+)
 from .matio import matrix_from_json_dict
 from .qlan import ParametricModel
 
@@ -50,20 +58,55 @@ def _theta2(theta) -> np.ndarray:
 
 
 def spin_pure_state(theta) -> np.ndarray:
-    theta = _theta2(theta)
-    r = float(np.linalg.norm(theta))
-    # psi = log cosh r, kept overflow-free
-    psi = float(np.logaddexp(r, -r) - np.log(2.0))
-    gen = theta[0] * SIGMA_X + theta[1] * SIGMA_Y - psi * np.eye(2)
-    half = expm(gen / 2.0)
-    return hermitian_part(half @ _GROUND @ half)
+    return spin_pure_states([theta])[0]
 
 
 def spin_perturbed_state(theta, f_rule="quartic") -> np.ndarray:
-    theta = _theta2(theta)
+    return spin_perturbed_states([theta], f_rule)[0]
+
+
+def spin_pure_states(thetas) -> np.ndarray:
+    """``spin_pure_state`` at each theta of a sequence, as one (N, 2, 2) stack."""
+    return _spin_states(thetas, None)
+
+
+def spin_perturbed_states(thetas, f_rule="quartic") -> np.ndarray:
+    """``spin_perturbed_state`` at each theta of a sequence, as one (N, 2, 2) stack."""
     f = _F_RULES[f_rule] if isinstance(f_rule, str) else f_rule
-    weight = float(np.exp(-f(theta)))
-    return weight * spin_pure_state(theta) + (1.0 - weight) * _EXCITED
+    return _spin_states(thetas, lambda theta: float(np.exp(-f(theta))))
+
+
+def _spin_states(thetas, weight) -> np.ndarray:
+    """The spin family at each theta, with one stacked exponential for all of them.
+
+    ``weight`` gives the weight of the pure part at a validated theta (None:
+    the pure family). Errors are those of a loop over the thetas: per theta,
+    validation and weight, then the generator's exponential.
+    """
+
+    def point(theta):
+        theta = _theta2(theta)
+        w = None if weight is None else weight(theta)
+        r = float(np.linalg.norm(theta))
+        # psi = log cosh r, kept overflow-free
+        return theta, float(np.logaddexp(r, -r) - np.log(2.0)), w
+
+    points, failure = _prefix(point, thetas)
+    live = _Live(len(points))
+    th = np.array([p[0] for p in points]).reshape(-1, 2)
+    psi = np.array([p[1] for p in points])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = (th[:, 0, None, None] * SIGMA_X + th[:, 1, None, None] * SIGMA_Y
+               - psi[:, None, None] * np.eye(2)) / 2.0
+    half = _expm_live(gen, live)
+    live.close()
+    if failure is not None:
+        raise failure
+    pure = hermitian_part(half @ _GROUND @ half)
+    if weight is None:
+        return pure
+    w = np.array([p[2] for p in points])[:, None, None]
+    return w * pure + (1.0 - w) * _EXCITED
 
 
 def spin_pure_model() -> ParametricModel:
@@ -73,6 +116,7 @@ def spin_pure_model() -> ParametricModel:
         theta_dim=2,
         theta0=np.zeros(2),
         state_at=spin_pure_state,
+        states_at=spin_pure_states,
     )
 
 
@@ -92,6 +136,7 @@ def spin_perturbed_model(f_rule="quartic") -> ParametricModel:
         theta_dim=2,
         theta0=np.zeros(2),
         state_at=lambda theta: spin_perturbed_state(theta, f_rule),
+        states_at=lambda thetas: spin_perturbed_states(thetas, f_rule),
     )
 
 

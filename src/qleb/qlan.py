@@ -9,6 +9,14 @@ so finite-n values are cheap at any n, and a dense tensor-power oracle is
 kept around for small n to check the factorization itself. The reports
 compare finite-n values against the Gaussian limit laws from ``gaussian``
 and fit the decay rate of the error.
+
+Each report evaluates its grid in stacked passes through the ``(N, d, d)``
+kernels of ``linalg``: the model's states (one ``states_at`` call where the
+model has one) at the Richardson stencil of every SLD direction, at the
+local shifts theta0 + h / sqrt(n) of the n grid and at the ``oh2_report``
+points; their positivity, AC and ``qllr`` checks; and the site factors of
+every (n, query) pair. Errors stay those of the point-by-point loop: the
+earliest point fails first, and within a point the earlier stage.
 """
 
 from __future__ import annotations
@@ -34,9 +42,13 @@ from .gaussian import GaussianSpec, as_query, lecam_limit_spec, qcf
 from .linalg import (
     _EXPM_OVERFLOW,
     PositiveOperator,
+    _expm_live,
     _expm_stack,
+    _hermitize_stack,
     _Live,
     _positive_stack,
+    _prefix,
+    _Spectra,
     expm,
     hermitian_part,
     hermitize,
@@ -70,16 +82,38 @@ OH2_SLOPE_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class ParametricModel:
-    """A parametric family of density operators theta -> rho_theta."""
+    """A parametric family of density operators theta -> rho_theta.
+
+    ``states_at``, when given, evaluates a sequence of thetas as one
+    ``(N, dim, dim)`` stack. Its slice j must equal ``state_at(thetas[j])``
+    byte for byte, and it must raise the error a loop over ``state_at`` meets
+    first. Without it the harness loops over ``state_at``.
+    """
 
     name: str
     dim: int
     theta_dim: int
     theta0: np.ndarray
     state_at: Callable[[np.ndarray], np.ndarray]
+    states_at: Callable[[Sequence[np.ndarray]], np.ndarray] | None = None
 
     def state0(self) -> np.ndarray:
         return self.state_at(np.asarray(self.theta0, dtype=float))
+
+
+def _model_states(model: ParametricModel, thetas) -> tuple[Sequence, Exception | None]:
+    """The model's states at ``thetas`` up to the first that fails, and its error.
+
+    One ``states_at`` call when the model has it. Otherwise, or when that
+    call raises, a loop over ``state_at`` returns the states before the
+    failing theta with its error, which it raises itself at the first theta.
+    """
+    if model.states_at is not None:
+        try:
+            return model.states_at(thetas), None
+        except Exception:
+            pass  # the loop meets the same error, after the states before it
+    return _prefix(model.state_at, thetas)
 
 
 def check_model(model: ParametricModel, thetas, cutoff: float | None = None) -> None:
@@ -103,20 +137,6 @@ def check_model(model: ParametricModel, thetas, cutoff: float | None = None) -> 
             )
 
 
-def _partial_state(model: ParametricModel, direction: int, step: float) -> np.ndarray:
-    """Richardson-extrapolated central difference of theta -> rho_theta."""
-    t0 = np.asarray(model.theta0, dtype=float)
-    e = np.zeros_like(t0)
-    e[direction] = 1.0
-
-    def central(s: float) -> np.ndarray:
-        return (model.state_at(t0 + s * e) - model.state_at(t0 - s * e)) / (2 * s)
-
-    d1 = central(step)
-    d2 = central(step / 2)
-    return (4.0 * d2 - d1) / 3.0
-
-
 def sld(model: ParametricModel, direction: int, step: float = FD_STEP,
         cutoff: float | None = None) -> np.ndarray:
     """Symmetric logarithmic derivative L_i at theta0.
@@ -130,13 +150,39 @@ def sld(model: ParametricModel, direction: int, step: float = FD_STEP,
         raise DimensionMismatchError(
             f"direction {direction} out of range for theta_dim {model.theta_dim}"
         )
-    return _sld(model, positive(model.state0(), cutoff), direction, step)
+    return _slds(model, positive(model.state0(), cutoff), [direction], step)[0]
 
 
-def _sld(model: ParametricModel, rho0: PositiveOperator, direction: int,
-         step: float) -> np.ndarray:
-    """``sld`` at the already validated base state ``rho0``."""
-    drho = _partial_state(model, direction, step)
+def _slds(model: ParametricModel, rho0: PositiveOperator, directions: Sequence[int],
+          step: float) -> list[np.ndarray]:
+    """``sld`` along each direction at the already validated base state ``rho0``.
+
+    The Richardson stencils of all directions are evaluated in one pass, in
+    the order a loop over the directions visits them; its errors stay the
+    loop's, as each direction's checks run before the next one's states.
+    """
+    t0 = np.asarray(model.theta0, dtype=float)
+    thetas = []
+    for direction in directions:
+        e = np.zeros_like(t0)
+        e[direction] = 1.0
+        for s in (step, step / 2):
+            thetas += [t0 + s * e, t0 - s * e]
+    states, failure = _model_states(model, thetas)
+    ls = []
+    for i in range(len(directions)):
+        if len(states) < 4 * (i + 1):
+            raise failure
+        plus, minus, half_plus, half_minus = states[4 * i:4 * (i + 1)]
+        # Richardson-extrapolated central differences at step and step / 2
+        d1 = (plus - minus) / (2 * step)
+        d2 = (half_plus - half_minus) / (2 * (step / 2))
+        ls.append(_sld(rho0, (4.0 * d2 - d1) / 3.0))
+    return ls
+
+
+def _sld(rho0: PositiveOperator, drho: np.ndarray) -> np.ndarray:
+    """The SLD at ``rho0`` of the state derivative ``drho``."""
     gap = float(np.max(np.abs(drho - drho.conj().T)))
     if gap > FD_TOL:
         raise DerivativeUnstableError(
@@ -181,7 +227,7 @@ def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:
 
 def _sld_set(model: ParametricModel, rho0: PositiveOperator) -> SldSet:
     """``sld_set`` at the already validated base state ``rho0``."""
-    ls = tuple(_sld(model, rho0, i, FD_STEP) for i in range(model.theta_dim))
+    ls = tuple(_slds(model, rho0, range(model.theta_dim), FD_STEP))
     k = model.theta_dim
     j = np.zeros((k, k), dtype=complex)
     for i in range(k):
@@ -223,25 +269,27 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
     q = as_query(query, len(ops))
     if int(n) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return _guarded_powers([state], ops, [q], int(n), guard)[0][0]
+    return _guarded_powers([[state]], ops, [q], [int(n)], _Live(1), guard)[0][0][0]
 
 
-def _guarded_powers(states: Sequence[np.ndarray], ops: Sequence[np.ndarray],
-                    queries: Sequence[np.ndarray], n: int, guard: float = QCF_GUARD,
-                    extra: np.ndarray | None = None,
-                    etas: Sequence[float | None] | None = None) -> list[list[complex]]:
-    """z^n = exp(n log z) for z = Tr rho prod_t exp(i (xi_t . A + eta R) / sqrt(n)).
+def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[np.ndarray],
+                    queries: Sequence[np.ndarray], ns: Sequence[int], live: _Live,
+                    guard: float = QCF_GUARD, extras: Sequence[np.ndarray] | None = None,
+                    etas: Sequence[float | None] | None = None) -> list[list[list[complex]]]:
+    """z^n = exp(n log z) for z = Tr rho prod_t exp(i (xi_t . A + eta R_n) / sqrt(n)).
 
-    One value per state and per slice: slice j is the query ``queries[j]``,
-    with eta_j R (R = ``extra``) added to each factor's generator when
-    ``etas[j]`` is not None. The factors of all slices are exponentiated in
-    one stacked pass, and each slice's product is built once and traced
-    against every state. Errors are those of a loop over the slices in
-    order: each factor's exponential, then |z - 1| < ``guard`` for each
-    state in turn.
+    ``ns`` are the live points of ``live``, the last stage of a loop over an
+    n grid. At ``ns[i]`` each state of ``states[i]`` is traced against one
+    product per slice: slice j is the query ``queries[j]``, with eta_j R_n
+    (R_n = ``extras[i]``) added to each factor's generator when ``etas[j]``
+    is not None. The factors of every (n, slice) are exponentiated in one
+    stacked pass. Errors are those of a loop over the n and then the slices:
+    each factor's exponential, then |z - 1| < ``guard`` for each state in
+    turn. ``live`` is closed, so values are returned for every n: one list
+    per state of one value per slice.
 
-    Operands are trusted: ``states``, ``ops`` and ``extra`` hermitized,
-    queries normalized by ``as_query``, ``n`` a positive int.
+    Operands are trusted: states, ``ops`` and ``extras`` hermitized, queries
+    normalized by ``as_query``, each n a positive int.
     """
     count = len(queries)
     d = ops[0].shape[0]
@@ -253,47 +301,57 @@ def _guarded_powers(states: Sequence[np.ndarray], ops: Sequence[np.ndarray],
     for j, q in enumerate(queries):
         coef[j, t_max - q.shape[0]:] = q
         real[j, t_max - q.shape[0]:] = True
-    gen = np.zeros((count, t_max, d, d), dtype=complex)
-    for i, op in enumerate(ops):
-        gen = gen + coef[:, :, i, None, None] * op
-    if etas is not None:
-        shifted = [j for j, eta in enumerate(etas) if eta is not None]
-        eta_col = np.array([etas[j] for j in shifted])[:, None, None, None]
-        gen[shifted] = gen[shifted] + eta_col * extra
-    factors = 1j * (1.0 / np.sqrt(n)) * gen[real]
-    at = np.flatnonzero(real.ravel())
+    factors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = np.zeros((count, t_max, d, d), dtype=complex)
+        for i, op in enumerate(ops):
+            gen = gen + coef[:, :, i, None, None] * op
+        if etas is not None:
+            shifted = [j for j, eta in enumerate(etas) if eta is not None]
+            eta_col = np.array([etas[j] for j in shifted])[:, None, None, None]
+        for i, n in enumerate(ns):
+            gen_n = gen
+            if etas is not None:
+                gen_n = gen.copy()
+                gen_n[shifted] = gen[shifted] + eta_col * extras[i]
+            factors.append(1j * (1.0 / np.sqrt(n)) * gen_n[real])
+    factors = np.concatenate(factors)
+    # flat (n, slice, factor) position of each factor
+    at = (np.arange(len(ns))[:, None] * (count * t_max) + np.flatnonzero(real.ravel())).ravel()
     finite = np.isfinite(factors).all(axis=(-2, -1))
     exps, overflowed = _expm_stack(factors[finite])
-    mats = np.broadcast_to(np.eye(d, dtype=complex), gen.shape).copy()
+    total = len(ns) * count
+    mats = np.broadcast_to(np.eye(d, dtype=complex), (total, t_max, d, d)).copy()
     mats.reshape(-1, d, d)[at[finite]] = exps
-    live = _Live(count)
-    if overflowed or not finite.all():
-        # a slice fails with the error of its first failing factor
-        errors = {f: InvalidMatrixError("matrix has non-finite entries")
-                  for f in at[~finite].tolist()}
-        errors.update(dict.fromkeys(at[finite][overflowed].tolist(),
-                                    OverflowError(_EXPM_OVERFLOW)))
-        failed = {}
-        for f in sorted(errors):
-            failed.setdefault(f // t_max, errors[f])
-        mats = mats[live.drop(failed)]
+    errors = {f: InvalidMatrixError("matrix has non-finite entries")
+              for f in at[~finite].tolist()}
+    errors.update(dict.fromkeys(at[finite][overflowed].tolist(), OverflowError(_EXPM_OVERFLOW)))
+    # the first slice with a failing factor fails with that factor's error;
+    # no later slice can fail first, so none of them is traced
+    first = min(errors, default=total * t_max) // t_max
     prod = np.eye(d, dtype=complex)
     for t in range(t_max):
-        prod = prod @ mats[:, t]
-    traces = [np.trace(state @ prod, axis1=-2, axis2=-1).tolist() for state in states]
-    failed = {}
-    for j, zs in enumerate(zip(*traces)):
-        for z in zs:
-            if abs(z - 1.0) >= guard:
-                failed[j] = QueryOutOfSafeRangeError(
+        prod = prod @ mats[:first, t]
+    failure = (first, errors[min(errors)]) if errors else None
+    traces = []
+    for i in range(len(ns)):
+        zs = [np.trace(state @ prod[i * count:(i + 1) * count], axis1=-2, axis2=-1).tolist()
+              for state in states[i]]
+        traces.append(zs)
+        for j, z_states in enumerate(zip(*zs)):
+            z = next((z for z in z_states if abs(z - 1.0) >= guard), None)
+            if z is not None:
+                failure = (i * count + j, QueryOutOfSafeRangeError(
                     f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1 "
                     f"(guard {guard}); shrink ||xi|| / sqrt(n)"
-                )
+                ))
                 break
-    if failed:
-        live.drop(failed)
+        if failure is not None and failure[0] < (i + 1) * count:
+            live.drop({failure[0] // count: failure[1]})
+            break
     live.close()
-    return [[complex(np.exp(n * np.log(z))) for z in zs] for zs in traces]
+    return [[[complex(np.exp(n * np.log(z))) for z in z_state] for z_state in zs]
+            for n, zs in zip(ns, traces)]
 
 
 def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -327,7 +385,9 @@ def collective_qcf_brute(site_state, site_ops, query, n: int) -> complex:
     dim_big = d ** n
     prod = np.eye(dim_big, dtype=complex)
     for t in range(q.shape[0]):
-        prod = prod @ expm(1j * _combination(big_ops, q[t]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen = 1j * _combination(big_ops, q[t])
+        prod = prod @ expm(gen)
     return complex(np.trace(big_state @ prod))
 
 
@@ -399,11 +459,8 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
     queries = _normalize_queries(query_grid, model.theta_dim)
     limit = GaussianSpec(np.zeros(model.theta_dim), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
-    errors = [
-        max(abs(z - lim)
-            for z, lim in zip(_guarded_powers([rho0.matrix], slds.l_ops, queries, n)[0], limits))
-        for n in ns
-    ]
+    powers = _guarded_powers([[rho0.matrix]] * len(ns), slds.l_ops, queries, ns, _Live(len(ns)))
+    errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
     return _rate_report("qclt", ns, errors, rate_threshold)
 
 
@@ -414,6 +471,41 @@ def _centered_or_raise(rho0: np.ndarray, ops: Sequence[np.ndarray]) -> None:
             raise NotCenteredError(
                 f"site observable {i} has mean {mean:.3e} in the base state"
             )
+
+
+def _local_shifts(model: ParametricModel, h: np.ndarray, ns: Sequence[int]) -> list[np.ndarray]:
+    """The local shifts theta0 + h / sqrt(n) of an n grid."""
+    t0 = np.asarray(model.theta0, dtype=float)
+    return [t0 + h / np.sqrt(n) for n in ns]
+
+
+def _shifted_states(model: ParametricModel, thetas, rho0: PositiveOperator
+                    ) -> tuple[_Live, _Spectra, Exception | None]:
+    """The model's states at ``thetas``, validated as operators at rho0's cutoff.
+
+    The stack stops at the first theta whose state cannot join it
+    (evaluation or ``hermitize`` raises, or the dimension differs from
+    rho0's). That error is returned, since a loop over the points meets it
+    only after the states before it, and raised at once at the first theta.
+    Returns the live points, the spectra of the live states (canonical
+    eigenvectors) and that error.
+    """
+    states, failure = _model_states(model, thetas)
+    shape = rho0.matrix.shape
+    for j, state in enumerate(states):
+        if np.shape(state) != shape:
+            try:
+                decomp._pair(rho0, state, rho0.cutoff)
+            except Exception as exc:
+                states, failure = states[:j], exc
+                break
+    stack, bad = _hermitize_stack(np.asarray(states, dtype=complex).reshape(-1, *shape))
+    if bad is not None:
+        failure = bad
+    if failure is not None and not len(stack):
+        raise failure
+    live = _Live(len(stack))
+    return live, _positive_stack(stack, rho0.cutoff, 0.0, live).canonical(), failure
 
 
 def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
@@ -450,20 +542,25 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     limit = lecam_limit_spec(sigma, tau, h)
     queries = _normalize_queries(query_grid, k)
     limits = [qcf(limit, q) for q in queries]
-    t0 = np.asarray(model.theta0, dtype=float)
-    errors = []
-    for n in ns:
-        theta_n = t0 + h / np.sqrt(n)
-        _, rho_n = decomp._pair(base, model.state_at(theta_n), cutoff)
-        _, min_eig, floor = decomp._ac_verdict(base, rho_n)
-        if not min_eig > floor:
-            raise SupportViolationError(
-                f"shifted state at n = {n} does not dominate the base state",
-                n=n,
-                theta=theta_n,
-            )
-        powers = _guarded_powers([rho_n.matrix], ops, queries, n)[0]
-        errors.append(max(abs(z - lim) for z, lim in zip(powers, limits)))
+    thetas = _local_shifts(model, h, ns)
+    live, rho_n, failure = _shifted_states(model, thetas, base)
+    _, min_eigs, floors = decomp._ac_verdicts(base, rho_n)
+    failed = {
+        j: SupportViolationError(
+            f"shifted state at n = {ns[i]} does not dominate the base state",
+            n=ns[i],
+            theta=thetas[i],
+        )
+        for j, (i, min_eig, floor) in enumerate(zip(live.index, min_eigs, floors))
+        if not min_eig > floor
+    }
+    if failed:
+        rho_n = rho_n.take(live.drop(failed))
+    powers = _guarded_powers([[m] for m in rho_n.matrix], ops, queries,
+                             [ns[i] for i in live.index], live)
+    if failure is not None:
+        raise failure
+    errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
     return _rate_report("lecam", ns, errors, rate_threshold)
 
 
@@ -488,15 +585,16 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int, site_ops=None,
     ops = [hermitize(op) for op in site_ops] if site_ops is not None else list(
         _sld_set(model, rho0).l_ops
     )
-    t0 = np.asarray(model.theta0, dtype=float)
-    sandwiched = _sandwiched_state(model.state_at(t0 + h / np.sqrt(n)), rho0, cutoff)
-    return _guarded_powers([sandwiched], ops, [as_query(query, len(ops))], n)[0][0]
+    # at a single point the error that ends the stack is raised at once
+    live, rho_n, _ = _shifted_states(model, _local_shifts(model, h, [n]), rho0)
+    sandwiched = _sandwiches(rho0, rho_n, live)
+    return _guarded_powers([sandwiched], ops, [as_query(query, len(ops))], [n], live)[0][0][0]
 
 
-def _sandwiched_state(rho_n, rho0: PositiveOperator, cutoff: float | None) -> np.ndarray:
-    """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of rho_n along rho0."""
-    half = expm(decomp.qllr(rho_n, rho0, cutoff).l_matrix / 2.0)
-    return hermitian_part(half @ rho0.matrix @ half)
+def _sandwiches(rho0: PositiveOperator, rho_n: _Spectra, live: _Live) -> np.ndarray:
+    """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of each slice along rho0."""
+    halves = _expm_live(decomp._qllr_stack(rho0, rho_n, live) / 2.0, live)
+    return hermitian_part(halves @ rho0.matrix @ halves)
 
 
 def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
@@ -512,14 +610,16 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     rho0 = positive(model.state0(), cutoff)
     ops = list(_sld_set(model, rho0).l_ops)
     queries = _normalize_queries(query_grid, len(ops))
-    t0 = np.asarray(model.theta0, dtype=float)
-    errors = []
-    for n in ns:
-        rho_n = hermitize(model.state_at(t0 + h / np.sqrt(n)))
-        sandwiched = _sandwiched_state(rho_n, rho0, cutoff)
-        # one product per query, traced against both states
-        shifted, unshifted = _guarded_powers([sandwiched, rho_n], ops, queries, n)
-        errors.append(max(abs(a - b) for a, b in zip(shifted, unshifted)))
+    live, rho_n, failure = _shifted_states(model, _local_shifts(model, h, ns), rho0)
+    index = live.index
+    sandwiched = _sandwiches(rho0, rho_n, live)
+    # one product per query, traced against both states
+    powers = _guarded_powers(list(zip(sandwiched, rho_n.matrix[live.since(index)])), ops,
+                             queries, [ns[i] for i in live.index], live)
+    if failure is not None:
+        raise failure
+    errors = [max(abs(a - b) for a, b in zip(shifted, unshifted))
+              for shifted, unshifted in powers]
     return _rate_report("sandwich", ns, errors, rate_threshold)
 
 
@@ -546,28 +646,6 @@ class Oh2Report:
             "slope_threshold": self.slope_threshold,
             "verdict": self.verdict,
         }
-
-
-def _states_at(model: ParametricModel, thetas, rho0: PositiveOperator
-               ) -> tuple[np.ndarray, Exception | None]:
-    """Hermitized states of the model at ``thetas``, as one stack.
-
-    Stops at the first theta whose state cannot join the stack (``state_at``
-    or ``hermitize`` raises, or the dimension differs from rho0's) and
-    returns that error with the states before it: a loop over the points
-    meets it only after those.
-    """
-    states = []
-    failure = None
-    try:
-        for theta in thetas:
-            state = hermitize(model.state_at(theta))
-            if state.shape != rho0.matrix.shape:
-                decomp._pair(rho0, state, rho0.cutoff)
-            states.append(state)
-    except Exception as exc:
-        failure = exc
-    return np.array(states, dtype=complex).reshape(-1, *rho0.matrix.shape), failure
 
 
 def _sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
@@ -597,13 +675,9 @@ def oh2_report(model: ParametricModel, radii=(0.2, 0.1, 0.05, 0.025),
     t0 = np.asarray(model.theta0, dtype=float)
     # every (radius, direction) point in one stack, radius-major as a loop
     # over radii and then directions would visit them
-    states, failure = _states_at(model, [t0 + r * u for r in radii for u in dirs], rho0)
-    live = _Live(len(states))
-    spectra = _positive_stack(states, rho0.cutoff, 0.0, live).canonical()
-    l_stack = decomp._qllr_stack(rho0, spectra, live)
-    exps, overflowed = _expm_stack(l_stack)
-    if overflowed:
-        exps = exps[live.drop(dict.fromkeys(overflowed, OverflowError(_EXPM_OVERFLOW)))]
+    live, spectra, failure = _shifted_states(
+        model, [t0 + r * u for r in radii for u in dirs], rho0)
+    exps = _expm_live(decomp._qllr_stack(rho0, spectra, live), live)
     traces = np.trace(rho0.matrix @ exps, axis1=-2, axis2=-1).real.tolist()
     live.close()
     if failure is not None:
@@ -675,19 +749,28 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
     limit = GaussianSpec(np.zeros(len(ops)), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
     rho0 = base.matrix
-    deviations = []
-    excesses = []
-    for n in ns:
+
+    def remainder(n: int) -> np.ndarray:
         extra = hermitize(remainder_rule(n))
         if extra.shape[0] != model.dim:
             raise DimensionMismatchError(
                 f"remainder at n = {n} has dimension {extra.shape[0]}, "
                 f"expected {model.dim}"
             )
-        # per query: the eta-free slice, then one slice per eta
-        slices = [(q, eta) for q in queries for eta in (None, *etas)]
-        powers = iter(_guarded_powers([rho0], ops, [q for q, _ in slices], n, extra=extra,
-                                      etas=[eta for _, eta in slices])[0])
+        return extra
+
+    extras, failure = _prefix(remainder, ns)
+    # per query: the eta-free slice, then one slice per eta
+    slices = [(q, eta) for q in queries for eta in (None, *etas)]
+    grid = _guarded_powers([[rho0]] * len(extras), ops, [q for q, _ in slices],
+                           ns[:len(extras)], _Live(len(extras)), extras=extras,
+                           etas=[eta for _, eta in slices])
+    if failure is not None:
+        raise failure
+    deviations = []
+    excesses = []
+    for zs in grid:
+        powers = iter(zs[0])
         dev = 0.0
         exc = 0.0
         for lim in limits:

@@ -13,12 +13,15 @@ import pytest
 from qleb import cli, decomp, linalg, models, qlan
 
 #: budgets of spin-perturbed:quartic studies with the CLI defaults; the
-#: reports evaluate each grid in stacked eigensolves (one stacked call counts
-#: once), so these are the per-report counts of the stacked path
-SANDWICH_BUDGET = 40
-OH2_BUDGET = 42
-QCLT_BUDGET = 14
-PROBE_BUDGET = 48
+#: reports evaluate each grid, the model's states included, in stacked
+#: eigensolves (one stacked call counts once), so these are the per-report
+#: counts of the stacked path
+SLD_SET_BUDGET = 3
+QCLT_BUDGET = 5
+LECAM_BUDGET = 8
+SANDWICH_BUDGET = 13
+OH2_BUDGET = 11
+PROBE_BUDGET = 29
 QLLR_BUDGET = 8
 
 
@@ -50,6 +53,22 @@ def test_qllr_budget(eigh_calls, seed):
     eigh_calls.clear()
     decomp.qllr(sigma_m, rho_m)
     assert 0 < len(eigh_calls) <= QLLR_BUDGET
+
+
+def test_sld_set_budget(eigh_calls):
+    model = models.get_model("spin-perturbed:quartic")
+    eigh_calls.clear()
+    qlan.sld_set(model)
+    assert 0 < len(eigh_calls) <= SLD_SET_BUDGET
+
+
+def test_lecam_report_budget(eigh_calls):
+    model = models.get_model("spin-perturbed:quartic")
+    h, queries, n_grid = _cli_defaults(model)
+    eigh_calls.clear()
+    rep = qlan.lecam_report(model, None, h, queries, n_grid)
+    assert rep.passed()
+    assert 0 < len(eigh_calls) <= LECAM_BUDGET
 
 
 def test_sandwich_report_budget(eigh_calls):

@@ -141,6 +141,40 @@ def test_canonical_basis_is_built_on_first_read(monkeypatch):
     assert calls == [(8, 8)]
 
 
+@pytest.mark.parametrize("eigs", [
+    [0.5, 0.5, 0.3, 0.3, 0.3, 0.0, 0.0, 0.0],
+    [0.9, 0.4, 0.4, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.6, 0.2, 0.0, 0.0, 0.0, 0.0],
+    [0.25, 0.25, 0.25, 0.25],
+])
+def test_support_basis_canonicalizes_only_the_support(monkeypatch, eigs):
+    rng = np.random.default_rng(len(eigs))
+    dim = len(eigs)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    a = linalg.hermitian_part((q * np.array(eigs)) @ q.conj().T)
+    eager = linalg.eig_hermitian(a).eigenvectors
+    calls = []
+    real = linalg._standard_basis_section
+
+    def counting(cols):
+        calls.append(cols.shape[1])
+        return real(cols)
+
+    monkeypatch.setattr(linalg, "_standard_basis_section", counting)
+    p = linalg.positive(a)
+    rank = int(np.count_nonzero(np.array(eigs) > 0))
+    support = p.support_basis()
+    # only the degenerate support clusters were canonicalized
+    values, counts = np.unique(np.array(eigs)[:rank], return_counts=True)
+    assert sorted(calls) == sorted(c for c in counts.tolist() if c > 1)
+    assert not support.flags.writeable
+    np.testing.assert_array_equal(support, eager[:, :rank])
+    np.testing.assert_array_equal(p.support_basis(), eager[:, :rank])
+    np.testing.assert_array_equal(p.eigenvectors, eager)
+    np.testing.assert_array_equal(p.kernel_basis(), eager[:, rank:])
+    assert not p.eigenvectors.flags.writeable
+
+
 def test_positive_accepts_positive_operator_passthrough():
     p = linalg.positive(np.diag([2.0, 1.0]))
     q = linalg.positive(p)

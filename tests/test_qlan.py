@@ -11,6 +11,7 @@ from qleb.errors import (
     DerivativeUnstableError,
     DimensionMismatchError,
     DimensionTooLargeError,
+    InvalidMatrixError,
     NotCenteredError,
     QueryOutOfSafeRangeError,
     SupportViolationError,
@@ -158,6 +159,16 @@ class TestCollectiveQcf:
         # the same query is fine with the guard widened
         value = qlan.collective_qcf_factorized(rho, [SX], [2.0], 1, guard=8.0)
         assert value == pytest.approx(np.cos(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("oracle", ["factorized", "brute"])
+    def test_overflowing_generator_raises_the_typed_error(self, oracle):
+        # xi . A = 1e10 * 1e300 leaves the float range; that must surface as
+        # the typed error even where numpy's warnings are errors
+        call = getattr(qlan, f"collective_qcf_{oracle}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMatrixError, match="non-finite"):
+                call(np.eye(2) / 2, [np.diag([1e300, -1e300])], [[1e10]], 1)
 
     def test_brute_cap(self):
         rho = np.eye(2) / 2

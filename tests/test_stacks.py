@@ -2,13 +2,14 @@
 
 The q-LAN reports evaluate their grids through kernels that take a leading
 stack axis (``linalg._expm_stack``, ``decomp._qllr_stack``,
-``qlan._guarded_powers``). Each test keeps the per-point loop over the
-public single-matrix functions as the reference: values must be equal to
-the last bit (``np.array_equal``), and a failing grid must raise the error,
-type and text, that the loop meets first.
+``qlan._guarded_powers``, the models' ``states_at``). Each test keeps the
+per-point loop over the public single-matrix functions as the reference:
+values must be equal to the last bit (``np.array_equal``), and a failing
+grid must raise the error, type and text, that the loop meets first.
 """
 
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qleb.errors import (
     NotAbsolutelyContinuousError,
     NotPositiveError,
     QueryOutOfSafeRangeError,
+    SupportViolationError,
 )
 from qleb.gaussian import as_query
 
@@ -189,19 +191,23 @@ def test_site_products_are_the_per_query_products(d):
               hermitian_with(rng, repeated / repeated.sum())]
     ops = [hermitian_with(rng, rng.uniform(-1.0, 1.0, d)) for _ in range(2)]
     ops.append(hermitian_with(rng, repeated))
-    extra = hermitian_with(rng, rng.uniform(-1.0, 1.0, d))
-    n = 400
+    ns = (400, 900, 1600)
+    # a remainder per n, and per n the states in a different order
+    extras = [hermitian_with(rng, rng.uniform(-1.0, 1.0, d)) for _ in ns]
+    per_n = [states, states[::-1], states]
     queries = [rng.standard_normal((t, 3)) * 0.5 for t in (1, 3, 2, 1)]
     queries.append(rng.standard_normal((2, 3)) * 0.3 + 0.2j * rng.standard_normal((2, 3)))
     queries = [as_query(q, 3) for q in queries]
     slices = [(q, eta) for q in queries for eta in (None, 0.5, -1.0)]
-    powers = qlan._guarded_powers(states, ops, [q for q, _ in slices], n, extra=extra,
-                                  etas=[eta for _, eta in slices])
-    for state, values in zip(states, powers):
-        for (q, eta), value in zip(slices, values):
-            assert value == site_power_loop(state, ops, q, n, extra, eta)
-            if eta is None:
-                assert value == qlan.collective_qcf_factorized(state, ops, q, n)
+    grid = qlan._guarded_powers(per_n, ops, [q for q, _ in slices], ns, linalg._Live(len(ns)),
+                                extras=extras, etas=[eta for _, eta in slices])
+    assert len(grid) == len(ns)
+    for n, extra, traced, powers in zip(ns, extras, per_n, grid):
+        for state, values in zip(traced, powers):
+            for (q, eta), value in zip(slices, values):
+                assert value == site_power_loop(state, ops, q, n, extra, eta)
+                if eta is None:
+                    assert value == qlan.collective_qcf_factorized(state, ops, q, n)
 
 
 @pytest.mark.parametrize("order", ["overflow_first", "invalid_first"])
@@ -214,7 +220,7 @@ def test_site_products_fail_at_the_first_failing_factor(order):
     queries = [as_query([[0.1, 0.0]], 2), as_query(failing, 2)]
     with np.errstate(over="ignore", invalid="ignore"):
         expected = first_error([lambda q=q: site_power_loop(state, ops, q, 1) for q in queries])
-        got = raised(lambda: qlan._guarded_powers([state], ops, queries, 1))
+        got = raised(lambda: qlan._guarded_powers([[state]], ops, queries, [1], linalg._Live(1)))
     assert expected[0] is (OverflowError if order == "overflow_first" else InvalidMatrixError)
     assert got == expected
 
@@ -313,3 +319,128 @@ def test_oh2_report_of_a_good_custom_model_matches_the_loop():
         for tr in traces[8 * i:8 * (i + 1)]:
             worst = max(worst, (1.0 - tr) / (r * r))
         assert rep.g_values[i] == float(worst)
+
+
+FAMILIES = ("spin-pure", "spin-perturbed:quartic", "spin-perturbed:cubic",
+            "spin-perturbed:squared", "qubit-fullrank")
+SPIN = [models.get_model(name) for name in FAMILIES[:4]]
+SPIN.append(models.spin_perturbed_model(lambda theta: float(np.sum(theta ** 2)) / 3.0))
+
+
+@pytest.mark.parametrize("model", SPIN + [models.get_model(FAMILIES[4])], ids=lambda m: m.name)
+@pytest.mark.parametrize("count", [0, 1, 9])
+def test_model_states_are_the_per_point_states(model, count):
+    # qubit-fullrank has no states_at and goes through the state_at loop
+    assert (model.states_at is None) == (model.name == "qubit-fullrank")
+    rng = np.random.default_rng(count)
+    thetas = list(rng.uniform(-0.9, 0.9, (count, model.theta_dim)))
+    states, failure = qlan._model_states(model, thetas)
+    assert failure is None and len(states) == count
+    if model.states_at is not None:
+        assert model.states_at(thetas).shape == (count, model.dim, model.dim)
+    for theta, state in zip(thetas, states):
+        assert np.array_equal(state, model.state_at(theta))
+
+
+@pytest.mark.parametrize("model", SPIN, ids=lambda m: m.name)
+@pytest.mark.parametrize("bad", [
+    {4: "shape"},
+    {4: "overflow"},
+    {2: "overflow", 5: "shape"},
+    {2: "shape", 5: "overflow"},
+    {0: "overflow", 1: "shape"},
+])
+@pytest.mark.parametrize("numpy_warnings", ["ignored", "errors"])
+def test_states_at_raises_the_loops_first_error(model, bad, numpy_warnings):
+    rng = np.random.default_rng(3)
+    thetas = list(rng.uniform(-0.9, 0.9, (7, 2)))
+    for j, kind in bad.items():
+        # a 3-vector, or a theta whose squared norm and generator overflow
+        thetas[j] = np.array([0.1, 0.2, 0.3]) if kind == "shape" else np.array([1e200, 1e200])
+    with warnings.catch_warnings():
+        if numpy_warnings == "errors":
+            warnings.simplefilter("error")
+            ctx = np.errstate()
+        else:
+            ctx = np.errstate(all="ignore")
+        with ctx:
+            expected = first_error([lambda t=t: model.state_at(t) for t in thetas])
+            got = raised(lambda: model.states_at(thetas))
+    assert expected is not None
+    assert got == expected
+
+
+def shifted_toy(bad_theta):
+    """Full-rank states near RHO0; at ``bad_theta`` one that RHO0 is not AC to."""
+
+    def state_at(theta):
+        if np.array_equal(theta, bad_theta):
+            return np.diag([1.0, 0.0])
+        a, b = 0.1 * theta
+        return RHO0 + np.array([[a, b - 0.5j * a], [b + 0.5j * a, -a]])
+
+    return qlan.ParametricModel("shift-toy", 2, 2, np.zeros(2), state_at)
+
+
+H = np.array([0.5, -0.25])
+NS = (10, 100, 1000)
+BENIGN = np.array([[0.3, 0.1]])
+WILD = np.array([[60.0, 35.0]])  # trips the QCF guard at every n
+
+
+def lecam_loop(model, queries):
+    """The per-n loop of the Le Cam report, over public calls."""
+    rho0 = linalg.positive(model.state0())
+    ops = qlan.sld_set(model).l_ops
+    calls = []
+    for n in NS:
+        theta = H / np.sqrt(n)
+
+        def ac(theta=theta, n=n):
+            if not decomp.is_absolutely_continuous(rho0.matrix, model.state_at(theta)):
+                raise SupportViolationError(
+                    f"shifted state at n = {n} does not dominate the base state",
+                    n=n, theta=theta)
+
+        calls.append(ac)
+        calls += [lambda q=q, n=n, theta=theta:
+                  qlan.collective_qcf_factorized(model.state_at(theta), ops, q, n)
+                  for q in queries]
+    return calls
+
+
+def sandwich_loop(model, queries):
+    """The per-n loop of the sandwich report, over public calls."""
+    ops = qlan.sld_set(model).l_ops
+    calls = []
+    for n in NS:
+        for q in queries:
+            calls.append(lambda q=q, n=n: qlan.sandwich_qcf(model, H, q, n))
+            calls.append(lambda q=q, n=n: qlan.collective_qcf_factorized(
+                model.state_at(H / np.sqrt(n)), ops, q, n))
+    return calls
+
+
+@pytest.mark.parametrize("queries", [[BENIGN], [BENIGN, WILD]], ids=["ac", "guard"])
+@pytest.mark.parametrize("report", ["lecam", "sandwich"])
+def test_shifted_reports_raise_the_loops_first_error(report, queries):
+    # rho0 << rho_n breaks at the middle n; with the wild query the first n
+    # already trips the guard, and that error must win
+    model = shifted_toy(H / np.sqrt(NS[1]))
+    loop = lecam_loop if report == "lecam" else sandwich_loop
+    expected = first_error(loop(model, queries))
+    assert expected is not None
+    assert expected[0] is (QueryOutOfSafeRangeError if len(queries) > 1
+                           else SupportViolationError if report == "lecam"
+                           else NotAbsolutelyContinuousError)
+    if report == "lecam":
+        call = lambda: qlan.lecam_report(model, None, H, queries, NS)
+    else:
+        call = lambda: qlan.sandwich_report(model, H, queries, NS)
+    assert raised(call) == expected
+    if expected[0] is SupportViolationError:
+        with pytest.raises(SupportViolationError) as exc:
+            call()
+        assert exc.value.n == NS[1]
+        assert np.array_equal(exc.value.theta, H / np.sqrt(NS[1]))
+
