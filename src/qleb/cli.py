@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, decomp, linalg, matio, models, qlan
 from .errors import QlebError, SupportViolationError
-from .linalg import default_cutoff, hermitize
+from .linalg import DEFAULT_CUTOFF, hermitize
 
 #: routes must agree on sigma_ac to this max-entry norm unless overridden
 ROUTE_TOL = 1e-8
@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--cutoff", type=float, default=None,
                        help="rank cutoff (default: QLEB_CUTOFF or "
-                            f"{default_cutoff()})")
+                            f"{DEFAULT_CUTOFF})")
 
     dec = sub.add_parser("decompose", help="split sigma along rho by both routes")
     dec.add_argument("--rho", required=True, help="reference operator (matrix JSON)")

@@ -75,11 +75,6 @@ def _trace_singular(r: PositiveOperator, s: PositiveOperator) -> bool:
     return tr <= SINGULARITY_TOL * r.norm2 * s.norm2
 
 
-def _witness_mean(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
-    """Matrix of A # B for fresh ``hermitian_part``-exact operands A, B."""
-    return _geometric_mean(_positive(a, cutoff), _positive(b, cutoff)).matrix
-
-
 def _excision_pos_tol(exc_dim: int, exc_norm: float, sigma_norm: float, cutoff: float) -> float:
     # strict positivity of a compressed sigma is decided against the larger of
     # the usual rank tolerance and a machine floor anchored to sigma itself;
@@ -192,7 +187,8 @@ def is_absolutely_continuous(rho, sigma, cutoff: float | None = None) -> Absolut
         k = r.rank
         rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
         sigma0_inv = np.linalg.inv(exc)
-        x = _witness_mean(rho0, hermitian_part(sigma0_inv), r.cutoff)
+        x = _geometric_mean(_positive(rho0, r.cutoff),
+                            _positive(hermitian_part(sigma0_inv), r.cutoff)).matrix
         v = r.support_basis()
         witness = hermitian_part(v @ x @ v.conj().T)
         # evaluate R sigma R through sigma's spectral root: R can be large
@@ -346,6 +342,38 @@ def _zero_decomposition(s: PositiveOperator, cutoff: float, route: str) -> Lebes
     )
 
 
+def _witness_stack(sigma0: np.ndarray, alpha: np.ndarray, rho0: np.ndarray, lead: int,
+                   fill: float, cutoff: float, live: _Live) -> np.ndarray:
+    """E* blockdiag(0, sigma0 # rho0^-1, fill I) E for each slice of a stack.
+
+    The diagonal blocks are ``lead``, k and m wide for sigma0 of shape
+    (N, k, k) and alpha of shape (N, k, m); E = I plus the off-diagonal
+    (k, m) block sigma0^-1 alpha. ``rho0`` (k x k) is shared by every slice.
+    The checks run in this order: sigma0 > 0 per slice, inv(rho0) > 0 for
+    all, then the geometric mean per slice; a failing slice is dropped from
+    ``live`` and the witness of each live slice is returned.
+    """
+    rho0_inv = hermitian_part(np.linalg.inv(rho0))
+    index = live.index
+    pa = _positive_stack(sigma0, cutoff, 0.0, live).canonical()
+    try:
+        pb = _positive(rho0_inv, cutoff)
+    except QlebError as exc:
+        live.fail_all(exc)
+    x = _geometric_mean_stack(pa, pb, live).matrix
+    if len(live.index) < len(index):
+        at = live.since(index)
+        sigma0, alpha = sigma0[at], alpha[at]
+    k, m = alpha.shape[-2:]
+    i2, i3 = slice(lead, lead + k), slice(lead + k, None)
+    e = np.eye(lead + k + m, dtype=complex)[None].repeat(len(x), axis=0)
+    mid = np.zeros_like(e)
+    mid[:, i2, i2] = x
+    mid[:, i3, i3] = fill * np.eye(m)
+    e[:, i2, i3] = np.linalg.inv(sigma0) @ alpha
+    return hermitian_part(_dagger(e) @ mid @ e)
+
+
 def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecomposition:
     """Split sigma along rho via the adapted block construction.
 
@@ -370,24 +398,16 @@ def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecom
     d = r.dim
     i2 = slice(n1, n1 + n2)
     i3 = slice(n1 + n2, d)
-    sigma0 = split.sigma0
-    alpha = split.alpha
-    beta = split.beta
-    sigma0_inv = np.linalg.inv(sigma0)
-    cross = hermitian_part(alpha.conj().T @ sigma0_inv @ alpha)
+    sigma0, alpha = split.sigma0, split.alpha
+    r_b = _witness_stack(sigma0[None], alpha[None], split.rho0, n1, 0.0, c, _Live(1))[0]
+    cross = hermitian_part(alpha.conj().T @ np.linalg.inv(sigma0) @ alpha)
     ac_b = np.zeros((d, d), dtype=complex)
     ac_b[i2, i2] = sigma0
     ac_b[i2, i3] = alpha
     ac_b[i3, i2] = alpha.conj().T
     ac_b[i3, i3] = cross
     sing_b = np.zeros((d, d), dtype=complex)
-    sing_b[i3, i3] = beta - cross
-    e_b = np.eye(d, dtype=complex)
-    e_b[i2, i3] = sigma0_inv @ alpha
-    x = _witness_mean(sigma0, hermitian_part(np.linalg.inv(split.rho0)), c)
-    mid = np.zeros((d, d), dtype=complex)
-    mid[i2, i2] = x
-    r_b = hermitian_part(e_b.conj().T @ mid @ e_b)
+    sing_b[i3, i3] = split.beta - cross
     basis = split.full_basis()
     to_ambient = lambda blk: hermitian_part(basis @ blk @ basis.conj().T)
     floor = s.norm2
@@ -494,29 +514,11 @@ def _qllr_stack(r: PositiveOperator, s: _Spectra, live: _Live) -> np.ndarray:
     if failed:
         s = s.take(live.drop(failed))
     c = r.cutoff
-    d = r.dim
     k = r.rank
     v = r.eigenvectors
     sb = _dagger(v) @ s.matrix @ v
-    sigma0 = hermitian_part(sb[:, :k, :k])
-    alpha = sb[:, :k, k:]
     rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
-    rho0_inv = hermitian_part(np.linalg.inv(rho0))
-    index = live.index
-    pa = _positive_stack(sigma0, c, 0.0, live).canonical()
-    try:
-        pb = _positive(rho0_inv, c)
-    except QlebError as exc:
-        live.fail_all(exc)
-    x = _geometric_mean_stack(pa, pb, live).matrix
-    if len(live.index) < len(index):
-        at = live.since(index)
-        sigma0, alpha = sigma0[at], alpha[at]
-    e = np.eye(d, dtype=complex)[None].repeat(len(x), axis=0)
-    mid = e.copy()
-    e[:, :k, k:] = np.linalg.inv(sigma0) @ alpha
-    mid[:, :k, :k] = x
-    r_plus = hermitian_part(_dagger(e) @ mid @ e)
+    r_plus = _witness_stack(hermitian_part(sb[:, :k, :k]), sb[:, :k, k:], rho0, 0, 1.0, c, live)
     l_basis = _log_stack(_positive_stack(r_plus, c, 1.0, live), live)
     return hermitian_part(v @ l_basis @ _dagger(v)) * 2.0
 

@@ -103,24 +103,6 @@ def qcf(spec: GaussianSpec, xis) -> complex:
     return complex(np.exp(total))
 
 
-def char_fn(spec: GaussianSpec, xi) -> complex:
-    """Characteristic function exp(i xi.h - 1/2 xi^T V xi) at a real vector.
-
-    Delegates to ``qcf`` on the one-factor query, so the reduction of the
-    quasi-characteristic function to the characteristic function on real
-    single-factor queries holds exactly, by construction.
-    """
-    x = np.asarray(xi)
-    if np.iscomplexobj(x) and np.any(x.imag != 0):
-        raise ValueError("characteristic function takes a real test vector")
-    x = np.asarray(x.real, dtype=float).reshape(-1)
-    if x.shape[0] != spec.dim:
-        raise DimensionMismatchError(
-            f"test vector has dimension {x.shape[0]}, expected {spec.dim}"
-        )
-    return qcf(spec, x[None, :])
-
-
 def lecam_limit_spec(sigma_matrix, tau_matrix, h) -> GaussianSpec:
     """Gaussian limit N((Re tau) h, Sigma) of a shifted collective family."""
     sig = hermitize(sigma_matrix)

@@ -49,26 +49,9 @@ DEFAULT_CUTOFF = 1e-11
 # below any spectral gap the package cares about
 _CLUSTER_TOL = 64 * np.finfo(float).eps
 
-_process_cutoff = DEFAULT_CUTOFF
-
-
-def default_cutoff() -> float:
-    """Process-wide rank cutoff used when no per-call override is given."""
-    return _process_cutoff
-
-
-def set_default_cutoff(value: float) -> None:
-    """Set the process-wide rank cutoff; meant to be called once at startup."""
-    global _process_cutoff
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"rank cutoff must lie in (0, 1), got {value}")
-    _process_cutoff = value
-
-
 def _resolve_cutoff(cutoff: float | None) -> float:
     if cutoff is None:
-        return _process_cutoff
+        return DEFAULT_CUTOFF
     cutoff = float(cutoff)
     if not 0.0 < cutoff < 1.0:
         raise ValueError(f"rank cutoff must lie in (0, 1), got {cutoff}")
@@ -420,12 +403,10 @@ def _positive(m: np.ndarray, cutoff: float, scale_floor: float = 0.0) -> Positiv
     """``positive`` of a fresh, ``hermitian_part``-exact square matrix.
 
     Skips the Hermiticity check, which such a matrix passes with gap 0, and
-    takes ``cutoff`` already resolved. ``m`` becomes the operator's frozen
-    ``matrix``, so the caller must not hold it for writing.
+    takes ``cutoff`` already resolved. The operator's frozen ``matrix`` is a
+    view of ``m``, so the caller must not write to ``m`` afterwards.
     """
-    sp = _positive_stack(m[None], cutoff, scale_floor, _Live(1))
-    return PositiveOperator(m, sp.eigenvalues[0], sp.vectors[0], cutoff, sp.rank_tol[0],
-                            sp.pending[0])
+    return _operator(_positive_stack(m[None], cutoff, scale_floor, _Live(1)))
 
 
 def _positive_stack(m: np.ndarray, cutoff: float, scale_floor, live: _Live) -> _Spectra:
@@ -468,36 +449,11 @@ def _operator(sp: _Spectra) -> PositiveOperator:
                             sp.rank_tol[0], sp.pending[0])
 
 
-def _from_spectrum(vals: np.ndarray, vecs: np.ndarray, cutoff: float) -> PositiveOperator:
-    """Build a PositiveOperator from nonnegative eigenvalues and vectors."""
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    m = hermitian_part(_synth(vecs, vals))
-    d = m.shape[0]
-    rank_tol = d * (float(vals[0]) if d else 0.0) * cutoff
-    return PositiveOperator(m, vals, vecs, cutoff, float(rank_tol))
-
-
 def support_projector(a, cutoff: float | None = None) -> np.ndarray:
     """Orthogonal projector onto the numerical support of a PSD matrix."""
     p = positive(a, cutoff)
     v = p.support_basis()
     return hermitian_part(v @ v.conj().T)
-
-
-def sqrt_psd(a, cutoff: float | None = None) -> PositiveOperator:
-    """Positive square root, computed spectrally."""
-    p = positive(a, cutoff)
-    return _from_spectrum(np.sqrt(p.eigenvalues), p.eigenvectors, p.cutoff)
-
-
-def pinv_psd(a, cutoff: float | None = None) -> PositiveOperator:
-    """Moore-Penrose inverse of a PSD matrix (eigenvalues below rank_tol drop)."""
-    p = positive(a, cutoff)
-    w = p.eigenvalues
-    inv = np.where(w > p.rank_tol, 1.0 / np.where(w > p.rank_tol, w, 1.0), 0.0)
-    return _from_spectrum(inv, p.eigenvectors, p.cutoff)
 
 
 def log_pd(a, cutoff: float | None = None) -> np.ndarray:
@@ -533,10 +489,7 @@ def expm(a) -> np.ndarray:
     Hermitian and anti-Hermitian input go through the spectral decomposition;
     everything else through scaling-and-squaring.
     """
-    out, overflowed = _expm_stack(_as_square(a)[None])
-    if overflowed:
-        raise OverflowError(_EXPM_OVERFLOW)
-    return out[0]
+    return _expm_live(_as_square(a)[None], _Live(1))[0]
 
 
 def _expm_stack(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -614,7 +567,7 @@ def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:
 def _geometric_mean(pa: PositiveOperator, pb: PositiveOperator) -> PositiveOperator:
     """``geometric_mean`` of validated operands of one dimension, at ``pa.cutoff``."""
     if pa.dim == 0:
-        return _from_spectrum(np.zeros(0), np.zeros((0, 0), dtype=complex), pa.cutoff)
+        return _positive(np.zeros((0, 0), dtype=complex), pa.cutoff)
     return _operator(_geometric_mean_stack(_one(pa), pb, _Live(1)))
 
 

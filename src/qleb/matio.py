@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidMatrixError
-from .gaussian import GaussianSpec
 
 
 def matrix_to_json_dict(matrix) -> dict:
@@ -67,28 +66,6 @@ def decomposition_to_json_dict(dec) -> dict:
         "witness_r": matrix_to_json_dict(dec.witness_r.matrix),
         "route": dec.route,
     }
-
-
-def decomposition_from_json_dict(obj) -> dict:
-    out = {key: matrix_from_json_dict(obj[key])
-           for key in ("sigma_ac", "sigma_sing", "witness_r")}
-    out["route"] = str(obj["route"])
-    return out
-
-
-def gaussian_spec_to_json_dict(spec: GaussianSpec) -> dict:
-    return {
-        "dim": spec.dim,
-        "mean": [float(x) for x in spec.mean],
-        "j": matrix_to_json_dict(spec.j_matrix),
-    }
-
-
-def gaussian_spec_from_json_dict(obj) -> GaussianSpec:
-    return GaussianSpec(
-        np.asarray(obj["mean"], dtype=float),
-        matrix_from_json_dict(obj["j"]),
-    )
 
 
 def _fmt_json(obj, parts: list) -> None:

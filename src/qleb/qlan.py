@@ -473,6 +473,16 @@ def _centered_or_raise(rho0: np.ndarray, ops: Sequence[np.ndarray]) -> None:
             )
 
 
+def _shift(model: ParametricModel, h) -> np.ndarray:
+    """A local shift ``h`` as a real vector of the model's parameter dimension."""
+    h = np.asarray(h, dtype=float).reshape(-1)
+    if h.shape[0] != model.theta_dim:
+        raise DimensionMismatchError(
+            f"h has dimension {h.shape[0]}, expected {model.theta_dim}"
+        )
+    return h
+
+
 def _local_shifts(model: ParametricModel, h: np.ndarray, ns: Sequence[int]) -> list[np.ndarray]:
     """The local shifts theta0 + h / sqrt(n) of an n grid."""
     t0 = np.asarray(model.theta0, dtype=float)
@@ -520,11 +530,7 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     """
     ns = _normalize_n_grid(n_grid)
     ops = None if b_ops is None else [hermitize(op) for op in b_ops]
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != model.theta_dim:
-        raise DimensionMismatchError(
-            f"h has dimension {h.shape[0]}, expected {model.theta_dim}"
-        )
+    h = _shift(model, h)
     base = positive(model.state0(), cutoff)
     rho0 = base.matrix
     slds = _sld_set(model, base)
@@ -573,11 +579,7 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int, site_ops=None,
     the shifted state; the gap to the true shifted QCF is controlled by the
     singular mass. Site observables default to the SLDs.
     """
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != model.theta_dim:
-        raise DimensionMismatchError(
-            f"h has dimension {h.shape[0]}, expected {model.theta_dim}"
-        )
+    h = _shift(model, h)
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -602,11 +604,7 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
                     cutoff: float | None = None) -> ConvergenceReport:
     """Gap between the sandwiched and true shifted collective QCFs, per n."""
     ns = _normalize_n_grid(n_grid)
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != model.theta_dim:
-        raise DimensionMismatchError(
-            f"h has dimension {h.shape[0]}, expected {model.theta_dim}"
-        )
+    h = _shift(model, h)
     rho0 = positive(model.state0(), cutoff)
     ops = list(_sld_set(model, rho0).l_ops)
     queries = _normalize_queries(query_grid, len(ops))
@@ -797,7 +795,7 @@ def iid_remainder_rule(model: ParametricModel, h,
     R(n) = sqrt(n) ( L_{h/sqrt(n)} - h^i L_i / sqrt(n) + (h^i h^j J_ij / 2n) I );
     for a second-order-normalized family this tends to zero with n.
     """
-    h = np.asarray(h, dtype=float).reshape(-1)
+    h = _shift(model, h)
     rho0 = positive(model.state0(), cutoff)
     slds = _sld_set(model, rho0)
     lin = _combination(slds.l_ops, h)

@@ -24,6 +24,12 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def witness_residual(out: str) -> float:
+    """The witness residual that ``qleb check ac`` printed."""
+    line, = (ln for ln in out.splitlines() if "witness residual" in ln)
+    return float(line.split()[-1])
+
+
 @pytest.fixture
 def pair_files(tmp_path):
     rng = np.random.default_rng(31)
@@ -133,7 +139,15 @@ class TestCheck:
         rho = write_matrix(tmp_path, "r.json", np.diag([1.0, 1e-13]))
         sigma = write_matrix(tmp_path, "s.json", np.eye(2))
         assert run_cli("check", "ac", "--cutoff", "1e-15", "--rho", rho, "--sigma", sigma) == 0
-        assert "witness residual" in capsys.readouterr().out
+        # a witness built at the default cutoff drops the 1e-13 eigenvalue
+        assert witness_residual(capsys.readouterr().out) < 1e-20
+
+    def test_env_cutoff_reaches_the_witness(self, tmp_path, capsys, monkeypatch):
+        rho = write_matrix(tmp_path, "r.json", np.diag([1.0, 1e-13]))
+        sigma = write_matrix(tmp_path, "s.json", np.eye(2))
+        monkeypatch.setenv("QLEB_CUTOFF", "1e-15")
+        assert run_cli("check", "ac", "--rho", rho, "--sigma", sigma) == 0
+        assert witness_residual(capsys.readouterr().out) < 1e-20
 
     def test_ac_false(self, tmp_path):
         rho = write_matrix(tmp_path, "r.json", np.eye(2) / 2)

@@ -386,3 +386,23 @@ class TestOracles:
                 half = linalg.expm(decomp.qllr(sigma, rho).l_matrix / 2)
                 ac = decomp.lebesgue_decompose(sigma, rho).sigma_ac.matrix
                 assert np.max(np.abs(half @ rho @ half - ac)) <= 1e-9, (kr, ks)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_qllr_witness_is_the_block_witness(self, d):
+        # qllr's R+ and the block route's R come from one construction: when
+        # rho << sigma, H1 is empty and R+ = R + (I - P), P onto supp rho
+        checked = 0
+        for seed in range(3):
+            for kr in range(1, d + 1):
+                for ks in range(1, d + 1):
+                    spec = models.RandomPsdPairSpec(d, kr, ks, seed=seed)
+                    rho, sigma = models.random_psd_pair(spec)
+                    if not decomp.is_absolutely_continuous(rho, sigma):
+                        continue
+                    half = linalg.expm(decomp.qllr(sigma, rho).l_matrix / 2)
+                    r = decomp.lebesgue_decompose(sigma, rho).witness_r.matrix
+                    expected = r + np.eye(d) - linalg.support_projector(rho)
+                    gap = np.max(np.abs(half - expected))
+                    assert gap <= 1e-10 * max(1.0, np.max(np.abs(r))), spec
+                    checked += 1
+        assert checked > 0

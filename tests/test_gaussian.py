@@ -40,25 +40,16 @@ class TestGaussianSpec:
 
 
 class TestCharFn:
+    """The characteristic function: ``qcf`` at one real test vector."""
+
     def test_gaussian_formula(self):
         spec = spin_spec((0.3, -0.2))
         xi = np.array([1.0, 2.0])
-        expected = np.exp(1j * (xi @ spec.mean) - 0.5 * (xi @ xi))
-        assert gaussian.char_fn(spec, xi) == pytest.approx(expected, abs=1e-15)
+        expected = np.exp(1j * (xi @ spec.mean) - 0.5 * (xi @ spec.v_matrix @ xi))
+        assert gaussian.qcf(spec, xi[None]) == pytest.approx(expected, abs=1e-15)
 
     def test_zero_vector_gives_one(self):
-        assert gaussian.char_fn(spin_spec(), np.zeros(2)) == pytest.approx(1.0)
-
-    def test_rejects_complex_vector(self):
-        with pytest.raises(ValueError):
-            gaussian.char_fn(spin_spec(), np.array([1.0, 1.0j]))
-
-    def test_single_factor_qcf_reduces_to_char_fn(self):
-        rng = np.random.default_rng(0)
-        spec = spin_spec((0.1, 0.7))
-        for _ in range(10):
-            xi = rng.standard_normal(2)
-            assert gaussian.qcf(spec, xi) == gaussian.char_fn(spec, xi)
+        assert gaussian.qcf(spin_spec(), np.zeros(2)[None]) == pytest.approx(1.0)
 
 
 class TestQcf:

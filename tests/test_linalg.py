@@ -198,29 +198,22 @@ def test_cutoff_scales_with_norm():
     assert q.rank == 1
 
 
-def test_default_cutoff_roundtrip():
-    old = linalg.default_cutoff()
-    try:
-        linalg.set_default_cutoff(1e-9)
-        assert linalg.default_cutoff() == 1e-9
-        p = linalg.positive(np.diag([1.0, 1e-10]))
-        assert p.rank == 1
-    finally:
-        linalg.set_default_cutoff(old)
-    assert linalg.default_cutoff() == old
+def test_per_call_cutoff():
+    a = np.diag([1.0, 1e-10])
+    assert linalg.positive(a, cutoff=1e-9).rank == 1
+    p = linalg.positive(a, cutoff=None)
+    assert p.rank == 2
+    assert p.cutoff == linalg.DEFAULT_CUTOFF
 
 
-def test_sqrt_and_pinv_identities():
+def test_support_projector_identities():
     rng = np.random.default_rng(1)
     for dim, rank in [(3, 3), (4, 2), (5, 4)]:
         a = random_psd(rng, dim, rank)
-        p = linalg.positive(a)
-        s = linalg.sqrt_psd(p)
-        np.testing.assert_allclose(s.matrix @ s.matrix, p.matrix, atol=1e-12)
-        pinv = linalg.pinv_psd(p)
-        proj = linalg.support_projector(p)
-        np.testing.assert_allclose(pinv.matrix @ p.matrix, proj, atol=1e-11)
+        proj = linalg.support_projector(a)
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
+        np.testing.assert_allclose(proj @ a, a, atol=1e-12)
+        assert np.trace(proj).real == pytest.approx(rank)
 
 
 def test_log_pd_inverts_expm():

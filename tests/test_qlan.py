@@ -357,6 +357,10 @@ class TestInfinitesimalProbe:
         norms = [np.linalg.norm(rule(n), 2) for n in (100, 10000)]
         assert norms[1] < 0.2 * norms[0]
 
+    def test_iid_remainder_h_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError, match="h has dimension 1, expected 2"):
+            qlan.iid_remainder_rule(models.spin_perturbed_model(), (0.3,))
+
     def test_eta_grid_validation(self):
         with pytest.raises(ValueError):
             qlan.infinitesimal_probe(lambda n: np.zeros((2, 2)),
