@@ -96,6 +96,8 @@ def _fmt(value: float) -> str:
 
 
 def cmd_decompose(args) -> int:
+    if args.format != "json":
+        raise ValueError("decompose reports are JSON only")
     cutoff = _resolve_cutoff(args)
     rho = _load_operator(args.rho, args.hermitian_tol, cutoff)
     sigma = _load_operator(args.sigma, args.hermitian_tol, cutoff)
@@ -116,8 +118,6 @@ def cmd_decompose(args) -> int:
         "direct": matio.decomposition_to_json_dict(direct),
         "route_gap": gap,
     }
-    if args.format != "json":
-        raise ValueError("decompose reports are JSON only")
     _write_or_print(matio.dumps_json(matio.report_envelope(config, payload)) + "\n",
                     args.out)
     print(f"route gap {_fmt(gap)} (tolerance {_fmt(args.route_tol)})")

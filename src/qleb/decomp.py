@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     MutuallySingularError,
     NotAbsolutelyContinuousError,
-    QlebError,
     ZeroOperatorError,
 )
 from .linalg import (
@@ -32,7 +31,6 @@ from .linalg import (
     _excision,
     _geometric_mean,
     _geometric_mean_stack,
-    _Live,
     _log_stack,
     _one,
     _positive,
@@ -343,27 +341,18 @@ def _zero_decomposition(s: PositiveOperator, cutoff: float, route: str) -> Lebes
 
 
 def _witness_stack(sigma0: np.ndarray, alpha: np.ndarray, rho0: np.ndarray, lead: int,
-                   fill: float, cutoff: float, live: _Live) -> np.ndarray:
+                   fill: float, cutoff: float) -> np.ndarray:
     """E* blockdiag(0, sigma0 # rho0^-1, fill I) E for each slice of a stack.
 
     The diagonal blocks are ``lead``, k and m wide for sigma0 of shape
     (N, k, k) and alpha of shape (N, k, m); E = I plus the off-diagonal
     (k, m) block sigma0^-1 alpha. ``rho0`` (k x k) is shared by every slice.
-    The checks run in this order: sigma0 > 0 per slice, inv(rho0) > 0 for
-    all, then the geometric mean per slice; a failing slice is dropped from
-    ``live`` and the witness of each live slice is returned.
+    The checks run in this order: sigma0 > 0, inv(rho0) > 0, then the
+    geometric mean; each raises at a slice that fails.
     """
     rho0_inv = hermitian_part(np.linalg.inv(rho0))
-    index = live.index
-    pa = _positive_stack(sigma0, cutoff, 0.0, live).canonical()
-    try:
-        pb = _positive(rho0_inv, cutoff)
-    except QlebError as exc:
-        live.fail_all(exc)
-    x = _geometric_mean_stack(pa, pb, live).matrix
-    if len(live.index) < len(index):
-        at = live.since(index)
-        sigma0, alpha = sigma0[at], alpha[at]
+    pa = _positive_stack(sigma0, cutoff).canonical()
+    x = _geometric_mean_stack(pa, _positive(rho0_inv, cutoff)).matrix
     k, m = alpha.shape[-2:]
     i2, i3 = slice(lead, lead + k), slice(lead + k, None)
     e = np.eye(lead + k + m, dtype=complex)[None].repeat(len(x), axis=0)
@@ -399,7 +388,7 @@ def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecom
     i2 = slice(n1, n1 + n2)
     i3 = slice(n1 + n2, d)
     sigma0, alpha = split.sigma0, split.alpha
-    r_b = _witness_stack(sigma0[None], alpha[None], split.rho0, n1, 0.0, c, _Live(1))[0]
+    r_b = _witness_stack(sigma0[None], alpha[None], split.rho0, n1, 0.0, c)[0]
     cross = hermitian_part(alpha.conj().T @ np.linalg.inv(sigma0) @ alpha)
     ac_b = np.zeros((d, d), dtype=complex)
     ac_b[i2, i2] = sigma0
@@ -488,38 +477,35 @@ def qllr(sigma, rho, cutoff: float | None = None) -> QllrVersion:
     c = _resolve_cutoff(cutoff)
     r, s = _pair(rho, sigma, c)
     return QllrVersion(
-        l_matrix=_qllr_stack(r, _one(s), _Live(1))[0],
+        l_matrix=_qllr_stack(r, _one(s))[0],
         gamma_choice="identity on the kernel of the reference operator",
     )
 
 
-def _qllr_stack(r: PositiveOperator, s: _Spectra, live: _Live) -> np.ndarray:
+def _qllr_stack(r: PositiveOperator, s: _Spectra) -> np.ndarray:
     """``qllr`` of each slice of a stack along one reference, at ``r.cutoff``.
 
     ``s`` holds validated operators of r's dimension with canonical
-    eigenvectors. Each slice meets ``qllr``'s checks in ``qllr``'s order;
-    a failing slice is dropped from ``live`` and the L of the live ones is
-    returned. The operand inv(rho0) that every slice shares is built once.
+    eigenvectors. The slices meet ``qllr``'s checks in ``qllr``'s order, and
+    each check raises at a slice that fails. The operand inv(rho0) that every
+    slice shares is built once.
     """
     if r.rank == 0:
-        live.fail_all(ZeroOperatorError("log-likelihood ratio needs a nonzero reference"))
+        raise ZeroOperatorError("log-likelihood ratio needs a nonzero reference")
     _, min_eigs, floors = _ac_verdicts(r, s)
-    failed = {
-        j: NotAbsolutelyContinuousError(
-            "rho is not absolutely continuous with respect to sigma "
-            f"(min excision eigenvalue {min_eig:.3e} <= floor {floor:.3e})"
-        )
-        for j, (min_eig, floor) in enumerate(zip(min_eigs, floors)) if not min_eig > floor
-    }
-    if failed:
-        s = s.take(live.drop(failed))
+    for min_eig, floor in zip(min_eigs, floors):
+        if not min_eig > floor:
+            raise NotAbsolutelyContinuousError(
+                "rho is not absolutely continuous with respect to sigma "
+                f"(min excision eigenvalue {min_eig:.3e} <= floor {floor:.3e})"
+            )
     c = r.cutoff
     k = r.rank
     v = r.eigenvectors
     sb = _dagger(v) @ s.matrix @ v
     rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
-    r_plus = _witness_stack(hermitian_part(sb[:, :k, :k]), sb[:, :k, k:], rho0, 0, 1.0, c, live)
-    l_basis = _log_stack(_positive_stack(r_plus, c, 1.0, live), live)
+    r_plus = _witness_stack(hermitian_part(sb[:, :k, :k]), sb[:, :k, k:], rho0, 0, 1.0, c)
+    l_basis = _log_stack(_positive_stack(r_plus, c, 1.0))
     return hermitian_part(v @ l_basis @ _dagger(v)) * 2.0
 
 

@@ -14,15 +14,16 @@ skip the checks those operands pass by construction.
 
 The spectral kernels also take stacks ``(N, d, d)``: the q-LAN reports
 evaluate whole grids of small matrices in one pass, and a single matrix is a
-stack of one. ``_Live`` keeps a stacked evaluation's errors those of the
-point-by-point loop it replaces.
+stack of one. A kernel computes the whole stack or raises at a slice that
+fails. ``_replay`` gives a failing grid the error of the point-by-point loop
+it replaces: it reruns the grid one point at a time, and the first point
+that raises is the loop's error. A passing grid runs once.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -83,34 +84,22 @@ def hermitize(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
     The violation is measured entrywise against tol * max(1, max|A_ij|).
     """
-    m, failure = _hermitize_stack(_as_square(a)[None], tol)
-    if failure is not None:
-        raise failure
-    return m[0]
+    return _hermitize_stack(_as_square(a)[None], tol)[0]
 
 
-def _hermitize_stack(m: np.ndarray, tol: float = HERMITIAN_TOL
-                     ) -> tuple[np.ndarray, Exception | None]:
-    """``hermitize`` of each slice of a stack, up to the first slice that fails.
-
-    Returns the Hermitian parts of the slices before that one, and its error
-    (None when every slice passes).
-    """
-    finite = np.isfinite(m).all(axis=(-2, -1)).tolist()
-    stop = finite.index(False) if False in finite else len(finite)
-    failure = InvalidMatrixError("matrix has non-finite entries") if stop < len(finite) else None
-    m = m[:stop]
+def _hermitize_stack(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """``hermitize`` of each slice of a stack; raises at a slice that fails."""
+    if not np.isfinite(m).all():
+        raise InvalidMatrixError("matrix has non-finite entries")
     gaps = np.abs(m - _dagger(m)).max(axis=(-2, -1), initial=0.0).tolist()
     for j, gap in enumerate(gaps):
         # the bound is at least tol, so only a larger gap needs it
         bound = tol * max(1.0, float(np.abs(m[j]).max())) if gap > tol else tol
         if gap > bound:
-            m = m[:j]
-            failure = NotHermitianError(
+            raise NotHermitianError(
                 f"Hermiticity violation {gap:.3e} exceeds tolerance {bound:.3e}"
             )
-            break
-    return hermitian_part(m), failure
+    return hermitian_part(m)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -120,72 +109,24 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-class _Live:
-    """The live slices of a stack that stands for a point-by-point loop.
+def _replay(run: Callable[[list], object], points: Sequence):
+    """``run(points)``, raising the error a loop of ``run([p])`` over ``points`` meets first.
 
-    Slice j of a stack is the j-th point the loop would visit. Kernels keep
-    arrays for the live slices only. When a check fails on some of them,
-    ``drop`` records each one's error (keyed by its position among the live
-    slices) and returns the mask of the survivors. The earliest recorded
-    failure is raised as soon as no live slice precedes it, since no later
-    stage can change which error the loop would have met first; ``close``
-    raises it after the last stage.
+    ``run`` evaluates a grid in stacked passes, which on a failing grid may
+    raise at any failing point. Only then, and only for two points or more,
+    the grid is rerun one point at a time, in order; the first point that
+    raises does so outside the handler of the stacked error, so no error
+    chains to it. A grid that passes runs once.
     """
-
-    __slots__ = ("index", "errors")
-
-    def __init__(self, n: int):
-        self.index = range(n)
-        self.errors: dict[int, Exception] = {}
-
-    def drop(self, failed: dict[int, Exception]) -> np.ndarray:
-        index = self.index
-        for j, exc in failed.items():
-            self.errors[index[j]] = exc
-        self.index = [i for j, i in enumerate(index) if j not in failed]
-        if not self.index or self.index[0] > min(self.errors):
-            self._raise()
-        return np.array([j not in failed for j in range(len(index))])
-
-    def fail_all(self, exc: Exception) -> NoReturn:
-        """Every live slice fails with ``exc``: raise the earliest failure."""
-        self.errors.update(dict.fromkeys(self.index, exc))
-        self.index = []
-        self._raise()
-
-    def since(self, index) -> np.ndarray:
-        """Positions in an earlier ``index`` of the slices still live."""
-        return np.searchsorted(index, self.index)
-
-    def close(self) -> None:
-        if self.errors:
-            self._raise()
-
-    def _raise(self) -> NoReturn:
-        # raise a copy (attributes included): the recorded error stays
-        # unraised, so no traceback ties it to the frames that hold it and
-        # nothing waits for the cycle collector
-        raise copy.copy(self.errors[min(self.errors)]) from None
-
-
-def _prefix(fn: Callable, points) -> tuple[list, Exception | None]:
-    """``fn`` at each point up to the first that raises: the values before it and its error.
-
-    The error of the first point is raised at once, since no value precedes it.
-    """
-    values = []
+    try:
+        return run(points)
+    except Exception:
+        if len(points) < 2:
+            raise
     for point in points:
-        try:
-            values.append(fn(point))
-        except Exception as exc:
-            if not values:
-                raise
-            return values, exc
-    return values, None
-
-
-def _kept(items: list, keep: np.ndarray) -> list:
-    return [x for x, k in zip(items, keep.tolist()) if k]
+        run([point])
+    # no point fails alone: the stacked pass raises its error again
+    return run(points)
 
 
 class _Spectra(NamedTuple):
@@ -203,10 +144,6 @@ class _Spectra(NamedTuple):
     rank_tol: list[float]
     pending: list[list[tuple[int, int]]]
     cutoff: float
-
-    def take(self, keep: np.ndarray) -> "_Spectra":
-        return _Spectra(self.matrix[keep], self.eigenvalues[keep], self.vectors[keep],
-                        _kept(self.rank_tol, keep), _kept(self.pending, keep), self.cutoff)
 
     def canonical(self) -> "_Spectra":
         if not any(self.pending):
@@ -406,35 +343,30 @@ def _positive(m: np.ndarray, cutoff: float, scale_floor: float = 0.0) -> Positiv
     takes ``cutoff`` already resolved. The operator's frozen ``matrix`` is a
     view of ``m``, so the caller must not write to ``m`` afterwards.
     """
-    return _operator(_positive_stack(m[None], cutoff, scale_floor, _Live(1)))
+    return _operator(_positive_stack(m[None], cutoff, scale_floor))
 
 
-def _positive_stack(m: np.ndarray, cutoff: float, scale_floor, live: _Live) -> _Spectra:
-    """``_positive`` of each slice of a stack, dropping the slices that fail.
+def _positive_stack(m: np.ndarray, cutoff: float, scale_floor=0.0) -> _Spectra:
+    """``_positive`` of each slice of a stack; raises at a slice that fails.
 
     ``scale_floor`` is one float for every slice or a list of one per slice.
     """
     floors = scale_floor if isinstance(scale_floor, list) else [float(scale_floor)] * len(m)
     if not np.isfinite(m).all():
-        finite = np.isfinite(m).all(axis=(-2, -1))
-        keep = live.drop({j: InvalidMatrixError("matrix has non-finite entries")
-                          for j in np.flatnonzero(~finite).tolist()})
-        m, floors = m[keep], _kept(floors, keep)
+        raise InvalidMatrixError("matrix has non-finite entries")
     w, v = _eigh_raw(m)
     d = m.shape[-1]
     vals = w.tolist()
     rank_tols = []
-    failed = {}
-    for j, (wj, floor) in enumerate(zip(vals, floors)):
+    for wj, floor in zip(vals, floors):
         norm2 = max(abs(wj[0]), abs(wj[-1])) if d else 0.0
         rank_tol = d * max(norm2, floor) * cutoff
         if d and wj[-1] < -rank_tol:
-            failed[j] = NotPositiveError(
+            raise NotPositiveError(
                 f"eigenvalue {wj[-1]:.6e} below -rank_tol = {-rank_tol:.6e}"
             )
         rank_tols.append(rank_tol)
-    sp = _Spectra(m, np.maximum(w, 0.0), v, rank_tols, [_clusters(wj) for wj in vals], cutoff)
-    return sp.take(live.drop(failed)) if failed else sp
+    return _Spectra(m, np.maximum(w, 0.0), v, rank_tols, [_clusters(wj) for wj in vals], cutoff)
 
 
 def _one(p: PositiveOperator) -> _Spectra:
@@ -461,20 +393,17 @@ def log_pd(a, cutoff: float | None = None) -> np.ndarray:
     p = positive(a, cutoff)
     if p.dim == 0:
         return np.zeros((0, 0), dtype=complex)
-    return _log_stack(_one(p), _Live(1))[0]
+    return _log_stack(_one(p))[0]
 
 
-def _log_stack(p: _Spectra, live: _Live) -> np.ndarray:
-    """``log_pd`` of each slice of a nonempty stack, dropping the rank-deficient ones."""
+def _log_stack(p: _Spectra) -> np.ndarray:
+    """``log_pd`` of each slice of a nonempty stack; raises at a rank-deficient slice."""
     d = p.matrix.shape[-1]
-    failed = {
-        j: SingularInputError(
-            f"logarithm needs a strictly positive matrix; numerical rank {rank} < dim {d}"
-        )
-        for j, rank in enumerate(p.ranks()) if rank < d
-    }
-    if failed:
-        p = p.take(live.drop(failed))
+    for rank in p.ranks():
+        if rank < d:
+            raise SingularInputError(
+                f"logarithm needs a strictly positive matrix; numerical rank {rank} < dim {d}"
+            )
     p = p.canonical()
     return hermitian_part(_synth(p.vectors, np.log(p.eigenvalues)))
 
@@ -489,7 +418,7 @@ def expm(a) -> np.ndarray:
     Hermitian and anti-Hermitian input go through the spectral decomposition;
     everything else through scaling-and-squaring.
     """
-    return _expm_live(_as_square(a)[None], _Live(1))[0]
+    return _expm_checked(_as_square(a)[None])[0]
 
 
 def _expm_stack(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -527,15 +456,13 @@ def _expm_stack(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return out, np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))).tolist()
 
 
-def _expm_live(m: np.ndarray, live: _Live) -> np.ndarray:
-    """``expm`` of each slice of a stack, dropping the slices it fails on from ``live``."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if not finite.all():
-        m = m[live.drop({j: InvalidMatrixError("matrix has non-finite entries")
-                         for j in np.flatnonzero(~finite).tolist()})]
+def _expm_checked(m: np.ndarray) -> np.ndarray:
+    """``expm`` of each slice of a stack; raises at a slice that fails."""
+    if not np.isfinite(m).all():
+        raise InvalidMatrixError("matrix has non-finite entries")
     out, overflowed = _expm_stack(m)
     if overflowed:
-        out = out[live.drop(dict.fromkeys(overflowed, OverflowError(_EXPM_OVERFLOW)))]
+        raise OverflowError(_EXPM_OVERFLOW)
     return out
 
 
@@ -568,33 +495,27 @@ def _geometric_mean(pa: PositiveOperator, pb: PositiveOperator) -> PositiveOpera
     """``geometric_mean`` of validated operands of one dimension, at ``pa.cutoff``."""
     if pa.dim == 0:
         return _positive(np.zeros((0, 0), dtype=complex), pa.cutoff)
-    return _operator(_geometric_mean_stack(_one(pa), pb, _Live(1)))
+    return _operator(_geometric_mean_stack(_one(pa), pb))
 
 
-def _rank_error(name: str, rank: int, dim: int) -> SingularInputError | None:
-    if rank >= dim:
-        return None
-    return SingularInputError(
-        f"geometric mean needs strictly positive operands; {name} "
-        f"operand has numerical rank {rank} < dim {dim}"
-    )
+def _require_rank(name: str, rank: int, dim: int) -> None:
+    if rank < dim:
+        raise SingularInputError(
+            f"geometric mean needs strictly positive operands; {name} "
+            f"operand has numerical rank {rank} < dim {dim}"
+        )
 
 
-def _geometric_mean_stack(pa: _Spectra, pb: PositiveOperator, live: _Live) -> _Spectra:
+def _geometric_mean_stack(pa: _Spectra, pb: PositiveOperator) -> _Spectra:
     """A # B for each slice A of ``pa``, at ``pa.cutoff``.
 
-    ``pa`` has canonical eigenvectors and dimension at least 1; slices with
-    a singular operand are dropped from ``live``.
+    ``pa`` has canonical eigenvectors and dimension at least 1; raises at a
+    slice with a singular operand.
     """
     d = pa.matrix.shape[-1]
-    right = _rank_error("right", pb.rank, pb.dim)
-    failed = {}
-    for j, rank in enumerate(pa.ranks()):
-        exc = _rank_error("left", rank, d) or right
-        if exc is not None:
-            failed[j] = exc
-    if failed:
-        pa = pa.take(live.drop(failed))
+    for rank in pa.ranks():
+        _require_rank("left", rank, d)
+        _require_rank("right", pb.rank, pb.dim)
     va, wa = pa.vectors, pa.eigenvalues
     root = _synth(va, np.sqrt(wa))
     iroot = _synth(va, 1.0 / np.sqrt(wa))
@@ -602,7 +523,7 @@ def _geometric_mean_stack(pa: _Spectra, pb: PositiveOperator, live: _Live) -> _S
     wi, vi = _eigh(inner)
     x = hermitian_part(root @ _synth(vi, np.sqrt(np.maximum(wi, 0.0))) @ root)
     floors = [max(norm, pb.norm2) for norm in pa.norms()]
-    return _positive_stack(x, pa.cutoff, floors, live)
+    return _positive_stack(x, pa.cutoff, floors)
 
 
 def excision(sigma, rho, cutoff: float | None = None) -> np.ndarray:

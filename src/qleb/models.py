@@ -26,9 +26,8 @@ from .errors import (
 )
 from .linalg import (
     PositiveOperator,
-    _expm_live,
-    _Live,
-    _prefix,
+    _expm_checked,
+    _replay,
     expm,
     hermitian_part,
     positive,
@@ -91,22 +90,21 @@ def _spin_states(thetas, weight) -> np.ndarray:
         # psi = log cosh r, kept overflow-free
         return theta, float(np.logaddexp(r, -r) - np.log(2.0)), w
 
-    points, failure = _prefix(point, thetas)
-    live = _Live(len(points))
-    th = np.array([p[0] for p in points]).reshape(-1, 2)
-    psi = np.array([p[1] for p in points])
-    with np.errstate(over="ignore", invalid="ignore"):
-        gen = (th[:, 0, None, None] * SIGMA_X + th[:, 1, None, None] * SIGMA_Y
-               - psi[:, None, None] * np.eye(2)) / 2.0
-    half = _expm_live(gen, live)
-    live.close()
-    if failure is not None:
-        raise failure
-    pure = hermitian_part(half @ _GROUND @ half)
-    if weight is None:
-        return pure
-    w = np.array([p[2] for p in points])[:, None, None]
-    return w * pure + (1.0 - w) * _EXCITED
+    def run(thetas):
+        points = [point(theta) for theta in thetas]
+        th = np.array([p[0] for p in points]).reshape(-1, 2)
+        psi = np.array([p[1] for p in points])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen = (th[:, 0, None, None] * SIGMA_X + th[:, 1, None, None] * SIGMA_Y
+                   - psi[:, None, None] * np.eye(2)) / 2.0
+        half = _expm_checked(gen)
+        pure = hermitian_part(half @ _GROUND @ half)
+        if weight is None:
+            return pure
+        w = np.array([p[2] for p in points])[:, None, None]
+        return w * pure + (1.0 - w) * _EXCITED
+
+    return _replay(run, list(thetas))
 
 
 def spin_pure_model() -> ParametricModel:

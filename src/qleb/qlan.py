@@ -17,6 +17,11 @@ local shifts theta0 + h / sqrt(n) of the n grid and at the ``oh2_report``
 points; their positivity, AC and ``qllr`` checks; and the site factors of
 every (n, query) pair. Errors stay those of the point-by-point loop: the
 earliest point fails first, and within a point the earlier stage.
+``_guarded_powers`` checks its (n, query) slices in that order. The other
+kernels raise at a slice that fails, which on a failing grid need not be
+the earliest; ``linalg._replay`` then reruns the grid one point at a time
+(one SLD direction, one n, one ``oh2_report`` point) and raises the first
+point's error. A grid that passes is evaluated once.
 """
 
 from __future__ import annotations
@@ -42,12 +47,11 @@ from .gaussian import GaussianSpec, as_query, lecam_limit_spec, qcf
 from .linalg import (
     _EXPM_OVERFLOW,
     PositiveOperator,
-    _expm_live,
+    _expm_checked,
     _expm_stack,
     _hermitize_stack,
-    _Live,
     _positive_stack,
-    _prefix,
+    _replay,
     _Spectra,
     expm,
     hermitian_part,
@@ -101,19 +105,11 @@ class ParametricModel:
         return self.state_at(np.asarray(self.theta0, dtype=float))
 
 
-def _model_states(model: ParametricModel, thetas) -> tuple[Sequence, Exception | None]:
-    """The model's states at ``thetas`` up to the first that fails, and its error.
-
-    One ``states_at`` call when the model has it. Otherwise, or when that
-    call raises, a loop over ``state_at`` returns the states before the
-    failing theta with its error, which it raises itself at the first theta.
-    """
+def _model_states(model: ParametricModel, thetas) -> Sequence:
+    """The model's states at ``thetas``: one ``states_at`` call when the model has it."""
     if model.states_at is not None:
-        try:
-            return model.states_at(thetas), None
-        except Exception:
-            pass  # the loop meets the same error, after the states before it
-    return _prefix(model.state_at, thetas)
+        return model.states_at(thetas)
+    return [model.state_at(theta) for theta in thetas]
 
 
 def check_model(model: ParametricModel, thetas, cutoff: float | None = None) -> None:
@@ -158,27 +154,29 @@ def _slds(model: ParametricModel, rho0: PositiveOperator, directions: Sequence[i
     """``sld`` along each direction at the already validated base state ``rho0``.
 
     The Richardson stencils of all directions are evaluated in one pass, in
-    the order a loop over the directions visits them; its errors stay the
-    loop's, as each direction's checks run before the next one's states.
+    the order a loop over the directions visits them; a failing pass is
+    replayed one direction at a time.
     """
     t0 = np.asarray(model.theta0, dtype=float)
-    thetas = []
-    for direction in directions:
-        e = np.zeros_like(t0)
-        e[direction] = 1.0
-        for s in (step, step / 2):
-            thetas += [t0 + s * e, t0 - s * e]
-    states, failure = _model_states(model, thetas)
-    ls = []
-    for i in range(len(directions)):
-        if len(states) < 4 * (i + 1):
-            raise failure
-        plus, minus, half_plus, half_minus = states[4 * i:4 * (i + 1)]
-        # Richardson-extrapolated central differences at step and step / 2
-        d1 = (plus - minus) / (2 * step)
-        d2 = (half_plus - half_minus) / (2 * (step / 2))
-        ls.append(_sld(rho0, (4.0 * d2 - d1) / 3.0))
-    return ls
+
+    def run(directions):
+        thetas = []
+        for direction in directions:
+            e = np.zeros_like(t0)
+            e[direction] = 1.0
+            for s in (step, step / 2):
+                thetas += [t0 + s * e, t0 - s * e]
+        states = _model_states(model, thetas)
+        ls = []
+        for i in range(len(directions)):
+            plus, minus, half_plus, half_minus = states[4 * i:4 * (i + 1)]
+            # Richardson-extrapolated central differences at step and step / 2
+            d1 = (plus - minus) / (2 * step)
+            d2 = (half_plus - half_minus) / (2 * (step / 2))
+            ls.append(_sld(rho0, (4.0 * d2 - d1) / 3.0))
+        return ls
+
+    return _replay(run, directions)
 
 
 def _sld(rho0: PositiveOperator, drho: np.ndarray) -> np.ndarray:
@@ -269,24 +267,21 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
     q = as_query(query, len(ops))
     if int(n) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return _guarded_powers([[state]], ops, [q], [int(n)], _Live(1), guard)[0][0][0]
+    return _guarded_powers([[state]], ops, [q], [int(n)], guard)[0][0][0]
 
 
 def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[np.ndarray],
-                    queries: Sequence[np.ndarray], ns: Sequence[int], live: _Live,
-                    guard: float = QCF_GUARD, extras: Sequence[np.ndarray] | None = None,
+                    queries: Sequence[np.ndarray], ns: Sequence[int], guard: float = QCF_GUARD, extras: Sequence[np.ndarray] | None = None,
                     etas: Sequence[float | None] | None = None) -> list[list[list[complex]]]:
     """z^n = exp(n log z) for z = Tr rho prod_t exp(i (xi_t . A + eta R_n) / sqrt(n)).
 
-    ``ns`` are the live points of ``live``, the last stage of a loop over an
-    n grid. At ``ns[i]`` each state of ``states[i]`` is traced against one
+    ``ns`` is an n grid. At ``ns[i]`` each state of ``states[i]`` is traced against one
     product per slice: slice j is the query ``queries[j]``, with eta_j R_n
     (R_n = ``extras[i]``) added to each factor's generator when ``etas[j]``
     is not None. The factors of every (n, slice) are exponentiated in one
     stacked pass. Errors are those of a loop over the n and then the slices:
     each factor's exponential, then |z - 1| < ``guard`` for each state in
-    turn. ``live`` is closed, so values are returned for every n: one list
-    per state of one value per slice.
+    turn. Returns per n one list per state of one value per slice.
 
     Operands are trusted: states, ``ops`` and ``extras`` hermitized, queries
     normalized by ``as_query``, each n a positive int.
@@ -323,33 +318,30 @@ def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[np.nda
     total = len(ns) * count
     mats = np.broadcast_to(np.eye(d, dtype=complex), (total, t_max, d, d)).copy()
     mats.reshape(-1, d, d)[at[finite]] = exps
-    errors = {f: InvalidMatrixError("matrix has non-finite entries")
-              for f in at[~finite].tolist()}
-    errors.update(dict.fromkeys(at[finite][overflowed].tolist(), OverflowError(_EXPM_OVERFLOW)))
+    invalid = at[~finite].tolist()
+    bad = min(invalid + at[finite][overflowed].tolist(), default=total * t_max)
     # the first slice with a failing factor fails with that factor's error;
     # no later slice can fail first, so none of them is traced
-    first = min(errors, default=total * t_max) // t_max
+    first = bad // t_max
     prod = np.eye(d, dtype=complex)
     for t in range(t_max):
         prod = prod @ mats[:first, t]
-    failure = (first, errors[min(errors)]) if errors else None
     traces = []
     for i in range(len(ns)):
         zs = [np.trace(state @ prod[i * count:(i + 1) * count], axis1=-2, axis2=-1).tolist()
               for state in states[i]]
-        traces.append(zs)
-        for j, z_states in enumerate(zip(*zs)):
+        for z_states in zip(*zs):
             z = next((z for z in z_states if abs(z - 1.0) >= guard), None)
             if z is not None:
-                failure = (i * count + j, QueryOutOfSafeRangeError(
+                raise QueryOutOfSafeRangeError(
                     f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1 "
                     f"(guard {guard}); shrink ||xi|| / sqrt(n)"
-                ))
-                break
-        if failure is not None and failure[0] < (i + 1) * count:
-            live.drop({failure[0] // count: failure[1]})
-            break
-    live.close()
+                )
+        if first < (i + 1) * count:
+            if bad in invalid:
+                raise InvalidMatrixError("matrix has non-finite entries")
+            raise OverflowError(_EXPM_OVERFLOW)
+        traces.append(zs)
     return [[[complex(np.exp(n * np.log(z))) for z in z_state] for z_state in zs]
             for n, zs in zip(ns, traces)]
 
@@ -459,7 +451,7 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
     queries = _normalize_queries(query_grid, model.theta_dim)
     limit = GaussianSpec(np.zeros(model.theta_dim), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
-    powers = _guarded_powers([[rho0.matrix]] * len(ns), slds.l_ops, queries, ns, _Live(len(ns)))
+    powers = _guarded_powers([[rho0.matrix]] * len(ns), slds.l_ops, queries, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
     return _rate_report("qclt", ns, errors, rate_threshold)
 
@@ -489,33 +481,19 @@ def _local_shifts(model: ParametricModel, h: np.ndarray, ns: Sequence[int]) -> l
     return [t0 + h / np.sqrt(n) for n in ns]
 
 
-def _shifted_states(model: ParametricModel, thetas, rho0: PositiveOperator
-                    ) -> tuple[_Live, _Spectra, Exception | None]:
+def _shifted_states(model: ParametricModel, thetas, rho0: PositiveOperator) -> _Spectra:
     """The model's states at ``thetas``, validated as operators at rho0's cutoff.
 
-    The stack stops at the first theta whose state cannot join it
-    (evaluation or ``hermitize`` raises, or the dimension differs from
-    rho0's). That error is returned, since a loop over the points meets it
-    only after the states before it, and raised at once at the first theta.
-    Returns the live points, the spectra of the live states (canonical
-    eigenvectors) and that error.
+    Returns their spectra, with canonical eigenvectors. A state whose shape
+    differs from rho0's raises the error of ``decomp._pair``.
     """
-    states, failure = _model_states(model, thetas)
+    states = _model_states(model, thetas)
     shape = rho0.matrix.shape
-    for j, state in enumerate(states):
+    for state in states:
         if np.shape(state) != shape:
-            try:
-                decomp._pair(rho0, state, rho0.cutoff)
-            except Exception as exc:
-                states, failure = states[:j], exc
-                break
-    stack, bad = _hermitize_stack(np.asarray(states, dtype=complex).reshape(-1, *shape))
-    if bad is not None:
-        failure = bad
-    if failure is not None and not len(stack):
-        raise failure
-    live = _Live(len(stack))
-    return live, _positive_stack(stack, rho0.cutoff, 0.0, live).canonical(), failure
+            decomp._pair(rho0, state, rho0.cutoff)
+    stack = _hermitize_stack(np.asarray(states, dtype=complex).reshape(-1, *shape))
+    return _positive_stack(stack, rho0.cutoff).canonical()
 
 
 def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
@@ -548,24 +526,21 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     limit = lecam_limit_spec(sigma, tau, h)
     queries = _normalize_queries(query_grid, k)
     limits = [qcf(limit, q) for q in queries]
-    thetas = _local_shifts(model, h, ns)
-    live, rho_n, failure = _shifted_states(model, thetas, base)
-    _, min_eigs, floors = decomp._ac_verdicts(base, rho_n)
-    failed = {
-        j: SupportViolationError(
-            f"shifted state at n = {ns[i]} does not dominate the base state",
-            n=ns[i],
-            theta=thetas[i],
-        )
-        for j, (i, min_eig, floor) in enumerate(zip(live.index, min_eigs, floors))
-        if not min_eig > floor
-    }
-    if failed:
-        rho_n = rho_n.take(live.drop(failed))
-    powers = _guarded_powers([[m] for m in rho_n.matrix], ops, queries,
-                             [ns[i] for i in live.index], live)
-    if failure is not None:
-        raise failure
+
+    def run(ns):
+        thetas = _local_shifts(model, h, ns)
+        rho_n = _shifted_states(model, thetas, base)
+        _, min_eigs, floors = decomp._ac_verdicts(base, rho_n)
+        for n, theta, min_eig, floor in zip(ns, thetas, min_eigs, floors):
+            if not min_eig > floor:
+                raise SupportViolationError(
+                    f"shifted state at n = {n} does not dominate the base state",
+                    n=n,
+                    theta=theta,
+                )
+        return _guarded_powers([[m] for m in rho_n.matrix], ops, queries, ns)
+
+    powers = _replay(run, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
     return _rate_report("lecam", ns, errors, rate_threshold)
 
@@ -587,15 +562,14 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int, site_ops=None,
     ops = [hermitize(op) for op in site_ops] if site_ops is not None else list(
         _sld_set(model, rho0).l_ops
     )
-    # at a single point the error that ends the stack is raised at once
-    live, rho_n, _ = _shifted_states(model, _local_shifts(model, h, [n]), rho0)
-    sandwiched = _sandwiches(rho0, rho_n, live)
-    return _guarded_powers([sandwiched], ops, [as_query(query, len(ops))], [n], live)[0][0][0]
+    rho_n = _shifted_states(model, _local_shifts(model, h, [n]), rho0)
+    return _guarded_powers([_sandwiches(rho0, rho_n)], ops, [as_query(query, len(ops))],
+                           [n])[0][0][0]
 
 
-def _sandwiches(rho0: PositiveOperator, rho_n: _Spectra, live: _Live) -> np.ndarray:
+def _sandwiches(rho0: PositiveOperator, rho_n: _Spectra) -> np.ndarray:
     """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of each slice along rho0."""
-    halves = _expm_live(decomp._qllr_stack(rho0, rho_n, live) / 2.0, live)
+    halves = _expm_checked(decomp._qllr_stack(rho0, rho_n) / 2.0)
     return hermitian_part(halves @ rho0.matrix @ halves)
 
 
@@ -608,14 +582,14 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     rho0 = positive(model.state0(), cutoff)
     ops = list(_sld_set(model, rho0).l_ops)
     queries = _normalize_queries(query_grid, len(ops))
-    live, rho_n, failure = _shifted_states(model, _local_shifts(model, h, ns), rho0)
-    index = live.index
-    sandwiched = _sandwiches(rho0, rho_n, live)
-    # one product per query, traced against both states
-    powers = _guarded_powers(list(zip(sandwiched, rho_n.matrix[live.since(index)])), ops,
-                             queries, [ns[i] for i in live.index], live)
-    if failure is not None:
-        raise failure
+
+    def run(ns):
+        rho_n = _shifted_states(model, _local_shifts(model, h, ns), rho0)
+        # one product per query, traced against both states
+        return _guarded_powers(list(zip(_sandwiches(rho0, rho_n), rho_n.matrix)), ops,
+                               queries, ns)
+
+    powers = _replay(run, ns)
     errors = [max(abs(a - b) for a, b in zip(shifted, unshifted))
               for shifted, unshifted in powers]
     return _rate_report("sandwich", ns, errors, rate_threshold)
@@ -671,15 +645,14 @@ def oh2_report(model: ParametricModel, radii=(0.2, 0.1, 0.05, 0.025),
     dirs = _sphere_directions(model.theta_dim, n_directions, seed)
     rho0 = positive(model.state0(), cutoff)
     t0 = np.asarray(model.theta0, dtype=float)
+
+    def run(points):
+        exps = _expm_checked(decomp._qllr_stack(rho0, _shifted_states(model, points, rho0)))
+        return np.trace(rho0.matrix @ exps, axis1=-2, axis2=-1).real.tolist()
+
     # every (radius, direction) point in one stack, radius-major as a loop
     # over radii and then directions would visit them
-    live, spectra, failure = _shifted_states(
-        model, [t0 + r * u for r in radii for u in dirs], rho0)
-    exps = _expm_live(decomp._qllr_stack(rho0, spectra, live), live)
-    traces = np.trace(rho0.matrix @ exps, axis1=-2, axis2=-1).real.tolist()
-    live.close()
-    if failure is not None:
-        raise failure
+    traces = _replay(run, [t0 + r * u for r in radii for u in dirs])
     g_values = []
     for i, r in enumerate(radii):
         worst = -np.inf
@@ -747,24 +720,21 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
     limit = GaussianSpec(np.zeros(len(ops)), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
     rho0 = base.matrix
-
-    def remainder(n: int) -> np.ndarray:
-        extra = hermitize(remainder_rule(n))
-        if extra.shape[0] != model.dim:
-            raise DimensionMismatchError(
-                f"remainder at n = {n} has dimension {extra.shape[0]}, "
-                f"expected {model.dim}"
-            )
-        return extra
-
-    extras, failure = _prefix(remainder, ns)
     # per query: the eta-free slice, then one slice per eta
     slices = [(q, eta) for q in queries for eta in (None, *etas)]
-    grid = _guarded_powers([[rho0]] * len(extras), ops, [q for q, _ in slices],
-                           ns[:len(extras)], _Live(len(extras)), extras=extras,
-                           etas=[eta for _, eta in slices])
-    if failure is not None:
-        raise failure
+
+    def run(ns):
+        extras = [hermitize(remainder_rule(n)) for n in ns]
+        for n, extra in zip(ns, extras):
+            if extra.shape[0] != model.dim:
+                raise DimensionMismatchError(
+                    f"remainder at n = {n} has dimension {extra.shape[0]}, "
+                    f"expected {model.dim}"
+                )
+        return _guarded_powers([[rho0]] * len(ns), ops, [q for q, _ in slices], ns,
+                               extras=extras, etas=[eta for _, eta in slices])
+
+    grid = _replay(run, ns)
     deviations = []
     excesses = []
     for zs in grid:

@@ -114,6 +114,12 @@ class TestDecompose:
         assert run_cli("decompose", "--rho", rho, "--sigma", sigma,
                        "--format", "csv") == 2
 
+    def test_csv_rejected_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert run_cli("decompose", "--rho", missing, "--sigma", missing,
+                       "--format", "csv") == 2
+        assert "decompose reports are JSON only" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_singular_true(self, tmp_path, capsys):

@@ -5,7 +5,8 @@ stack axis (``linalg._expm_stack``, ``decomp._qllr_stack``,
 ``qlan._guarded_powers``, the models' ``states_at``). Each test keeps the
 per-point loop over the public single-matrix functions as the reference:
 values must be equal to the last bit (``np.array_equal``), and a failing
-grid must raise the error, type and text, that the loop meets first.
+grid must raise the error, type and text, that the loop meets first, with no
+other error chained to it.
 """
 
 import gc
@@ -16,6 +17,7 @@ import pytest
 
 from qleb import decomp, linalg, models, qlan
 from qleb.errors import (
+    DimensionMismatchError,
     InvalidMatrixError,
     QlebError,
     NotAbsolutelyContinuousError,
@@ -56,19 +58,20 @@ def first_error(calls):
 
 
 def raised(call):
+    """Type and text of the error ``call`` raises, which must not chain another."""
     try:
         call()
     except Exception as exc:
+        assert exc.__context__ is None, exc.__context__
         return type(exc), str(exc)
     return None
 
 
 def stacked_qllr(states, r):
-    live = linalg._Live(len(states))
-    spectra_ = linalg._positive_stack(np.array(states), r.cutoff, 0.0, live).canonical()
-    l_stack = decomp._qllr_stack(r, spectra_, live)
-    live.close()
-    return l_stack
+    def run(states):
+        return decomp._qllr_stack(r, linalg._positive_stack(np.array(states), r.cutoff).canonical())
+
+    return linalg._replay(run, states)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -114,22 +117,29 @@ def test_qllr_stack_raises_the_first_failing_point(bad):
 
 
 def test_failing_checks_leave_no_reference_cycles():
-    # a recorded error that was raised itself would hold, through its
-    # traceback, the frames that hold it; garbage for the cycle collector
+    # an error held in a local of a frame that raises it holds, through its
+    # traceback, that frame; garbage for the cycle collector
+    oh2_toy, radii, _ = oh2_model({9: "not_ac", 3: "raise"})
     failing = [lambda: linalg.log_pd(np.diag([1.0, 0.0])),
                lambda: decomp.qllr(np.diag([1.0, 0.0]), np.eye(2) / 2),
                lambda: linalg.positive(-np.eye(2)),
-               lambda: linalg.geometric_mean(np.diag([1.0, 0.0]), np.eye(2))]
+               lambda: linalg.geometric_mean(np.diag([1.0, 0.0]), np.eye(2)),
+               # failing grids, replayed one point at a time
+               lambda: qlan.oh2_report(oh2_toy, radii=radii),
+               lambda: models.spin_pure_states([np.zeros(2), [1e200, 1e200], np.zeros(3)])]
     gc.collect()
     gc.disable()
     try:
         for call in failing:
             try:
-                call()
-            except QlebError:
+                # the norm of (1e200, 1e200) overflows; under -W error that
+                # would raise a RuntimeWarning before the typed error
+                with np.errstate(all="ignore"):
+                    call()
+            except (QlebError, ValueError):
                 pass
             else:
-                raise AssertionError("expected a QlebError")
+                raise AssertionError("expected an error")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -199,7 +209,7 @@ def test_site_products_are_the_per_query_products(d):
     queries.append(rng.standard_normal((2, 3)) * 0.3 + 0.2j * rng.standard_normal((2, 3)))
     queries = [as_query(q, 3) for q in queries]
     slices = [(q, eta) for q in queries for eta in (None, 0.5, -1.0)]
-    grid = qlan._guarded_powers(per_n, ops, [q for q, _ in slices], ns, linalg._Live(len(ns)),
+    grid = qlan._guarded_powers(per_n, ops, [q for q, _ in slices], ns,
                                 extras=extras, etas=[eta for _, eta in slices])
     assert len(grid) == len(ns)
     for n, extra, traced, powers in zip(ns, extras, per_n, grid):
@@ -220,7 +230,7 @@ def test_site_products_fail_at_the_first_failing_factor(order):
     queries = [as_query([[0.1, 0.0]], 2), as_query(failing, 2)]
     with np.errstate(over="ignore", invalid="ignore"):
         expected = first_error([lambda q=q: site_power_loop(state, ops, q, 1) for q in queries])
-        got = raised(lambda: qlan._guarded_powers([[state]], ops, queries, [1], linalg._Live(1)))
+        got = raised(lambda: qlan._guarded_powers([[state]], ops, queries, [1]))
     assert expected[0] is (OverflowError if order == "overflow_first" else InvalidMatrixError)
     assert got == expected
 
@@ -334,8 +344,8 @@ def test_model_states_are_the_per_point_states(model, count):
     assert (model.states_at is None) == (model.name == "qubit-fullrank")
     rng = np.random.default_rng(count)
     thetas = list(rng.uniform(-0.9, 0.9, (count, model.theta_dim)))
-    states, failure = qlan._model_states(model, thetas)
-    assert failure is None and len(states) == count
+    states = qlan._model_states(model, thetas)
+    assert len(states) == count
     if model.states_at is not None:
         assert model.states_at(thetas).shape == (count, model.dim, model.dim)
     for theta, state in zip(thetas, states):
@@ -444,3 +454,56 @@ def test_shifted_reports_raise_the_loops_first_error(report, queries):
         assert exc.value.n == NS[1]
         assert np.array_equal(exc.value.theta, H / np.sqrt(NS[1]))
 
+
+
+def probe_loop(model, rule, queries, etas):
+    """The per-n loop of the infinitesimal probe, over public calls.
+
+    Each eta slice is the QCF of the site observables with the remainder
+    appended, queried at (xi, eta).
+    """
+    rho0 = linalg.positive(model.state0()).matrix
+    ops = list(qlan.sld_set(model).l_ops)
+    calls = []
+    for n in NS:
+
+        def remainder(n=n):
+            extra = linalg.hermitize(rule(n))
+            if extra.shape[0] != model.dim:
+                raise DimensionMismatchError(
+                    f"remainder at n = {n} has dimension {extra.shape[0]}, "
+                    f"expected {model.dim}")
+            return extra
+
+        calls.append(remainder)
+        for q in queries:
+            calls.append(lambda q=q, n=n: qlan.collective_qcf_factorized(rho0, ops, q, n))
+            calls += [lambda q=q, n=n, eta=eta: qlan.collective_qcf_factorized(
+                rho0, ops + [remainder(n)], np.hstack([q, np.full((len(q), 1), eta)]), n)
+                for eta in etas]
+    return calls
+
+
+def failing_rule(n_bad, kind):
+    def rule(n):
+        if n == n_bad:
+            if kind == "raise":
+                raise ValueError(f"no remainder at n = {n}")
+            return np.zeros((3, 3))
+        return 0.1 * np.diag([1.0, -1.0])
+
+    return rule
+
+
+@pytest.mark.parametrize("n_bad, kind, queries, error", [
+    (NS[1], "raise", [BENIGN, WILD], QueryOutOfSafeRangeError),
+    (NS[0], "raise", [BENIGN], ValueError),
+    (NS[1], "shape", [BENIGN], DimensionMismatchError),
+], ids=["guard", "rule", "shape"])
+def test_probe_raises_the_loops_first_error(n_bad, kind, queries, error):
+    model = models.get_model("spin-perturbed:quartic")
+    rule = failing_rule(n_bad, kind)
+    etas = (0.5, -1.0)
+    expected = first_error(probe_loop(model, rule, queries, etas))
+    assert expected is not None and expected[0] is error
+    assert raised(lambda: qlan.infinitesimal_probe(rule, model, queries, etas, NS)) == expected
