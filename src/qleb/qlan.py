@@ -91,7 +91,10 @@ class ParametricModel:
     ``states_at``, when given, evaluates a sequence of thetas as one
     ``(N, dim, dim)`` stack. Its slice j must equal ``state_at(thetas[j])``
     byte for byte, and it must raise the error a loop over ``state_at`` meets
-    first. Without it the harness loops over ``state_at``.
+    first. The harness does not check this: an error that ``states_at``
+    raises reaches the caller as it is, even where a loop over ``state_at``
+    would have met another one first. Without it the harness loops over
+    ``state_at``.
     """
 
     name: str
@@ -271,7 +274,8 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
 
 
 def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[np.ndarray],
-                    queries: Sequence[np.ndarray], ns: Sequence[int], guard: float = QCF_GUARD, extras: Sequence[np.ndarray] | None = None,
+                    queries: Sequence[np.ndarray], ns: Sequence[int], guard: float = QCF_GUARD,
+                    extras: Sequence[np.ndarray] | None = None,
                     etas: Sequence[float | None] | None = None) -> list[list[list[complex]]]:
     """z^n = exp(n log z) for z = Tr rho prod_t exp(i (xi_t . A + eta R_n) / sqrt(n)).
 

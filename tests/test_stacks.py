@@ -9,6 +9,7 @@ grid must raise the error, type and text, that the loop meets first, with no
 other error chained to it.
 """
 
+import dataclasses
 import gc
 import warnings
 
@@ -120,26 +121,29 @@ def test_failing_checks_leave_no_reference_cycles():
     # an error held in a local of a frame that raises it holds, through its
     # traceback, that frame; garbage for the cycle collector
     oh2_toy, radii, _ = oh2_model({9: "not_ac", 3: "raise"})
-    failing = [lambda: linalg.log_pd(np.diag([1.0, 0.0])),
-               lambda: decomp.qllr(np.diag([1.0, 0.0]), np.eye(2) / 2),
-               lambda: linalg.positive(-np.eye(2)),
-               lambda: linalg.geometric_mean(np.diag([1.0, 0.0]), np.eye(2)),
-               # failing grids, replayed one point at a time
-               lambda: qlan.oh2_report(oh2_toy, radii=radii),
-               lambda: models.spin_pure_states([np.zeros(2), [1e200, 1e200], np.zeros(3)])]
+    quiet = np.errstate(all="ignore")
+    # (call, the error it raises, the floating-point error state it runs in)
+    failing = [(lambda: linalg.log_pd(np.diag([1.0, 0.0])), QlebError, None),
+               (lambda: decomp.qllr(np.diag([1.0, 0.0]), np.eye(2) / 2), QlebError, None),
+               (lambda: linalg.positive(-np.eye(2)), QlebError, None),
+               (lambda: linalg.geometric_mean(np.diag([1.0, 0.0]), np.eye(2)), QlebError, None),
+               # failing grids, replayed one point at a time; the toy model's
+               # own error at point 3 is a plain ValueError
+               (lambda: qlan.oh2_report(oh2_toy, radii=radii), ValueError, None),
+               # the norm of (1e200, 1e200) overflows; under -W error that
+               # would raise a RuntimeWarning before the typed error
+               (lambda: models.spin_pure_states([np.zeros(2), [1e200, 1e200], np.zeros(3)]),
+                InvalidMatrixError, quiet)]
     gc.collect()
     gc.disable()
     try:
-        for call in failing:
-            try:
-                # the norm of (1e200, 1e200) overflows; under -W error that
-                # would raise a RuntimeWarning before the typed error
-                with np.errstate(all="ignore"):
+        for call, error, errstate in failing:
+            with pytest.raises(error):
+                if errstate is None:
                     call()
-            except (QlebError, ValueError):
-                pass
-            else:
-                raise AssertionError("expected an error")
+                else:
+                    with errstate:
+                        call()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -310,6 +314,19 @@ def test_oh2_report_raises_the_first_failing_point(bad):
     expected = first_error([lambda p=p: decomp.qllr(model.state_at(p), rho0) for p in points])
     assert expected is not None
     assert raised(lambda: qlan.oh2_report(model, radii=radii)) == expected
+
+
+def test_a_states_at_error_reaches_the_caller_as_it_is():
+    # states_at must raise what a loop over state_at raises first; an error
+    # that breaks that contract is not corrected by the harness
+    toy, radii, _ = oh2_model({3: "raise"})
+
+    def states_at(thetas):
+        raise RuntimeError("stacked states failed")
+
+    model = dataclasses.replace(toy, states_at=states_at)
+    assert raised(lambda: qlan.oh2_report(model, radii=radii)) == (
+        RuntimeError, "stacked states failed")
 
 
 def test_oh2_report_without_directions():
