@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -63,8 +62,6 @@ def _as_square(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidMatrixError("matrix has non-finite entries")
     return m
 
 
@@ -450,6 +447,9 @@ def _expm_stack(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
                     out[anti] = _exp_anti_hermitian(m[anti])
                 for j, (h, a) in enumerate(zip(herm, anti)):
                     if not (h or a):
+                        # imported on first use: importing scipy.linalg takes longer than most runs
+                        import scipy.linalg
+
                         out[j] = scipy.linalg.expm(m[j])
     if np.isfinite(out).all():
         return out, []

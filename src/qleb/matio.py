@@ -3,12 +3,16 @@
 Matrices travel as {"dim": d, "entries": [[re, im], ...]} with entries
 row-major, length d^2. Floats are written with 17 significant digits so a
 load/dump round trip is lossless and identical configs produce
-byte-identical files.
+byte-identical files. The writer checks the exact types ``float`` and
+``list`` (and ``tuple``) before anything else, since reports are mostly lists
+of floats; numpy scalars, ``bool``, ``None``, strings, dicts and subclasses
+take the general ``isinstance`` chain and print as the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -70,7 +74,19 @@ def decomposition_to_json_dict(dec) -> dict:
 
 def _fmt_json(obj, parts: list) -> None:
     # hand-rolled so floats always print with %.17g, independent of json's repr
-    if obj is None:
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {obj!r}")
+        parts.append(format(obj, ".17g"))
+    elif kind is list or kind is tuple:
+        parts.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _fmt_json(item, parts)
+        parts.append("]")
+    elif obj is None:
         parts.append("null")
     elif obj is True:
         parts.append("true")
@@ -79,19 +95,11 @@ def _fmt_json(obj, parts: list) -> None:
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite float {x!r}")
-        parts.append(format(x, ".17g"))
+        _fmt_json(float(obj), parts)
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _fmt_json(item, parts)
-        parts.append("]")
+        _fmt_json(list(obj), parts)
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):

@@ -366,9 +366,10 @@ def collective_qcf_brute(site_state, site_ops, query, n: int) -> complex:
     d = state.shape[0]
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if d ** n > BRUTE_DIM_CAP:
+    # d >= 2 and n >= the cap's bit length give d^n > cap without forming d^n
+    if (d >= 2 and n >= BRUTE_DIM_CAP.bit_length()) or d ** n > BRUTE_DIM_CAP:
         raise DimensionTooLargeError(
-            f"dense tensor power would be {d ** n}-dimensional (cap {BRUTE_DIM_CAP})"
+            f"dense tensor power would be {d}^{n}-dimensional (cap {BRUTE_DIM_CAP})"
         )
     big_state = _kron_chain([state] * n)
     eye = np.eye(d, dtype=complex)
@@ -420,6 +421,8 @@ def _normalize_n_grid(n_grid) -> tuple[int, ...]:
         raise ValueError("need at least two n values to fit a rate")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"n grid must be strictly increasing, got {ns}")
+    if ns[0] < 1:
+        raise ValueError(f"n must be a positive integer, got {ns[0]}")
     return ns
 
 
@@ -646,6 +649,8 @@ def oh2_report(model: ParametricModel, radii=(0.2, 0.1, 0.05, 0.025),
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     if len(radii) < 2 or radii[-1] <= 0:
         raise ValueError("need at least two positive radii")
+    if n_directions < 1:
+        raise ValueError(f"need at least one direction, got {n_directions}")
     dirs = _sphere_directions(model.theta_dim, n_directions, seed)
     rho0 = positive(model.state0(), cutoff)
     t0 = np.asarray(model.theta0, dtype=float)

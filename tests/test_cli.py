@@ -14,6 +14,7 @@ import qleb
 from qleb import cli, matio, models, qlan
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 #: the ``src`` directory holding the ``qleb`` package this suite imported
 SRC_DIR = str(Path(qleb.__file__).resolve().parent.parent)
 #: seconds a child interpreter may take before the test fails instead of hanging
@@ -348,6 +349,72 @@ def test_installed_console_script():
                           text=True, timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"qleb {qleb.__version__}\n"
+
+
+#: a fresh interpreter runs the golden CLI calls, then one general-matrix
+#: expm; it prints their outputs and which scipy modules each stage loaded
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+import numpy as np
+import qleb, qleb.cli
+from qleb import cli, linalg
+
+def run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return f"exit {code}\\n{buf.getvalue()}"
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+operands = ("--rho", "rho.json", "--sigma", "sigma.json")
+qlan = ["qlan", "--model", "spin-perturbed:quartic"]
+for study in ("qclt", "lecam", "sandwich", "oh2"):
+    qlan += ["--study", study]
+outputs = {
+    "cli.decompose.out": run("decompose", *operands, "--out", "dec.json"),
+    "cli.check.mutual.out": run("check", "mutual", *operands),
+    "cli.qlan.out": run(*qlan, "--out", "qlan.json"),
+}
+after_cli = scipy_modules()
+general = np.array([[0.3, 1.0 + 0.5j, 0.0], [-0.2j, -0.7, 0.4], [0.1, 0.0, 0.2 - 0.3j]])
+value = linalg.expm(general)
+after_expm = scipy_modules()
+import scipy.linalg
+reference = scipy.linalg.expm(general)
+gap = float(np.abs(value - reference).max() / np.abs(reference).max())
+print(json.dumps({"outputs": outputs, "after_cli": after_cli, "after_expm": after_expm,
+                  "gap": gap}))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    """``import qleb`` and the golden CLI calls load no scipy module.
+
+    scipy is imported only by ``expm`` of a matrix that is neither Hermitian
+    nor anti-Hermitian, which still matches ``scipy.linalg.expm``. A child
+    interpreter runs this, because this suite imports scipy itself.
+    """
+    shutil.copy(GOLDEN / "cli.rho.json", tmp_path / "rho.json")
+    shutil.copy(GOLDEN / "cli.sigma.json", tmp_path / "sigma.json")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=SUBPROCESS_TIMEOUT)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["after_cli"] == []
+    for name, text in result["outputs"].items():
+        assert text.encode() == (GOLDEN / name).read_bytes(), name
+    written = {"dec.json": "cli.decompose.json"}
+    written.update({f"qlan.{s}.json": f"cli.qlan.{s}.json"
+                    for s in ("qclt", "lecam", "sandwich", "oh2")})
+    for name, fixture in written.items():
+        assert (tmp_path / name).read_bytes() == (GOLDEN / fixture).read_bytes(), name
+    assert "scipy.linalg" in result["after_expm"]
+    assert result["gap"] <= 1e-12
 
 
 def test_module_entrypoint():

@@ -88,14 +88,19 @@ class TestDumpsJson:
         assert json.loads(matio.dumps_json(obj)) == obj
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            matio.dumps_json(float("nan"))
-        with pytest.raises(ValueError):
-            matio.dumps_json([float("inf")])
+        cases = [(float("nan"), "nan"), ([float("inf")], "inf"),
+                 ({"x": (1.0, -float("inf"))}, "-inf"), (np.float64("nan"), "nan"),
+                 ([np.float32("inf")], "inf")]
+        for value, text in cases:
+            with pytest.raises(ValueError, match=f"^cannot serialize non-finite float {text}$"):
+                matio.dumps_json(value)
 
     def test_rejects_unknown_types(self):
-        with pytest.raises(TypeError):
-            matio.dumps_json(object())
+        cases = [(object(), "object"), ([1.0, {1, 2}], "set"), (np.bool_(True), "bool"),
+                 (np.zeros(2), "ndarray"), (1j, "complex")]
+        for value, name in cases:
+            with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+                matio.dumps_json(value)
 
 
 class TestWriteTextAtomic:

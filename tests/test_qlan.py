@@ -171,9 +171,13 @@ class TestCollectiveQcf:
                 call(np.eye(2) / 2, [np.diag([1e300, -1e300])], [[1e10]], 1)
 
     def test_brute_cap(self):
-        rho = np.eye(2) / 2
-        with pytest.raises(DimensionTooLargeError):
-            qlan.collective_qcf_brute(rho, [SX], [0.1], 13)
+        # the size is written as d^n, never formed: 2^(10^5) alone has more
+        # digits than int-to-str conversion allows
+        for d, n in [(2, 13), (2, 10 ** 5), (2, 10 ** 9), (3, 8)]:
+            rho = np.eye(d) / d
+            op = np.diag([1.0, -1.0] + [0.0] * (d - 2))
+            with pytest.raises(DimensionTooLargeError, match=rf"would be {d}\^{n}-dimensional"):
+                qlan.collective_qcf_brute(rho, [op], [0.1], n)
 
     def test_positive_n_required(self):
         rho = np.eye(2) / 2
@@ -181,6 +185,21 @@ class TestCollectiveQcf:
             qlan.collective_qcf_factorized(rho, [SX], [0.1], 0)
         with pytest.raises(ValueError):
             qlan.collective_qcf_brute(rho, [SX], [0.1], 0)
+
+
+@pytest.mark.parametrize("n_grid", [(-2, -1), (0, 100)])
+@pytest.mark.parametrize("report", ["qclt", "lecam", "sandwich", "probe"])
+def test_non_positive_n_grid_rejected(report, n_grid):
+    m = models.spin_perturbed_model()
+    calls = {
+        "qclt": lambda: qlan.qclt_report(m, [E1], n_grid),
+        "lecam": lambda: qlan.lecam_report(m, None, (0.3, 0.1), [E1], n_grid),
+        "sandwich": lambda: qlan.sandwich_report(m, (0.3, 0.1), [E1], n_grid),
+        "probe": lambda: qlan.infinitesimal_probe(lambda n: np.zeros((2, 2)), m, [E1],
+                                                  [0.5], n_grid),
+    }
+    with pytest.raises(ValueError, match=rf"^n must be a positive integer, got {n_grid[0]}$"):
+        calls[report]()
 
 
 class TestQcltReport:

@@ -331,8 +331,9 @@ def test_a_states_at_error_reaches_the_caller_as_it_is():
 
 def test_oh2_report_without_directions():
     model = models.get_model("spin-perturbed:quartic")
-    rep = qlan.oh2_report(model, n_directions=0)
-    assert rep.g_values == (-np.inf,) * 4 and rep.verdict == "fail"
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one direction, got {count}"):
+            qlan.oh2_report(model, n_directions=count)
 
 
 def test_oh2_report_of_a_good_custom_model_matches_the_loop():
