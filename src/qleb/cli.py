@@ -80,7 +80,7 @@ def _resolve_cutoff(args) -> float | None:
 
 def _load_operator(path: str, hermitian_tol: float, cutoff: float | None):
     m = hermitize(matio.load_matrix(path), tol=hermitian_tol)
-    return linalg._positive(m, linalg._resolve_cutoff(cutoff))
+    return linalg._positive(m[None], linalg._resolve_cutoff(cutoff))
 
 
 def _write_or_print(text: str, out: str | None) -> None:

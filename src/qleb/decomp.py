@@ -30,13 +30,9 @@ from .linalg import (
     _eigh_raw,
     _excision,
     _geometric_mean,
-    _geometric_mean_stack,
     _log_stack,
-    _one,
     _positive,
-    _positive_stack,
     _resolve_cutoff,
-    _Spectra,
     excision,
     hermitian_part,
     positive,
@@ -132,19 +128,15 @@ def is_singular(rho, sigma, cutoff: float | None = None, tol: float = SINGULARIT
     )
 
 
-def _ac_verdict(r: PositiveOperator, s: PositiveOperator) -> tuple[np.ndarray, float, float]:
-    """Excision of s onto supp r, its min eigenvalue and its positivity floor.
+def _ac_verdicts(r: PositiveOperator,
+                 s: PositiveOperator) -> tuple[np.ndarray, list[float], list[float]]:
+    """Excision of each slice of s onto supp r, its min eigenvalue and its positivity floor.
 
-    r << s iff the min eigenvalue exceeds the floor. Takes a validated pair
-    with a nonzero reference and builds no witness.
+    r << s iff the min eigenvalue exceeds the floor. Takes validated
+    operators of one dimension with a nonzero reference and builds no
+    witness.
     """
-    exc, min_eigs, floors = _ac_verdicts(r, _one(s))
-    return exc[0], min_eigs[0], floors[0]
-
-
-def _ac_verdicts(r: PositiveOperator, s: _Spectra) -> tuple[np.ndarray, list[float], list[float]]:
-    """``_ac_verdict`` of r against each slice of a stack (canonical eigenvectors)."""
-    exc = _excision(r.support_basis(), s.vectors, s.eigenvalues)
+    exc = _excision(r.support_basis(), s.bases(), s.values)
     k = exc.shape[-1]
     vals = _eigh_raw(exc).eigenvalues.tolist()
     floors = [_excision_pos_tol(k, w[0] if k else 0.0, norm, r.cutoff)
@@ -177,7 +169,7 @@ def is_absolutely_continuous(rho, sigma, cutoff: float | None = None) -> Absolut
     r, s = _pair(rho, sigma, cutoff)
     if r.rank == 0:
         raise ZeroOperatorError("absolute continuity needs a nonzero reference")
-    exc, min_eig, floor = _ac_verdict(r, s)
+    (exc,), (min_eig,), (floor,) = _ac_verdicts(r, s)
     holds = min_eig > floor
     witness = None
     residual = None
@@ -185,8 +177,8 @@ def is_absolutely_continuous(rho, sigma, cutoff: float | None = None) -> Absolut
         k = r.rank
         rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
         sigma0_inv = np.linalg.inv(exc)
-        x = _geometric_mean(_positive(rho0, r.cutoff),
-                            _positive(hermitian_part(sigma0_inv), r.cutoff)).matrix
+        x = _geometric_mean(_positive(rho0[None], r.cutoff),
+                            _positive(hermitian_part(sigma0_inv)[None], r.cutoff)).matrix
         v = r.support_basis()
         witness = hermitian_part(v @ x @ v.conj().T)
         # evaluate R sigma R through sigma's spectral root: R can be large
@@ -331,7 +323,7 @@ class LebesgueDecomposition:
 
 def _zero_decomposition(s: PositiveOperator, cutoff: float, route: str) -> LebesgueDecomposition:
     d = s.dim
-    zero = _positive(np.zeros((d, d), dtype=complex), cutoff)
+    zero = _positive(np.zeros((1, d, d), dtype=complex), cutoff)
     return LebesgueDecomposition(
         sigma_ac=zero,
         sigma_sing=s,
@@ -351,8 +343,7 @@ def _witness_stack(sigma0: np.ndarray, alpha: np.ndarray, rho0: np.ndarray, lead
     geometric mean; each raises at a slice that fails.
     """
     rho0_inv = hermitian_part(np.linalg.inv(rho0))
-    pa = _positive_stack(sigma0, cutoff).canonical()
-    x = _geometric_mean_stack(pa, _positive(rho0_inv, cutoff)).matrix
+    x = _geometric_mean(_positive(sigma0, cutoff), _positive(rho0_inv[None], cutoff)).stack
     k, m = alpha.shape[-2:]
     i2, i3 = slice(lead, lead + k), slice(lead + k, None)
     e = np.eye(lead + k + m, dtype=complex)[None].repeat(len(x), axis=0)
@@ -401,9 +392,9 @@ def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecom
     to_ambient = lambda blk: hermitian_part(basis @ blk @ basis.conj().T)
     floor = s.norm2
     return LebesgueDecomposition(
-        sigma_ac=_positive(to_ambient(ac_b), c, scale_floor=floor),
-        sigma_sing=_positive(to_ambient(sing_b), c, scale_floor=floor),
-        witness_r=_positive(to_ambient(r_b), c, scale_floor=max(floor, 1.0)),
+        sigma_ac=_positive(to_ambient(ac_b)[None], c, floor),
+        sigma_sing=_positive(to_ambient(sing_b)[None], c, floor),
+        witness_r=_positive(to_ambient(r_b)[None], c, max(floor, 1.0)),
         route="block",
     )
 
@@ -441,9 +432,9 @@ def lebesgue_decompose_direct(sigma, rho, cutoff: float | None = None) -> Lebesg
     sing = hermitian_part(s.matrix - ac)
     floor = s.norm2
     return LebesgueDecomposition(
-        sigma_ac=_positive(ac, c, scale_floor=floor),
-        sigma_sing=_positive(sing, c, scale_floor=floor),
-        witness_r=_positive(witness, c, scale_floor=max(floor, 1.0)),
+        sigma_ac=_positive(ac[None], c, floor),
+        sigma_sing=_positive(sing[None], c, floor),
+        witness_r=_positive(witness[None], c, max(floor, 1.0)),
         route="direct",
     )
 
@@ -477,18 +468,17 @@ def qllr(sigma, rho, cutoff: float | None = None) -> QllrVersion:
     c = _resolve_cutoff(cutoff)
     r, s = _pair(rho, sigma, c)
     return QllrVersion(
-        l_matrix=_qllr_stack(r, _one(s))[0],
+        l_matrix=_qllr_stack(r, s)[0],
         gamma_choice="identity on the kernel of the reference operator",
     )
 
 
-def _qllr_stack(r: PositiveOperator, s: _Spectra) -> np.ndarray:
+def _qllr_stack(r: PositiveOperator, s: PositiveOperator) -> np.ndarray:
     """``qllr`` of each slice of a stack along one reference, at ``r.cutoff``.
 
-    ``s`` holds validated operators of r's dimension with canonical
-    eigenvectors. The slices meet ``qllr``'s checks in ``qllr``'s order, and
-    each check raises at a slice that fails. The operand inv(rho0) that every
-    slice shares is built once.
+    ``s`` holds validated operators of r's dimension. The slices meet
+    ``qllr``'s checks in ``qllr``'s order, and each check raises at a slice
+    that fails. The operand inv(rho0) that every slice shares is built once.
     """
     if r.rank == 0:
         raise ZeroOperatorError("log-likelihood ratio needs a nonzero reference")
@@ -502,10 +492,10 @@ def _qllr_stack(r: PositiveOperator, s: _Spectra) -> np.ndarray:
     c = r.cutoff
     k = r.rank
     v = r.eigenvectors
-    sb = _dagger(v) @ s.matrix @ v
+    sb = _dagger(v) @ s.stack @ v
     rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
     r_plus = _witness_stack(hermitian_part(sb[:, :k, :k]), sb[:, :k, k:], rho0, 0, 1.0, c)
-    l_basis = _log_stack(_positive_stack(r_plus, c, 1.0))
+    l_basis = _log_stack(_positive(r_plus, c, 1.0))
     return hermitian_part(v @ l_basis @ _dagger(v)) * 2.0
 
 

@@ -1,28 +1,30 @@
 """Spectral primitives for dense complex matrices.
 
 Matrices are plain complex ndarrays throughout. ``hermitize`` is the
-validating constructor for Hermitian input; ``PositiveOperator`` bundles a
-PSD matrix with its eigendecomposition (eigenvalues descending), the rank
-cutoff in force, and the numerical rank derived from it. Eigenbases are made
-deterministic by re-orthonormalizing degenerate eigenspaces against the
-standard basis, so block conventions downstream are reproducible run to run;
-a ``PositiveOperator`` does this on the first read of its eigenvectors.
+validating constructor for Hermitian input. ``PositiveOperator`` is the one
+type for validated PSD data: it holds a stack ``(N, d, d)`` of PSD matrices
+with their eigendecompositions (eigenvalues descending), the rank cutoff in
+force and each slice's rank threshold. A single operator is a stack of one,
+and its accessors (``matrix``, ``eigenvalues``, ``eigenvectors``, ``rank``,
+...) read that slice. Eigenbases are made deterministic by
+re-orthonormalizing degenerate eigenspaces against the standard basis, so
+block conventions downstream are reproducible run to run; an operator does
+this on the first read of its eigenvectors, and ``_canonicalize`` is the one
+routine that does it.
 
 Public functions validate their input; the private kernels (``_positive``,
 ``_geometric_mean``, ``_eigh``) take operands the package has just built and
 skip the checks those operands pass by construction.
 
-The spectral kernels also take stacks ``(N, d, d)``: the q-LAN reports
-evaluate whole grids of small matrices in one pass, and a single matrix is a
-stack of one. A kernel computes the whole stack or raises at a slice that
-fails. ``_replay`` gives a failing grid the error of the point-by-point loop
-it replaces: it reruns the grid one point at a time, and the first point
-that raises is the loop's error. A passing grid runs once.
+The spectral kernels take stacks: the q-LAN reports evaluate whole grids of
+small matrices in one pass. A kernel computes the whole stack or raises at a
+slice that fails. ``_replay`` gives a failing grid the error of the
+point-by-point loop it replaces: it reruns the grid one point at a time, and
+the first point that raises is the loop's error. A passing grid runs once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -126,39 +128,6 @@ def _replay(run: Callable[[list], object], points: Sequence):
     return run(points)
 
 
-class _Spectra(NamedTuple):
-    """A stack of validated PSD matrices with their spectral data.
-
-    ``eigenvalues`` are descending and clipped to [0, inf); ``rank_tol`` is
-    each slice's zero threshold. ``vectors`` are the solver's eigenvectors
-    with the degenerate clusters listed in ``pending`` (decided on the
-    unclipped eigenvalues) still to canonicalize; ``canonical`` does that.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    rank_tol: list[float]
-    pending: list[list[tuple[int, int]]]
-    cutoff: float
-
-    def canonical(self) -> "_Spectra":
-        if not any(self.pending):
-            return self
-        for v, clusters in zip(self.vectors, self.pending):
-            _canonicalize_clusters(v, clusters)
-        return _Spectra(self.matrix, self.eigenvalues, self.vectors, self.rank_tol,
-                        [[]] * len(self.pending), self.cutoff)
-
-    def ranks(self) -> list[int]:
-        return [sum(x > tol for x in w)
-                for w, tol in zip(self.eigenvalues.tolist(), self.rank_tol)]
-
-    def norms(self) -> list[float]:
-        """Spectral norm of each slice (of dimension at least 1)."""
-        return self.eigenvalues[:, 0].tolist()
-
-
 def _standard_basis_section(cols: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of span(cols) grown from e_1, e_2, ..."""
     d, k = cols.shape
@@ -197,9 +166,19 @@ def _clusters(vals: list[float]) -> list[tuple[int, int]]:
     return clusters
 
 
-def _canonicalize_clusters(v: np.ndarray, clusters: list[tuple[int, int]]) -> None:
-    for start, stop in clusters:
-        v[:, start:stop] = _standard_basis_section(v[:, start:stop])
+def _canonicalize(vectors: np.ndarray, pending: list[list[tuple[int, int]]], limit: int) -> None:
+    """Canonicalize in place each slice's pending clusters that start below ``limit``.
+
+    ``pending[j]`` lists the degenerate clusters of slice j of ``vectors``
+    still in the solver's basis; the ones canonicalized leave the list.
+    Clusters are canonicalized independently, so the order of calls does not
+    change the result.
+    """
+    for v, clusters in zip(vectors, pending):
+        for start, stop in clusters:
+            if start < limit:
+                v[:, start:stop] = _standard_basis_section(v[:, start:stop])
+        clusters[:] = [c for c in clusters if c[0] >= limit]
 
 
 def eig_hermitian(a) -> SpectralDecomposition:
@@ -216,8 +195,7 @@ def _eigh(h: np.ndarray) -> SpectralDecomposition:
     """``eig_hermitian`` of a matrix, or a stack, that is ``hermitian_part``-exact."""
     w, v = _eigh_raw(h)
     n, d = (1, w.shape[0]) if w.ndim == 1 else w.shape
-    for vals, vecs in zip(w.reshape(n, d).tolist(), v.reshape(n, d, d)):
-        _canonicalize_clusters(vecs, _clusters(vals))
+    _canonicalize(v.reshape(n, d, d), [_clusters(vals) for vals in w.reshape(n, d).tolist()], d)
     return SpectralDecomposition(w, v)
 
 
@@ -240,72 +218,105 @@ def _synth(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return (v * fw[..., None, :]) @ _dagger(v)
 
 
-@dataclass(frozen=True)
 class PositiveOperator:
-    """A PSD matrix with its spectral data and the rank cutoff in force.
+    """A stack ``(N, d, d)`` of PSD matrices with their spectral data and the rank cutoff in force.
 
-    ``eigenvalues`` are descending and already clipped to [0, inf);
-    ``rank_tol`` is the absolute threshold below which eigenvalues count as
-    zero. ``matrix`` keeps the (hermitized) input, not a resynthesis, so
-    traces and products see the caller's data.
+    ``stack`` keeps the (hermitized) input, not a resynthesis, so traces and
+    products see the caller's data. ``values`` are each slice's eigenvalues,
+    descending and already clipped to [0, inf); ``tols`` holds each slice's
+    absolute threshold below which eigenvalues count as zero. A single
+    operator is a stack of one: ``matrix``, ``eigenvalues``, ``eigenvectors``,
+    ``rank_tol``, ``rank``, ``norm2``, ``support_basis()``,
+    ``kernel_basis()`` and ``trace()`` read slice 0.
 
-    ``eigenvectors`` is built on its first read: the solver's basis with
-    each degenerate eigenspace re-orthonormalized against the standard
-    basis. Until then ``_basis`` holds the solver's vectors and ``_pending``
-    the degenerate clusters still to canonicalize, decided on the unclipped
-    eigenvalues; afterwards ``_basis`` is the frozen canonical basis.
+    Eigenvectors are canonicalized on demand: ``_vectors`` holds the
+    solver's basis, and ``_pending`` each slice's degenerate clusters (decided
+    on the unclipped eigenvalues) still to re-orthonormalize against the
+    standard basis. ``bases()`` canonicalizes every slice; ``support_basis()``
+    only the clusters that reach into the support. The arrays are frozen, the
+    basis once no cluster is pending, and no attribute can be rebound.
     """
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    _basis: np.ndarray = field(repr=False)
-    cutoff: float
-    rank_tol: float
-    _pending: list[tuple[int, int]] = field(default_factory=list, repr=False)
+    __slots__ = ("stack", "values", "_vectors", "tols", "cutoff", "_pending", "_basis")
 
-    def __post_init__(self):
+    def __init__(self, stack: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                 tols: tuple[float, ...], cutoff: float, pending: list[list[tuple[int, int]]]):
         # the arrays are the operator's own: freeze them in place
-        self.matrix.flags.writeable = False
-        self.eigenvalues.flags.writeable = False
-        if not self._pending:
-            self._basis.flags.writeable = False
+        stack.flags.writeable = values.flags.writeable = False
+        if not any(pending):
+            vectors.flags.writeable = False
+        fields = (stack, values, vectors, tols, cutoff, pending, None)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to attribute {name!r} of a PositiveOperator")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete attribute {name!r} of a PositiveOperator")
+
+    def __repr__(self) -> str:
+        return (f"PositiveOperator(stack={self.stack!r}, values={self.values!r}, "
+                f"cutoff={self.cutoff!r}, tols={self.tols!r})")
+
+    def _canonical(self, limit: int) -> np.ndarray:
+        """The eigenvector stack, each pending cluster that starts below ``limit`` canonicalized."""
+        if any(self._pending):
+            _canonicalize(self._vectors, self._pending, limit)
+            if not any(self._pending):
+                self._vectors.flags.writeable = False
+        return self._vectors
+
+    def bases(self) -> np.ndarray:
+        """The canonical eigenvectors of every slice."""
+        return self._canonical(self.dim)
+
+    def ranks(self) -> list[int]:
+        return [sum(x > tol for x in w) for w, tol in zip(self.values.tolist(), self.tols)]
+
+    def norms(self) -> list[float]:
+        """Spectral norm of each slice."""
+        return self.values[:, 0].tolist() if self.dim else [0.0] * len(self.values)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.stack[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.values[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        if self._pending:
-            _canonicalize_clusters(self._basis, self._pending)
-            self._basis.flags.writeable = False
-            object.__setattr__(self, "_pending", [])
+        if self._basis is None:
+            object.__setattr__(self, "_basis", self.bases()[0])
         return self._basis
 
     @property
+    def rank_tol(self) -> float:
+        return self.tols[0]
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.stack.shape[-1]
 
     @property
     def norm2(self) -> float:
-        return float(self.eigenvalues[0]) if self.dim else 0.0
+        return self.norms()[0]
 
     @property
     def rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues > self.rank_tol))
+        return int(np.count_nonzero(self.values[0] > self.tols[0]))
 
     def support_basis(self) -> np.ndarray:
         """Columns spanning the numerical support.
 
         Canonicalizes only the degenerate clusters that reach into the
-        support; the kernel's stay pending for ``eigenvectors``. Clusters are
-        canonicalized independently, so the columns are those of
-        ``eigenvectors[:, :rank]``.
+        support; the kernel's stay pending for ``eigenvectors``. The columns
+        are those of ``eigenvectors[:, :rank]``.
         """
         rank = self.rank
-        if not self._pending:
-            return self._basis[:, :rank]
-        _canonicalize_clusters(self._basis, [c for c in self._pending if c[0] < rank])
-        object.__setattr__(self, "_pending", [c for c in self._pending if c[0] >= rank])
-        if not self._pending:
-            self._basis.flags.writeable = False
-        support = self._basis[:, :rank]
+        support = self._canonical(rank)[0, :, :rank]
         support.flags.writeable = False
         return support
 
@@ -330,23 +341,17 @@ def positive(a, cutoff: float | None = None, *, scale_floor: float = 0.0) -> Pos
             return a
         a = a.matrix
     c = _resolve_cutoff(cutoff)
-    return _positive(hermitize(a), c, scale_floor)
+    return _positive(hermitize(a)[None], c, scale_floor)
 
 
-def _positive(m: np.ndarray, cutoff: float, scale_floor: float = 0.0) -> PositiveOperator:
-    """``positive`` of a fresh, ``hermitian_part``-exact square matrix.
+def _positive(m: np.ndarray, cutoff: float, scale_floor=0.0) -> PositiveOperator:
+    """``positive`` of each slice of a fresh, ``hermitian_part``-exact stack.
 
-    Skips the Hermiticity check, which such a matrix passes with gap 0, and
-    takes ``cutoff`` already resolved. The operator's frozen ``matrix`` is a
-    view of ``m``, so the caller must not write to ``m`` afterwards.
-    """
-    return _operator(_positive_stack(m[None], cutoff, scale_floor))
-
-
-def _positive_stack(m: np.ndarray, cutoff: float, scale_floor=0.0) -> _Spectra:
-    """``_positive`` of each slice of a stack; raises at a slice that fails.
-
+    Skips the Hermiticity check, which such a stack passes with gap 0, takes
+    ``cutoff`` already resolved, and raises at a slice that fails.
     ``scale_floor`` is one float for every slice or a list of one per slice.
+    The operator's frozen ``stack`` is ``m``, so the caller must not write to
+    ``m`` (or to an array it views) afterwards.
     """
     floors = scale_floor if isinstance(scale_floor, list) else [float(scale_floor)] * len(m)
     if not np.isfinite(m).all():
@@ -363,19 +368,8 @@ def _positive_stack(m: np.ndarray, cutoff: float, scale_floor=0.0) -> _Spectra:
                 f"eigenvalue {wj[-1]:.6e} below -rank_tol = {-rank_tol:.6e}"
             )
         rank_tols.append(rank_tol)
-    return _Spectra(m, np.maximum(w, 0.0), v, rank_tols, [_clusters(wj) for wj in vals], cutoff)
-
-
-def _one(p: PositiveOperator) -> _Spectra:
-    """A validated operator as a stack of one, with its canonical eigenvectors."""
-    return _Spectra(p.matrix[None], p.eigenvalues[None], p.eigenvectors[None], [p.rank_tol],
-                    [[]], p.cutoff)
-
-
-def _operator(sp: _Spectra) -> PositiveOperator:
-    """The operator of a stack of one."""
-    return PositiveOperator(sp.matrix[0], sp.eigenvalues[0], sp.vectors[0], sp.cutoff,
-                            sp.rank_tol[0], sp.pending[0])
+    return PositiveOperator(m, np.maximum(w, 0.0), v, tuple(rank_tols), cutoff,
+                            [_clusters(wj) for wj in vals])
 
 
 def support_projector(a, cutoff: float | None = None) -> np.ndarray:
@@ -387,22 +381,18 @@ def support_projector(a, cutoff: float | None = None) -> np.ndarray:
 
 def log_pd(a, cutoff: float | None = None) -> np.ndarray:
     """Matrix logarithm of a strictly positive matrix."""
-    p = positive(a, cutoff)
-    if p.dim == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return _log_stack(_one(p))[0]
+    return _log_stack(positive(a, cutoff))[0]
 
 
-def _log_stack(p: _Spectra) -> np.ndarray:
-    """``log_pd`` of each slice of a nonempty stack; raises at a rank-deficient slice."""
-    d = p.matrix.shape[-1]
+def _log_stack(p: PositiveOperator) -> np.ndarray:
+    """``log_pd`` of each slice of a stack; raises at a rank-deficient slice."""
+    d = p.dim
     for rank in p.ranks():
         if rank < d:
             raise SingularInputError(
                 f"logarithm needs a strictly positive matrix; numerical rank {rank} < dim {d}"
             )
-    p = p.canonical()
-    return hermitian_part(_synth(p.vectors, np.log(p.eigenvalues)))
+    return hermitian_part(_synth(p.bases(), np.log(p.values)))
 
 
 #: message of the OverflowError that ``expm`` raises
@@ -491,13 +481,6 @@ def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:
     return _geometric_mean(pa, pb)
 
 
-def _geometric_mean(pa: PositiveOperator, pb: PositiveOperator) -> PositiveOperator:
-    """``geometric_mean`` of validated operands of one dimension, at ``pa.cutoff``."""
-    if pa.dim == 0:
-        return _positive(np.zeros((0, 0), dtype=complex), pa.cutoff)
-    return _operator(_geometric_mean_stack(_one(pa), pb))
-
-
 def _require_rank(name: str, rank: int, dim: int) -> None:
     if rank < dim:
         raise SingularInputError(
@@ -506,24 +489,24 @@ def _require_rank(name: str, rank: int, dim: int) -> None:
         )
 
 
-def _geometric_mean_stack(pa: _Spectra, pb: PositiveOperator) -> _Spectra:
-    """A # B for each slice A of ``pa``, at ``pa.cutoff``.
+def _geometric_mean(pa: PositiveOperator, pb: PositiveOperator) -> PositiveOperator:
+    """A # B for each slice A of ``pa`` and the single operator B = ``pb``, at ``pa.cutoff``.
 
-    ``pa`` has canonical eigenvectors and dimension at least 1; raises at a
-    slice with a singular operand.
+    The operands share a dimension; raises at a slice with a singular
+    operand.
     """
-    d = pa.matrix.shape[-1]
+    d = pa.dim
     for rank in pa.ranks():
         _require_rank("left", rank, d)
         _require_rank("right", pb.rank, pb.dim)
-    va, wa = pa.vectors, pa.eigenvalues
+    va, wa = pa.bases(), pa.values
     root = _synth(va, np.sqrt(wa))
     iroot = _synth(va, 1.0 / np.sqrt(wa))
     inner = hermitian_part(iroot @ pb.matrix @ iroot)
     wi, vi = _eigh(inner)
     x = hermitian_part(root @ _synth(vi, np.sqrt(np.maximum(wi, 0.0))) @ root)
     floors = [max(norm, pb.norm2) for norm in pa.norms()]
-    return _positive_stack(x, pa.cutoff, floors)
+    return _positive(x, pa.cutoff, floors)
 
 
 def excision(sigma, rho, cutoff: float | None = None) -> np.ndarray:

@@ -36,7 +36,7 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     try:
         dim = int(obj["dim"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
     if dim <= 0:
         raise InvalidMatrixError(f"dim must be positive, got {dim}")
@@ -56,7 +56,8 @@ def matrix_from_json_dict(obj) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json_dict(json.load(fh))
+        # integers parse as floats, so a "-0" entry keeps its sign
+        return matrix_from_json_dict(json.load(fh, parse_int=float))
 
 
 def dump_matrix(matrix, path) -> None:

@@ -164,7 +164,8 @@ def table_model(path) -> ParametricModel:
     points were tabulated, which is the intended behavior.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        # integers parse as floats, so a "-0" matrix entry keeps its sign
+        obj = json.load(fh, parse_int=float)
     dim = int(obj["dim"])
     theta_dim = int(obj["theta_dim"])
     theta0 = np.asarray(obj["theta0"], dtype=float).reshape(-1)

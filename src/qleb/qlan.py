@@ -50,9 +50,8 @@ from .linalg import (
     _expm_checked,
     _expm_stack,
     _hermitize_stack,
-    _positive_stack,
+    _positive,
     _replay,
-    _Spectra,
     expm,
     hermitian_part,
     hermitize,
@@ -113,27 +112,6 @@ def _model_states(model: ParametricModel, thetas) -> Sequence:
     if model.states_at is not None:
         return model.states_at(thetas)
     return [model.state_at(theta) for theta in thetas]
-
-
-def check_model(model: ParametricModel, thetas, cutoff: float | None = None) -> None:
-    """Assert the family is made of densities dominating the base state."""
-    rho0 = positive(model.state0(), cutoff)
-    if abs(rho0.trace() - 1.0) > 1e-10:
-        raise ValueError(f"state at theta0 has trace {rho0.trace()!r}")
-    for theta in thetas:
-        theta = np.asarray(theta, dtype=float)
-        st = positive(model.state_at(theta), cutoff)
-        if st.dim != model.dim:
-            raise DimensionMismatchError(
-                f"state at {theta} has dimension {st.dim}, expected {model.dim}"
-            )
-        if abs(st.trace() - 1.0) > 1e-10:
-            raise ValueError(f"state at {theta} has trace {st.trace()!r}")
-        _, min_eig, floor = decomp._ac_verdict(rho0, st)
-        if not min_eig > floor:
-            raise SupportViolationError(
-                f"state at {theta} does not dominate the base state", theta=theta
-            )
 
 
 def sld(model: ParametricModel, direction: int, step: float = FD_STEP,
@@ -265,12 +243,23 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
     logarithm well conditioned and the power away from underflow, and
     queries violating it are rejected.
     """
-    state = hermitize(site_state)
-    ops = [hermitize(op) for op in site_ops]
-    q = as_query(query, len(ops))
+    state, ops, q = _site_operands(site_state, site_ops, query)
     if int(n) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     return _guarded_powers([[state]], ops, [q], [int(n)], guard)[0][0][0]
+
+
+def _site_operands(site_state, site_ops, query) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The validated site state, site observables and query of the QCF functions."""
+    state = hermitize(site_state)
+    ops = [hermitize(op) for op in site_ops]
+    if not ops:
+        raise ValueError("site_ops is empty; the QCF needs at least one site observable")
+    for i, op in enumerate(ops):
+        if op.shape != state.shape:
+            raise DimensionMismatchError(f"site observable {i} has shape {op.shape} but the "
+                                         f"site state has shape {state.shape}")
+    return state, ops, as_query(query, len(ops))
 
 
 def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[np.ndarray],
@@ -359,9 +348,7 @@ def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 def collective_qcf_brute(site_state, site_ops, query, n: int) -> complex:
     """Dense tensor-power oracle for the collective QCF (small n only)."""
-    state = hermitize(site_state)
-    ops = [hermitize(op) for op in site_ops]
-    q = as_query(query, len(ops))
+    state, ops, q = _site_operands(site_state, site_ops, query)
     n = int(n)
     d = state.shape[0]
     if n < 1:
@@ -473,12 +460,14 @@ def _centered_or_raise(rho0: np.ndarray, ops: Sequence[np.ndarray]) -> None:
 
 
 def _shift(model: ParametricModel, h) -> np.ndarray:
-    """A local shift ``h`` as a real vector of the model's parameter dimension."""
+    """A local shift ``h`` as a finite real vector of the model's parameter dimension."""
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.shape[0] != model.theta_dim:
         raise DimensionMismatchError(
             f"h has dimension {h.shape[0]}, expected {model.theta_dim}"
         )
+    if not np.isfinite(h).all():
+        raise ValueError(f"h has non-finite entries: {h.tolist()}")
     return h
 
 
@@ -488,19 +477,19 @@ def _local_shifts(model: ParametricModel, h: np.ndarray, ns: Sequence[int]) -> l
     return [t0 + h / np.sqrt(n) for n in ns]
 
 
-def _shifted_states(model: ParametricModel, thetas, rho0: PositiveOperator) -> _Spectra:
-    """The model's states at ``thetas``, validated as operators at rho0's cutoff.
+def _shifted_states(model: ParametricModel, thetas, rho0: PositiveOperator) -> PositiveOperator:
+    """The model's states at ``thetas``, validated as one stack at rho0's cutoff.
 
-    Returns their spectra, with canonical eigenvectors. A state whose shape
-    differs from rho0's raises the error of ``decomp._pair``.
+    A state whose shape differs from rho0's raises the error of
+    ``decomp._pair``.
     """
     states = _model_states(model, thetas)
     shape = rho0.matrix.shape
     for state in states:
         if np.shape(state) != shape:
             decomp._pair(rho0, state, rho0.cutoff)
-    stack = _hermitize_stack(np.asarray(states, dtype=complex).reshape(-1, *shape))
-    return _positive_stack(stack, rho0.cutoff).canonical()
+    return _positive(_hermitize_stack(np.asarray(states, dtype=complex).reshape(-1, *shape)),
+                     rho0.cutoff)
 
 
 def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
@@ -545,7 +534,7 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
                     n=n,
                     theta=theta,
                 )
-        return _guarded_powers([[m] for m in rho_n.matrix], ops, queries, ns)
+        return _guarded_powers([[m] for m in rho_n.stack], ops, queries, ns)
 
     powers = _replay(run, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
@@ -574,7 +563,7 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int, site_ops=None,
                            [n])[0][0][0]
 
 
-def _sandwiches(rho0: PositiveOperator, rho_n: _Spectra) -> np.ndarray:
+def _sandwiches(rho0: PositiveOperator, rho_n: PositiveOperator) -> np.ndarray:
     """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of each slice along rho0."""
     halves = _expm_checked(decomp._qllr_stack(rho0, rho_n) / 2.0)
     return hermitian_part(halves @ rho0.matrix @ halves)
@@ -593,7 +582,7 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     def run(ns):
         rho_n = _shifted_states(model, _local_shifts(model, h, ns), rho0)
         # one product per query, traced against both states
-        return _guarded_powers(list(zip(_sandwiches(rho0, rho_n), rho_n.matrix)), ops,
+        return _guarded_powers(list(zip(_sandwiches(rho0, rho_n), rho_n.stack)), ops,
                                queries, ns)
 
     powers = _replay(run, ns)

@@ -227,6 +227,13 @@ class TestQlan:
         assert run_cli("qlan", "--model", "xyz", "--xi", "1,0") == 2
         assert "unknown model" in capsys.readouterr().err
 
+    def test_non_finite_h(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("qlan", "--model", "spin-perturbed:quartic", "--study", "sandwich",
+                       "--h", "nan,0", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: h has non-finite entries: [nan, 0.0]\n"
+        assert not out.exists()
+
     def test_env_cutoff_is_recorded(self, tmp_path, monkeypatch):
         out = tmp_path / "rep.json"
         monkeypatch.setenv("QLEB_CUTOFF", "1e-09")

@@ -88,6 +88,19 @@ def test_positive_operator_is_frozen():
         p.eigenvectors[0, 0] = 7.0
 
 
+@pytest.mark.parametrize("name", ["cutoff", "matrix", "eigenvalues", "eigenvectors", "rank_tol",
+                                  "rank", "dim", "norm2"])
+def test_positive_operator_attributes_cannot_be_rebound(name):
+    p = linalg.positive(np.diag([2.0, 1.0, 1.0]))
+    before = getattr(p, name)
+    with pytest.raises(AttributeError):
+        setattr(p, name, 0.5)
+    with pytest.raises(AttributeError):
+        delattr(p, name)
+    assert getattr(p, name) is before or np.array_equal(getattr(p, name), before)
+    assert p.cutoff == linalg.DEFAULT_CUTOFF
+
+
 @pytest.mark.parametrize("a", [np.eye(4), np.diag([2.0, 1.0]), np.diag([3.0, 0.5, 0.5, 0.0])])
 def test_eigenvectors_read_twice_are_one_frozen_array(a):
     p = linalg.positive(a)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qleb
-from qleb import decomp, matio, qlan
+from qleb import decomp, matio, models, qlan
 from qleb.errors import InvalidMatrixError
 
 
@@ -52,6 +52,28 @@ class TestMatrixJson:
         text = path.read_text()
         assert text.endswith("\n")
         json.loads(text)
+
+    def test_negative_zeros_survive_both_readers(self, tmp_path):
+        m = np.array([[1.0, -0.0], [complex(-0.0, -0.0), 2.0]])
+        path = tmp_path / "m.json"
+        matio.dump_matrix(m, path)
+        table = tmp_path / "table.json"
+        table.write_text(matio.dumps_json({
+            "dim": 2, "theta_dim": 1, "theta0": [0.0],
+            "states": [{"theta": [0.0], "matrix": matio.matrix_to_json_dict(m)}]}))
+        for loaded in (matio.load_matrix(path), models.table_model(table).state_at([0.0])):
+            np.testing.assert_array_equal(np.signbit(loaded.real), np.signbit(m.real))
+            np.testing.assert_array_equal(np.signbit(loaded.imag), np.signbit(m.imag))
+            again = tmp_path / "again.json"
+            matio.dump_matrix(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_huge_integer_dim_is_a_malformed_object(self, tmp_path):
+        # integers load as floats, and one past the float range as inf
+        path = tmp_path / "m.json"
+        path.write_text('{"dim": 1' + "0" * 400 + ', "entries": []}')
+        with pytest.raises(InvalidMatrixError, match="malformed matrix object"):
+            matio.load_matrix(path)
 
 
 class TestDecompositionJson:

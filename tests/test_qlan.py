@@ -37,29 +37,6 @@ def toy_model(state_fn, theta_dim=1, dim=2, theta0=None):
     )
 
 
-class TestCheckModel:
-    def test_pure_family_passes(self):
-        m = models.spin_pure_model()
-        qlan.check_model(m, [np.zeros(2), (0.3, 0.1), (-0.2, 0.4)])
-
-    def test_trace_violation(self):
-        m = toy_model(lambda t: (1.0 + t[0]) * np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            qlan.check_model(m, [np.array([0.5])])
-
-    def test_support_violation_carries_theta(self):
-        # the family jumps onto the orthogonal pure state away from theta0
-        def state(t):
-            if abs(t[0]) < 0.25:
-                return np.diag([1.0, 0.0])
-            return np.diag([0.0, 1.0])
-
-        m = toy_model(state)
-        with pytest.raises(SupportViolationError) as exc:
-            qlan.check_model(m, [np.array([0.5])])
-        np.testing.assert_array_equal(exc.value.theta, [0.5])
-
-
 class TestSld:
     def test_pure_model_directions(self):
         m = models.spin_pure_model()
@@ -186,6 +163,29 @@ class TestCollectiveQcf:
         with pytest.raises(ValueError):
             qlan.collective_qcf_brute(rho, [SX], [0.1], 0)
 
+    @pytest.mark.parametrize("qcf", [qlan.collective_qcf_factorized, qlan.collective_qcf_brute])
+    @pytest.mark.parametrize("ops,query,expected", [
+        ([], [[0.1]], (ValueError,
+                       "site_ops is empty; the QCF needs at least one site observable")),
+        ([], np.zeros((1, 0)), (ValueError,
+                                "site_ops is empty; the QCF needs at least one site observable")),
+        ([np.eye(3)], [[0.1]], (DimensionMismatchError, "site observable 0 has shape (3, 3) "
+                                "but the site state has shape (2, 2)")),
+        ([SX, np.eye(3)], [[0.1, 0.2]], (DimensionMismatchError, "site observable 1 has shape "
+                                         "(3, 3) but the site state has shape (2, 2)")),
+    ])
+    def test_site_operators_are_checked_at_the_boundary(self, monkeypatch, qcf, ops, query,
+                                                        expected):
+        def no_exponential(*args):
+            raise AssertionError("exponential formed before the operands were checked")
+
+        monkeypatch.setattr(qlan, "_expm_stack", no_exponential)
+        monkeypatch.setattr(qlan, "expm", no_exponential)
+        with pytest.raises(expected[0]) as exc:
+            qcf(np.eye(2) / 2, ops, query, 2)
+        assert (type(exc.value), str(exc.value)) == expected
+        assert exc.value.__context__ is None
+
 
 @pytest.mark.parametrize("n_grid", [(-2, -1), (0, 100)])
 @pytest.mark.parametrize("report", ["qclt", "lecam", "sandwich", "probe"])
@@ -200,6 +200,29 @@ def test_non_positive_n_grid_rejected(report, n_grid):
     }
     with pytest.raises(ValueError, match=rf"^n must be a positive integer, got {n_grid[0]}$"):
         calls[report]()
+
+
+@pytest.mark.parametrize("entry", ["lecam", "sandwich_report", "sandwich_qcf", "remainder"])
+@pytest.mark.parametrize("h", [(np.nan, 0.0), (0.3, np.inf)])
+def test_non_finite_h_rejected_before_any_model_evaluation(entry, h):
+    def state(theta):
+        raise AssertionError("model evaluated before h was checked")
+
+    m = qlan.ParametricModel("toy", 2, 2, np.zeros(2), state)
+    queries = [np.array([[1.0, 0.0]])]
+    calls = {
+        "lecam": lambda: qlan.lecam_report(m, None, h, queries, (10, 100)),
+        "sandwich_report": lambda: qlan.sandwich_report(m, h, queries, (10, 100)),
+        "sandwich_qcf": lambda: qlan.sandwich_qcf(m, h, queries[0], 10),
+        "remainder": lambda: qlan.iid_remainder_rule(m, h)(4),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            calls[entry]()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"h has non-finite entries: {list(h)}"
+    assert exc.value.__context__ is None
 
 
 class TestQcltReport:
