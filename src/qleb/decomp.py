@@ -25,6 +25,8 @@ from .errors import (
 )
 from .linalg import (
     PositiveOperator,
+    _canonicalize,
+    _clusters,
     _dagger,
     _eigh,
     _eigh_raw,
@@ -418,11 +420,13 @@ def lebesgue_decompose_direct(sigma, rho, cutoff: float | None = None) -> Lebesg
     v, wv = s.eigenvectors, s.eigenvalues
     root = (v * np.sqrt(wv)) @ v.conj().T
     sandwich = hermitian_part(root @ r.matrix @ root)
-    w, u = _eigh(sandwich)
+    w, u = _eigh_raw(sandwich)
     cut = sandwich.shape[0] * r.norm2 * s.norm2 * c
     kept = w > cut
     if not np.any(kept):
         return _zero_decomposition(s, c, "direct")
+    # only the kept columns, a prefix, are read: the rest keep the solver's basis
+    _canonicalize(u[None], [_clusters(w.tolist())], int(np.count_nonzero(kept)))
     uk = u[:, kept]
     inv_root = (uk * (1.0 / np.sqrt(w[kept]))) @ uk.conj().T
     witness = hermitian_part(root @ inv_root @ root)

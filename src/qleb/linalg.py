@@ -14,7 +14,11 @@ routine that does it.
 
 Public functions validate their input; the private kernels (``_positive``,
 ``_geometric_mean``, ``_eigh``) take operands the package has just built and
-skip the checks those operands pass by construction.
+skip the checks those operands pass by construction. ``positive`` validates
+a raw matrix once per pipeline: each thread keeps the last few operators it
+built, keyed on the exact bytes and shape of the complex input, the cutoff
+and ``scale_floor``, and input equal to one of them gets the same shared
+immutable operator back. ``copy.copy`` of an operator is a private one.
 
 The spectral kernels take stacks: the q-LAN reports evaluate whole grids of
 small matrices in one pass. A kernel computes the whole stack or raises at a
@@ -25,6 +29,7 @@ the first point that raises is the loop's error. A passing grid runs once.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,6 +55,24 @@ DEFAULT_CUTOFF = 1e-11
 # one degenerate cluster; comfortably above LAPACK splitting noise and far
 # below any spectral gap the package cares about
 _CLUSTER_TOL = 64 * np.finfo(float).eps
+
+#: operators ``positive`` keeps per thread, least recently used evicted first
+_MEMO_SIZE = 8
+
+
+class _Memo(threading.local):
+    """Per-thread map (shape, bytes, cutoff, scale_floor) -> operator, oldest first.
+
+    Per thread because an operator canonicalizes its basis in place on first
+    read, so one operator must not be read from two threads at once.
+    """
+
+    def __init__(self):
+        self.entries: dict[tuple, PositiveOperator] = {}
+
+
+_memo = _Memo()
+
 
 def _resolve_cutoff(cutoff: float | None) -> float:
     if cutoff is None:
@@ -81,8 +104,11 @@ def hermitian_part(a) -> np.ndarray:
 def hermitize(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate Hermiticity of ``a`` and return (A + A^dagger) / 2.
 
-    The violation is measured entrywise against tol * max(1, max|A_ij|).
+    The violation is measured entrywise against tol * max(1, max|A_ij|);
+    ``tol`` must be finite and nonnegative.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"Hermitian tolerance must be finite and nonnegative, got {tol}")
     return _hermitize_stack(_as_square(a)[None], tol)[0]
 
 
@@ -255,6 +281,12 @@ class PositiveOperator:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete attribute {name!r} of a PositiveOperator")
 
+    def __reduce__(self):
+        # rebuilt through the constructor; the basis may still be
+        # canonicalized in place, so a copy gets its own
+        return (PositiveOperator, (self.stack, self.values, self._vectors.copy(), self.tols,
+                                   self.cutoff, [list(c) for c in self._pending]))
+
     def __repr__(self) -> str:
         return (f"PositiveOperator(stack={self.stack!r}, values={self.values!r}, "
                 f"cutoff={self.cutoff!r}, tols={self.tols!r})")
@@ -335,13 +367,27 @@ def positive(a, cutoff: float | None = None, *, scale_floor: float = 0.0) -> Pos
     raises NotPositiveError. ``scale_floor`` optionally anchors rank_tol to a
     larger ambient scale (useful when the matrix is a residual of operators of
     norm ``scale_floor`` and its own norm is pure noise).
+
+    Input equal, byte for byte, to one this thread validated recently, at the
+    same cutoff and ``scale_floor``, gets that same shared operator back.
     """
     if isinstance(a, PositiveOperator):
         if cutoff is None or float(cutoff) == a.cutoff:
             return a
         a = a.matrix
     c = _resolve_cutoff(cutoff)
-    return _positive(hermitize(a)[None], c, scale_floor)
+    m = np.asarray(a, dtype=complex)
+    floor = float(scale_floor)
+    key = (m.shape, m.tobytes(), c, floor)
+    memo = _memo.entries
+    p = memo.pop(key, None)
+    if p is None:
+        # only an operator that validates is kept
+        p = _positive(hermitize(m)[None], c, floor)
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+    memo[key] = p
+    return p
 
 
 def _positive(m: np.ndarray, cutoff: float, scale_floor=0.0) -> PositiveOperator:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidMatrixError,
     InvalidRanksError,
     NotUnitError,
     UnreachableOverlapError,
@@ -53,6 +54,8 @@ def _theta2(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.shape[0] != 2:
         raise DimensionMismatchError(f"theta must be a real 2-vector, got {theta}")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta has non-finite entries: {theta.tolist()}")
     return theta
 
 
@@ -161,13 +164,17 @@ def table_model(path) -> ParametricModel:
 
     Evaluation off the stored grid raises KeyError; in particular the
     finite-difference SLD machinery refuses table models unless the probe
-    points were tabulated, which is the intended behavior.
+    points were tabulated, which is the intended behavior. A ``dim`` or
+    ``theta_dim`` that is missing or not a finite number raises InvalidMatrixError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # integers parse as floats, so a "-0" matrix entry keeps its sign
         obj = json.load(fh, parse_int=float)
-    dim = int(obj["dim"])
-    theta_dim = int(obj["theta_dim"])
+    try:
+        dim = int(obj["dim"])
+        theta_dim = int(obj["theta_dim"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidMatrixError(f"malformed table object: {exc}") from exc
     theta0 = np.asarray(obj["theta0"], dtype=float).reshape(-1)
     if theta0.shape[0] != theta_dim:
         raise DimensionMismatchError(

@@ -111,14 +111,14 @@ def test_infinitesimal_probe_budget(eigh_calls):
 PIPELINE = ("is_singular", "is_absolutely_continuous", "is_mutually_ac",
             "lebesgue_decompose", "lebesgue_decompose_direct", "qllr")
 
+#: eigensolver calls of the whole pipeline on one raw pair the memo of
+#: ``linalg.positive`` has not seen (45 and 41 before the memo)
+PIPELINE_BUDGET = 35
 
-@pytest.mark.parametrize("name", PIPELINE)
-@pytest.mark.parametrize("dim,rank_rho,rank_sigma", [(4, 4, 4), (6, 2, 4)])
-def test_pipeline_validates_raw_operands_once(monkeypatch, name, dim, rank_rho, rank_sigma):
-    rho, sigma = models.random_psd_pair(
-        models.RandomPsdPairSpec(dim, rank_rho, rank_sigma, seed=2))
-    rho_m, sigma_m = rho.matrix, sigma.matrix
-    assert decomp.is_absolutely_continuous(rho_m, sigma_m)
+
+@pytest.fixture
+def hermitize_calls(monkeypatch):
+    """Counts validations of raw operands; the memo of ``positive`` is the test's own."""
     calls = []
     real = linalg.hermitize
 
@@ -126,7 +126,42 @@ def test_pipeline_validates_raw_operands_once(monkeypatch, name, dim, rank_rho, 
         calls.append(1)
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(linalg._memo, "entries", {})
     monkeypatch.setattr(linalg, "hermitize", counting)
+    return calls
+
+
+def _raw_pair(dim, rank_rho, rank_sigma):
+    rho, sigma = models.random_psd_pair(
+        models.RandomPsdPairSpec(dim, rank_rho, rank_sigma, seed=2))
+    return rho.matrix, sigma.matrix
+
+
+@pytest.mark.parametrize("name", PIPELINE)
+@pytest.mark.parametrize("dim,rank_rho,rank_sigma", [(4, 4, 4), (6, 2, 4)])
+def test_pipeline_validates_raw_operands_once(hermitize_calls, name, dim, rank_rho, rank_sigma):
+    rho_m, sigma_m = _raw_pair(dim, rank_rho, rank_sigma)
+    assert decomp.is_absolutely_continuous(rho_m, sigma_m)
+    linalg._memo.entries.clear()
+    hermitize_calls.clear()
     args = (rho_m, sigma_m) if name.startswith("is_") else (sigma_m, rho_m)
     getattr(decomp, name)(*args)
-    assert len(calls) == 2
+    assert len(hermitize_calls) == 2
+    # a repeat call gets both operators from the memo
+    hermitize_calls.clear()
+    getattr(decomp, name)(*args)
+    assert len(hermitize_calls) == 0
+
+
+@pytest.mark.parametrize("dim,rank_rho,rank_sigma", [(4, 4, 4), (6, 2, 4)])
+def test_pipeline_on_one_raw_pair_validates_twice(hermitize_calls, eigh_calls,
+                                                   dim, rank_rho, rank_sigma):
+    rho_m, sigma_m = _raw_pair(dim, rank_rho, rank_sigma)
+    linalg._memo.entries.clear()
+    hermitize_calls.clear()
+    eigh_calls.clear()
+    for name in PIPELINE:
+        args = (rho_m, sigma_m) if name.startswith("is_") else (sigma_m, rho_m)
+        getattr(decomp, name)(*args)
+    assert len(hermitize_calls) == 2
+    assert 0 < len(eigh_calls) <= PIPELINE_BUDGET

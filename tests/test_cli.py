@@ -149,6 +149,17 @@ class TestCheck:
         # a witness built at the default cutoff drops the 1e-13 eigenvalue
         assert witness_residual(capsys.readouterr().out) < 1e-20
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_hermitian_tol(self, tmp_path, capsys, tol):
+        rho = write_matrix(tmp_path, "r.json", np.diag([1.0, 0.0]))
+        sigma = write_matrix(tmp_path, "s.json", [[0.0, 1.0], [0.0, 0.0]])
+        assert run_cli("check", "ac", "--rho", rho, "--sigma", sigma,
+                       "--hermitian-tol", tol) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Hermitian tolerance must be finite and nonnegative, "
+                                f"got {float(tol)}\n")
+
     def test_env_cutoff_reaches_the_witness(self, tmp_path, capsys, monkeypatch):
         rho = write_matrix(tmp_path, "r.json", np.diag([1.0, 1e-13]))
         sigma = write_matrix(tmp_path, "s.json", np.eye(2))
@@ -226,6 +237,16 @@ class TestQlan:
     def test_unknown_model(self, capsys):
         assert run_cli("qlan", "--model", "xyz", "--xi", "1,0") == 2
         assert "unknown model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["dim", "theta_dim"])
+    def test_table_header_out_of_range(self, tmp_path, capsys, field):
+        doc = {"dim": 2, "theta_dim": 1, "theta0": [0.0], "states": []}
+        text = json.dumps(doc).replace(f'"{field}": {doc[field]}', f'"{field}": 1e400')
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        assert run_cli("qlan", "--model", f"table:{path}", "--xi", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed table object: ") and "infinity" in err
 
     def test_non_finite_h(self, tmp_path, capsys):
         out = tmp_path / "r.json"

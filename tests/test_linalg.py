@@ -1,5 +1,10 @@
 """Unit tests for the dense Hermitian/PSD toolbox."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +12,7 @@ import scipy.linalg
 from qleb import linalg
 from qleb.errors import (
     DimensionMismatchError,
+    InvalidMatrixError,
     NonSquareError,
     NotHermitianError,
     NotPositiveError,
@@ -42,6 +48,20 @@ def test_hermitize_rejects_non_square():
         linalg.hermitize(np.zeros((2, 3)))
     with pytest.raises(NonSquareError):
         linalg.hermitize(np.zeros(4))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -np.inf])
+def test_hermitize_rejects_a_bad_tolerance(tol):
+    # checked before the matrix is read: even an unusable matrix gets this error
+    for a in ([[0.0, 1.0], [0.0, 0.0]], np.eye(2), "not a matrix"):
+        with pytest.raises(ValueError, match="Hermitian tolerance must be finite and nonnegative"):
+            linalg.hermitize(a, tol=tol)
+
+
+def test_hermitize_accepts_a_zero_tolerance():
+    np.testing.assert_array_equal(linalg.hermitize(np.eye(2), tol=0.0), np.eye(2))
+    with pytest.raises(NotHermitianError):
+        linalg.hermitize(np.array([[0.0, 1e-300], [0.0, 0.0]]), tol=0.0)
 
 
 def test_eig_descending_and_reconstruction():
@@ -145,6 +165,7 @@ def test_canonical_basis_is_built_on_first_read(monkeypatch):
         return real(cols)
 
     monkeypatch.setattr(linalg, "_standard_basis_section", counting)
+    monkeypatch.setattr(linalg._memo, "entries", {})
     p = linalg.positive(np.zeros((8, 8)))
     assert p.rank == 0
     assert calls == []
@@ -174,6 +195,7 @@ def test_support_basis_canonicalizes_only_the_support(monkeypatch, eigs):
         return real(cols)
 
     monkeypatch.setattr(linalg, "_standard_basis_section", counting)
+    monkeypatch.setattr(linalg._memo, "entries", {})
     p = linalg.positive(a)
     rank = int(np.count_nonzero(np.array(eigs) > 0))
     support = p.support_basis()
@@ -328,3 +350,178 @@ def test_excision_is_psd_with_rank_deficient_sigma():
         exc = linalg.excision(sigma, rho)
         w = np.linalg.eigvalsh(exc)
         assert w[0] >= -1e-14
+
+
+def public_view(p, support_first=True):
+    """Every public accessor of ``p``, arrays as (shape, bytes, writeable).
+
+    The lazily canonicalized basis is read through ``support_basis()``
+    first, or through ``eigenvectors`` first.
+    """
+    if support_first:
+        support, vectors = p.support_basis(), p.eigenvectors
+    else:
+        vectors, support = p.eigenvectors, p.support_basis()
+    arrays = (p.matrix, p.eigenvalues, vectors, support, p.kernel_basis())
+    scalars = (p.cutoff, p.rank_tol, p.rank, p.dim, p.norm2, p.trace())
+    return ([(a.shape, a.tobytes(), a.flags.writeable) for a in arrays]
+            + [repr(x) for x in scalars])
+
+
+def unmemoized(a, cutoff=linalg.DEFAULT_CUTOFF, scale_floor=0.0):
+    """``positive(a)`` built without the memo."""
+    return linalg._positive(linalg.hermitize(a)[None], cutoff, scale_floor)
+
+
+#: degenerate clusters in the support and in the kernel, so part of the
+#: basis is still the solver's after ``support_basis()``
+DEGENERATE = np.diag([2.0, 1.0, 1.0, 0.0, 0.0])
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo of ``positive``, this test's own."""
+    entries = {}
+    monkeypatch.setattr(linalg._memo, "entries", entries)
+    return entries
+
+
+@pytest.mark.parametrize("reuse", [copy.copy, copy.deepcopy,
+                                   lambda p: pickle.loads(pickle.dumps(p))])
+@pytest.mark.parametrize("read_first", [False, True])
+def test_copies_of_an_operator_are_private_and_equal(reuse, read_first):
+    p = linalg.positive(np.diag([2.0, 1.0, 1.0]))
+    if read_first:
+        p.eigenvectors
+    q = reuse(p)
+    assert type(q) is linalg.PositiveOperator and q is not p
+    assert public_view(q) == public_view(p)
+    assert q._vectors is not p._vectors
+    for a in (q.matrix, q.eigenvalues, q.eigenvectors, q.support_basis(), q.kernel_basis()):
+        with pytest.raises(ValueError):
+            a[0] = 7.0
+    with pytest.raises(AttributeError):
+        q.cutoff = 0.5
+    with pytest.raises(AttributeError):
+        q.stack = p.stack
+
+
+def test_a_copy_canonicalizes_its_own_basis():
+    p = unmemoized(DEGENERATE)
+    q = copy.copy(p)
+    q.support_basis()
+    assert p._pending == [[(1, 3), (3, 5)]]
+    assert q._pending == [[(3, 5)]]
+    assert public_view(q, support_first=False) == public_view(p)
+
+
+def test_equal_input_gets_the_same_operator(memo):
+    p = linalg.positive(DEGENERATE)
+    for same in (DEGENERATE.copy(), np.asfortranarray(DEGENERATE), np.diag([2, 1, 1, 0, 0]),
+                 np.pad(DEGENERATE, 1)[1:-1, 1:-1], DEGENERATE.astype(complex)):
+        assert linalg.positive(same) is p
+    assert linalg.positive(DEGENERATE, None, scale_floor=0.0) is p
+    assert len(memo) == 1
+
+
+def test_the_memo_never_holds_the_callers_array(memo):
+    a = np.array(DEGENERATE, dtype=complex)
+    p = linalg.positive(a)
+    assert not np.shares_memory(p.matrix, a)
+    a[0, 0] = 5.0
+    assert linalg.positive(a) is not p
+    assert linalg.positive(DEGENERATE) is p and p.matrix[0, 0] == 2.0
+
+
+def test_the_sign_of_zero_is_part_of_the_key(memo):
+    plus = np.diag([1.0, 0.5]).astype(complex)
+    minus = plus.copy()
+    # a signed zero that (A + A^dagger) / 2 keeps
+    minus[0, 1] = complex(0.0, -0.0)
+    p, q = linalg.positive(plus), linalg.positive(minus)
+    assert p is not q
+    assert not np.signbit(p.matrix.imag).any()
+    np.testing.assert_array_equal(np.signbit(q.matrix.imag), [[False, True], [False, False]])
+    assert public_view(q) == public_view(unmemoized(minus))
+
+
+def test_shape_cutoff_and_scale_floor_are_part_of_the_key(memo):
+    p = linalg.positive(np.eye(4))
+    with pytest.raises(NonSquareError):
+        linalg.positive(np.eye(4).reshape(2, 8))
+    q = linalg.positive(np.eye(4), 1e-9)
+    r = linalg.positive(np.eye(4), scale_floor=10.0)
+    assert len({id(p), id(q), id(r)}) == 3 and len(memo) == 3
+    assert q.cutoff == 1e-9 and r.rank_tol == 4 * 10.0 * linalg.DEFAULT_CUTOFF
+    assert linalg.positive(np.eye(4), 1e-9) is q
+    assert linalg.positive(np.eye(4), scale_floor=10.0) is r
+    assert public_view(q) == public_view(unmemoized(np.eye(4), 1e-9))
+    assert public_view(r) == public_view(unmemoized(np.eye(4), scale_floor=10.0))
+
+
+@pytest.mark.parametrize("a,error", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), InvalidMatrixError),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitianError),
+    (np.diag([1.0, -0.5]), NotPositiveError),
+])
+def test_failing_input_is_not_kept(memo, a, error):
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            linalg.positive(a)
+        assert info.value.__context__ is None
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+    assert memo == {}
+
+
+def test_each_thread_gets_its_own_operator(memo):
+    # more threads than cores, switching often, each reading the lazily
+    # canonicalized bases of its operators while the others read theirs
+    scales = (1.0, 2.0, 3.0)
+    expected = {s: public_view(unmemoized(DEGENERATE * s)) for s in scales}
+    mine = {s: linalg.positive(DEGENERATE * s) for s in scales}
+    results = [[] for _ in range(4)]
+
+    def build(out):
+        for k in range(30):
+            s = scales[k % 3]
+            p = linalg.positive(DEGENERATE * s)
+            out.append((s, p, public_view(p, support_first=k % 2 == 0)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(out,)) for out in results]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    ops = {id(p) for p in mine.values()}
+    for out in results:
+        assert len(out) == 30
+        kept = {}
+        for s, p, view in out:
+            # a thread keeps getting its own operator
+            assert kept.setdefault(s, p) is p
+            assert view == expected[s]
+        ops.update(id(p) for p in kept.values())
+    assert len(ops) == (1 + len(results)) * len(scales)
+    assert len(memo) == len(scales)
+
+
+def test_the_memo_keeps_its_most_recently_used_operators(memo):
+    size = linalg._MEMO_SIZE
+    ops = [linalg.positive(np.eye(2) * k) for k in range(size + 2)]
+    assert len(memo) == size
+    # 0 and 1 were evicted; a hit on 2 makes 3 the least recently used
+    assert linalg.positive(np.eye(2) * 2) is ops[2]
+    linalg.positive(np.eye(3))
+    assert len(memo) == size
+    assert linalg.positive(np.eye(2) * 2) is ops[2]
+    for k in (0, 1, 3):
+        assert linalg.positive(np.eye(2) * k) is not ops[k]
+        assert len(memo) == size

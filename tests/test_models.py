@@ -9,6 +9,7 @@ import pytest
 from qleb import decomp, linalg, models
 from qleb.errors import (
     DimensionMismatchError,
+    InvalidMatrixError,
     InvalidRanksError,
     NotUnitError,
     UnreachableOverlapError,
@@ -41,6 +42,20 @@ class TestSpinPure:
         u = linalg.expm(-0.125j * np.pi * models.SIGMA_Z)
         b = models.spin_pure_state((0.5 / np.sqrt(2), 0.5 / np.sqrt(2)))
         np.testing.assert_allclose(u @ a @ u.conj().T, b, atol=1e-12)
+
+    @pytest.mark.parametrize("family", [models.spin_pure_state, models.spin_perturbed_state])
+    @pytest.mark.parametrize("theta", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)])
+    def test_theta_must_be_finite(self, family, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                family(theta)
+        assert str(info.value) == f"theta has non-finite entries: {list(theta)}"
+        assert info.value.__context__ is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta has non-finite entries"):
+                models.spin_pure_states([(0.1, 0.2), theta])
 
     def test_theta_must_be_a_2_vector(self):
         with pytest.raises(DimensionMismatchError):
@@ -160,6 +175,16 @@ class TestModelRegistry:
         np.testing.assert_array_equal(m.state_at([0.5]), states[1])
         with pytest.raises(KeyError):
             m.state_at([0.25])
+
+    @pytest.mark.parametrize("header", [
+        {"dim": float("inf"), "theta_dim": 1}, {"dim": 2, "theta_dim": float("inf")},
+        {"dim": "two", "theta_dim": 1}, {"dim": 2, "theta_dim": None}, {"dim": 2}])
+    def test_table_model_malformed_header(self, tmp_path, header):
+        path = tmp_path / "table.json"
+        # json writes inf as Infinity, which loads as the float that 1e400 parses to
+        path.write_text(json.dumps({**header, "theta0": [0.0], "states": []}))
+        with pytest.raises(InvalidMatrixError, match="malformed table object"):
+            models.table_model(path)
 
 
 class TestRandomPsdPair:

@@ -6,6 +6,8 @@ what ``positive`` gives that slice alone, and the lazily canonicalized
 eigenbasis must not depend on which accessor is read first. Spectra are
 drawn from a few levels, so slices have degenerate clusters and numerical
 kernels; rotated slices put rounding noise around the zero eigenvalues.
+``positive`` hands out the operator it built for equal input before, and
+that operator must read as one built without the memo.
 """
 
 import numpy as np
@@ -36,6 +38,27 @@ def psd_stacks(draw):
         u = random_unitary(rng, d) if draw(st.booleans()) else np.eye(d)
         stack.append(linalg.hermitian_part((u * np.array(eigs)) @ u.conj().T))
     return np.array(stack)
+
+
+def unmemoized(a):
+    """``positive(a)`` built without the memo."""
+    return linalg._positive(linalg.hermitize(a)[None], linalg.DEFAULT_CUTOFF)
+
+
+def public_view(p, support_first):
+    """Every public accessor of ``p``, arrays as (shape, bytes, writeable).
+
+    The lazily canonicalized basis is read through ``support_basis()``
+    first, or through ``eigenvectors`` first.
+    """
+    if support_first:
+        support, vectors = p.support_basis(), p.eigenvectors
+    else:
+        vectors, support = p.eigenvectors, p.support_basis()
+    arrays = (p.matrix, p.eigenvalues, vectors, support, p.kernel_basis())
+    scalars = (p.cutoff, p.rank_tol, p.rank, p.dim, p.norm2, p.trace())
+    return ([(a.shape, a.tobytes(), a.flags.writeable) for a in arrays]
+            + [repr(x) for x in scalars])
 
 
 SETTINGS = hypothesis.settings(derandomize=True, database=None, deadline=None)
@@ -73,7 +96,20 @@ def test_canonical_basis_does_not_depend_on_the_read_order(stack):
         first = linalg.positive(m)
         support = first.support_basis()
         vectors = first.eigenvectors
-        alone = linalg.positive(m).eigenvectors
+        alone = unmemoized(m).eigenvectors
         np.testing.assert_array_equal(vectors, alone)
         np.testing.assert_array_equal(support, alone[:, :first.rank])
         assert not (support.flags.writeable or vectors.flags.writeable or alone.flags.writeable)
+
+
+@SETTINGS
+@hypothesis.given(psd_stacks(), st.booleans())
+def test_a_memo_hit_reads_as_the_operator_built_without_it(stack, support_first):
+    for m in stack:
+        # an earlier caller read the support or the whole basis; the caller
+        # that hits reads the other one first
+        first = linalg.positive(m)
+        first.support_basis() if support_first else first.eigenvectors
+        hit = linalg.positive(m.copy())
+        assert hit is first
+        assert public_view(hit, not support_first) == public_view(unmemoized(m), not support_first)
