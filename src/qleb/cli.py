@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, decomp, linalg, matio, models, qlan
 from .errors import QlebError, SupportViolationError
-from .linalg import DEFAULT_CUTOFF, hermitize
+from .linalg import DEFAULT_CUTOFF, HERMITIAN_TOL, hermitize
 
 #: routes must agree on sigma_ac to this max-entry norm unless overridden
 ROUTE_TOL = 1e-8
@@ -248,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--sigma", required=True, help="operator to split (matrix JSON)")
     dec.add_argument("--out", default=None, help="report path (default: stdout)")
     dec.add_argument("--format", choices=("json", "csv"), default="json")
-    dec.add_argument("--hermitian-tol", type=float, default=1e-12,
+    dec.add_argument("--hermitian-tol", type=float, default=HERMITIAN_TOL,
                      help="max allowed non-Hermitian part in inputs")
     dec.add_argument("--route-tol", type=float, default=ROUTE_TOL,
                      help="max allowed disagreement between the two routes")
@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("predicate", choices=("singular", "ac", "mutual"))
     chk.add_argument("--rho", required=True)
     chk.add_argument("--sigma", required=True)
-    chk.add_argument("--hermitian-tol", type=float, default=1e-12)
+    chk.add_argument("--hermitian-tol", type=float, default=HERMITIAN_TOL)
     common(chk)
     chk.set_defaults(func=cmd_check)
 

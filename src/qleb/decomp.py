@@ -18,21 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     MutuallySingularError,
     NotAbsolutelyContinuousError,
     ZeroOperatorError,
 )
 from .linalg import (
     PositiveOperator,
+    SpectralDecomposition,
     _canonicalize,
     _clusters,
     _dagger,
-    _eigh,
     _eigh_raw,
     _excision,
     _geometric_mean,
     _log_stack,
+    _pair,
     _positive,
     _resolve_cutoff,
     excision,
@@ -49,34 +49,18 @@ SINGULARITY_TOL = 1e-10
 EXCISION_FLOOR = 1e-14
 
 
-def _pair(rho, sigma, cutoff) -> tuple[PositiveOperator, PositiveOperator]:
-    r = positive(rho, cutoff)
-    s = positive(sigma, cutoff)
-    if r.dim != s.dim:
-        raise DimensionMismatchError(
-            f"operands must share a dimension, got {r.dim} and {s.dim}"
-        )
-    return r, s
-
-
 def _spectral_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
 
 
-def _trace_singular(r: PositiveOperator, s: PositiveOperator) -> bool:
-    """The trace criterion of mutual singularity: Tr rho sigma within tolerance."""
+def _trace_singular(r: PositiveOperator, s: PositiveOperator,
+                    tol: float = SINGULARITY_TOL) -> tuple[bool, float, float]:
+    """The trace criterion of mutual singularity: its verdict, Tr rho sigma and the bound."""
     tr = float(np.trace(r.matrix @ s.matrix).real)
-    return tr <= SINGULARITY_TOL * r.norm2 * s.norm2
-
-
-def _excision_pos_tol(exc_dim: int, exc_norm: float, sigma_norm: float, cutoff: float) -> float:
-    # strict positivity of a compressed sigma is decided against the larger of
-    # the usual rank tolerance and a machine floor anchored to sigma itself;
-    # an all-noise excision (orthogonal supports) has exc_norm ~ eps and its
-    # own rank_tol would accept the noise as positive
-    return exc_dim * max(cutoff * exc_norm, EXCISION_FLOOR * sigma_norm)
+    bound = tol * r.norm2 * s.norm2
+    return tr <= bound, tr, bound
 
 
 @dataclass(frozen=True)
@@ -111,11 +95,9 @@ def is_singular(rho, sigma, cutoff: float | None = None, tol: float = SINGULARIT
     exc = excision(s, r)
     exc_norm = _spectral_norm(exc)
     proj = _spectral_norm(support_projector(r) @ support_projector(s))
-    tr = float(np.trace(r.matrix @ s.matrix).real)
-    trace_bound = tol * r.norm2 * s.norm2
+    by_trace, tr, trace_bound = _trace_singular(r, s, tol)
     exc_bound = tol * s.norm2
     proj_bound = float(np.sqrt(tol))
-    by_trace = tr <= trace_bound
     by_exc = exc_norm <= exc_bound
     by_proj = proj <= proj_bound
     return SingularityCheck(
@@ -131,19 +113,35 @@ def is_singular(rho, sigma, cutoff: float | None = None, tol: float = SINGULARIT
 
 
 def _ac_verdicts(r: PositiveOperator,
-                 s: PositiveOperator) -> tuple[np.ndarray, list[float], list[float]]:
-    """Excision of each slice of s onto supp r, its min eigenvalue and its positivity floor.
+                 s: PositiveOperator) -> tuple[np.ndarray, SpectralDecomposition, list[float]]:
+    """Excision of each slice of s onto supp r, its eigenpairs and its positivity floor.
 
-    r << s iff the min eigenvalue exceeds the floor. Takes validated
-    operators of one dimension with a nonzero reference and builds no
-    witness.
+    r << s iff the smallest eigenvalue exceeds the floor; the eigenvectors
+    of the eigenvalues above it span H2 of ``support_split``. They are the
+    solver's, so a caller that reads them canonicalizes them. Takes
+    validated operators of one dimension with a nonzero reference and builds
+    no witness.
     """
     exc = _excision(r.support_basis(), s.bases(), s.values)
+    eig = _eigh_raw(exc)
     k = exc.shape[-1]
-    vals = _eigh_raw(exc).eigenvalues.tolist()
-    floors = [_excision_pos_tol(k, w[0] if k else 0.0, norm, r.cutoff)
-              for w, norm in zip(vals, s.norms())]
-    return exc, [w[-1] for w in vals], floors
+    # strict positivity of a compressed sigma is decided against the larger of
+    # the usual rank tolerance and a machine floor anchored to sigma itself;
+    # an all-noise excision (orthogonal supports) has a norm ~ eps, and its
+    # own rank_tol would accept the noise as positive
+    floors = [k * max(r.cutoff * w[0], EXCISION_FLOOR * norm)
+              for w, norm in zip(eig.eigenvalues.tolist(), s.norms())]
+    return exc, eig, floors
+
+
+def _mean_with_inverse(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
+    """A # B^-1 for each slice A of the stack ``a`` and the one matrix ``b``.
+
+    The checks run in this order: A > 0, inv(B) > 0, then the geometric
+    mean's; each raises at a slice that fails.
+    """
+    b_inv = hermitian_part(np.linalg.inv(b))
+    return _geometric_mean(_positive(a, cutoff), _positive(b_inv[None], cutoff)).stack
 
 
 @dataclass(frozen=True)
@@ -171,16 +169,14 @@ def is_absolutely_continuous(rho, sigma, cutoff: float | None = None) -> Absolut
     r, s = _pair(rho, sigma, cutoff)
     if r.rank == 0:
         raise ZeroOperatorError("absolute continuity needs a nonzero reference")
-    (exc,), (min_eig,), (floor,) = _ac_verdicts(r, s)
+    (exc,), eig, (floor,) = _ac_verdicts(r, s)
+    (min_eig,) = eig.eigenvalues[:, -1].tolist()
     holds = min_eig > floor
     witness = None
     residual = None
     if holds:
-        k = r.rank
-        rho0 = np.diag(r.eigenvalues[:k]).astype(complex)
-        sigma0_inv = np.linalg.inv(exc)
-        x = _geometric_mean(_positive(rho0[None], r.cutoff),
-                            _positive(hermitian_part(sigma0_inv)[None], r.cutoff)).matrix
+        rho0 = np.diag(r.eigenvalues[:r.rank]).astype(complex)
+        x = _mean_with_inverse(rho0[None], exc, r.cutoff)[0]
         v = r.support_basis()
         witness = hermitian_part(v @ x @ v.conj().T)
         # evaluate R sigma R through sigma's spectral root: R can be large
@@ -273,7 +269,7 @@ def support_split(rho, sigma, cutoff: float | None = None) -> SupportSplit:
     r, s = _pair(rho, sigma, cutoff)
     if r.rank == 0 or s.rank == 0:
         raise ZeroOperatorError("support split needs two nonzero operators")
-    if _trace_singular(r, s):
+    if _trace_singular(r, s)[0]:
         raise MutuallySingularError(
             "operators are mutually singular; the adapted split is empty"
         )
@@ -284,9 +280,8 @@ def _support_split(r: PositiveOperator, s: PositiveOperator) -> SupportSplit:
     """``support_split`` of a validated pair already found not trace-singular."""
     v_supp = r.support_basis()
     v_ker = r.kernel_basis()
-    exc = excision(s, r)
-    w, u = _eigh(exc)
-    pos_tol = _excision_pos_tol(exc.shape[0], float(w[0]), s.norm2, r.cutoff)
+    _, ((w,), (u,)), (pos_tol,) = _ac_verdicts(r, s)
+    _canonicalize(u[None], [_clusters(w.tolist())], len(w))
     m = int(np.count_nonzero(w > pos_tol))
     if m == 0:
         raise MutuallySingularError(
@@ -341,11 +336,9 @@ def _witness_stack(sigma0: np.ndarray, alpha: np.ndarray, rho0: np.ndarray, lead
     The diagonal blocks are ``lead``, k and m wide for sigma0 of shape
     (N, k, k) and alpha of shape (N, k, m); E = I plus the off-diagonal
     (k, m) block sigma0^-1 alpha. ``rho0`` (k x k) is shared by every slice.
-    The checks run in this order: sigma0 > 0, inv(rho0) > 0, then the
-    geometric mean; each raises at a slice that fails.
+    The checks are ``_mean_with_inverse``'s, in its order.
     """
-    rho0_inv = hermitian_part(np.linalg.inv(rho0))
-    x = _geometric_mean(_positive(sigma0, cutoff), _positive(rho0_inv[None], cutoff)).stack
+    x = _mean_with_inverse(sigma0, rho0, cutoff)
     k, m = alpha.shape[-2:]
     i2, i3 = slice(lead, lead + k), slice(lead + k, None)
     e = np.eye(lead + k + m, dtype=complex)[None].repeat(len(x), axis=0)
@@ -373,7 +366,7 @@ def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecom
     r, s = _pair(rho, sigma, c)
     if r.rank == 0:
         raise ZeroOperatorError("decomposition needs a nonzero reference operator")
-    if s.rank == 0 or _trace_singular(r, s):
+    if s.rank == 0 or _trace_singular(r, s)[0]:
         return _zero_decomposition(s, c, "block")
     split = _support_split(r, s)
     n1, n2, n3 = split.dims
@@ -486,8 +479,8 @@ def _qllr_stack(r: PositiveOperator, s: PositiveOperator) -> np.ndarray:
     """
     if r.rank == 0:
         raise ZeroOperatorError("log-likelihood ratio needs a nonzero reference")
-    _, min_eigs, floors = _ac_verdicts(r, s)
-    for min_eig, floor in zip(min_eigs, floors):
+    _, eig, floors = _ac_verdicts(r, s)
+    for min_eig, floor in zip(eig.eigenvalues[:, -1].tolist(), floors):
         if not min_eig > floor:
             raise NotAbsolutelyContinuousError(
                 "rho is not absolutely continuous with respect to sigma "

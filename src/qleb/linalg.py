@@ -14,11 +14,12 @@ routine that does it.
 
 Public functions validate their input; the private kernels (``_positive``,
 ``_geometric_mean``, ``_eigh``) take operands the package has just built and
-skip the checks those operands pass by construction. ``positive`` validates
+skip the checks those operands pass by construction. ``_pair`` is the one
+boundary of every function that takes two operators. ``positive`` validates
 a raw matrix once per pipeline: each thread keeps the last few operators it
-built, keyed on the exact bytes and shape of the complex input, the cutoff
-and ``scale_floor``, and input equal to one of them gets the same shared
-immutable operator back. ``copy.copy`` of an operator is a private one.
+built, keyed on the exact bytes and shape of the complex input and the
+cutoff, and input equal to one of them gets the same shared immutable
+operator back. ``copy.copy`` of an operator is a private one.
 
 The spectral kernels take stacks: the q-LAN reports evaluate whole grids of
 small matrices in one pass. A kernel computes the whole stack or raises at a
@@ -61,7 +62,7 @@ _MEMO_SIZE = 8
 
 
 class _Memo(threading.local):
-    """Per-thread map (shape, bytes, cutoff, scale_floor) -> operator, oldest first.
+    """Per-thread map (shape, bytes, cutoff) -> operator, oldest first.
 
     Per thread because an operator canonicalizes its basis in place on first
     read, so one operator must not be read from two threads at once.
@@ -83,8 +84,18 @@ def _resolve_cutoff(cutoff: float | None) -> float:
     return cutoff
 
 
+def _as_complex(a) -> np.ndarray:
+    """``a`` as a complex ndarray; input numpy cannot convert raises InvalidMatrixError."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        reason = exc
+    # raised outside the handler, so numpy's error is not chained to it
+    raise InvalidMatrixError(f"cannot read a complex matrix: {reason}")
+
+
 def _as_square(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    m = _as_complex(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -360,30 +371,27 @@ class PositiveOperator:
         return float(np.trace(self.matrix).real)
 
 
-def positive(a, cutoff: float | None = None, *, scale_floor: float = 0.0) -> PositiveOperator:
+def positive(a, cutoff: float | None = None) -> PositiveOperator:
     """Validate a PSD matrix and wrap it with its spectral data.
 
     Eigenvalues in [-rank_tol, 0) are clipped to 0; anything more negative
-    raises NotPositiveError. ``scale_floor`` optionally anchors rank_tol to a
-    larger ambient scale (useful when the matrix is a residual of operators of
-    norm ``scale_floor`` and its own norm is pure noise).
+    raises NotPositiveError.
 
     Input equal, byte for byte, to one this thread validated recently, at the
-    same cutoff and ``scale_floor``, gets that same shared operator back.
+    same cutoff, gets that same shared operator back.
     """
     if isinstance(a, PositiveOperator):
         if cutoff is None or float(cutoff) == a.cutoff:
             return a
         a = a.matrix
     c = _resolve_cutoff(cutoff)
-    m = np.asarray(a, dtype=complex)
-    floor = float(scale_floor)
-    key = (m.shape, m.tobytes(), c, floor)
+    m = _as_complex(a)
+    key = (m.shape, m.tobytes(), c)
     memo = _memo.entries
     p = memo.pop(key, None)
     if p is None:
         # only an operator that validates is kept
-        p = _positive(hermitize(m)[None], c, floor)
+        p = _positive(hermitize(m)[None], c)
         if len(memo) >= _MEMO_SIZE:
             del memo[next(iter(memo))]
     memo[key] = p
@@ -395,7 +403,8 @@ def _positive(m: np.ndarray, cutoff: float, scale_floor=0.0) -> PositiveOperator
 
     Skips the Hermiticity check, which such a stack passes with gap 0, takes
     ``cutoff`` already resolved, and raises at a slice that fails.
-    ``scale_floor`` is one float for every slice or a list of one per slice.
+    ``scale_floor`` (one float, or a list of one per slice) anchors each
+    rank_tol to at least that ambient scale, for residuals of larger operators.
     The operator's frozen ``stack`` is ``m``, so the caller must not write to
     ``m`` (or to an array it views) afterwards.
     """
@@ -518,13 +527,18 @@ def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:
     A # B = sqrt(A) sqrt(sqrt(A)^-1 B sqrt(A)^-1) sqrt(A); it is the unique
     positive X solving B = X A^-1 X.
     """
+    return _geometric_mean(*_pair(a, b, cutoff))
+
+
+def _pair(a, b, cutoff: float | None) -> tuple[PositiveOperator, PositiveOperator]:
+    """``positive`` of both operands at one cutoff; their dimensions must agree."""
     pa = positive(a, cutoff)
     pb = positive(b, cutoff)
     if pa.dim != pb.dim:
         raise DimensionMismatchError(
             f"operands must share a dimension, got {pa.dim} and {pb.dim}"
         )
-    return _geometric_mean(pa, pb)
+    return pa, pb
 
 
 def _require_rank(name: str, rank: int, dim: int) -> None:
@@ -571,11 +585,7 @@ def excision(sigma, rho, cutoff: float | None = None) -> np.ndarray:
     r = positive(rho, cutoff)
     if r.rank == 0:
         raise ZeroOperatorError("cannot excise onto the support of the zero operator")
-    s = sigma if isinstance(sigma, PositiveOperator) else positive(sigma, cutoff)
-    if s.dim != r.dim:
-        raise DimensionMismatchError(
-            f"operands must share a dimension, got {s.dim} and {r.dim}"
-        )
+    s, r = _pair(sigma, r, cutoff)
     return _excision(r.support_basis(), s.eigenvectors, s.eigenvalues)
 
 

@@ -30,16 +30,31 @@ def matrix_to_json_dict(matrix) -> dict:
     return {"dim": int(m.shape[0]), "entries": entries}
 
 
+def _dimension(obj, key: str, kind: str) -> int:
+    """``obj[key]`` as a positive integer; anything else, a fraction too, is InvalidMatrixError.
+
+    The one reader of the dimensions in a matrix object and in a table model.
+    """
+    try:
+        value = obj[key]
+        dim = int(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidMatrixError(f"malformed {kind} object: {exc}") from exc
+    if dim != value:
+        raise InvalidMatrixError(f"{key} must be an integer, got {value!r}")
+    if dim <= 0:
+        raise InvalidMatrixError(f"{key} must be positive, got {dim}")
+    return dim
+
+
 def matrix_from_json_dict(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InvalidMatrixError(f"expected a matrix object, got {type(obj).__name__}")
+    dim = _dimension(obj, "dim", "matrix")
     try:
-        dim = int(obj["dim"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
-    if dim <= 0:
-        raise InvalidMatrixError(f"dim must be positive, got {dim}")
     if len(entries) != dim * dim:
         raise InvalidMatrixError(
             f"expected {dim * dim} entries for dim {dim}, got {len(entries)}"

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InvalidMatrixError,
     InvalidRanksError,
     NotUnitError,
     UnreachableOverlapError,
@@ -33,7 +32,7 @@ from .linalg import (
     hermitian_part,
     positive,
 )
-from .matio import matrix_from_json_dict
+from .matio import _dimension, matrix_from_json_dict
 from .qlan import ParametricModel
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -165,16 +164,14 @@ def table_model(path) -> ParametricModel:
     Evaluation off the stored grid raises KeyError; in particular the
     finite-difference SLD machinery refuses table models unless the probe
     points were tabulated, which is the intended behavior. A ``dim`` or
-    ``theta_dim`` that is missing or not a finite number raises InvalidMatrixError.
+    ``theta_dim`` that is missing or not a positive integer raises
+    InvalidMatrixError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # integers parse as floats, so a "-0" matrix entry keeps its sign
         obj = json.load(fh, parse_int=float)
-    try:
-        dim = int(obj["dim"])
-        theta_dim = int(obj["theta_dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidMatrixError(f"malformed table object: {exc}") from exc
+    dim = _dimension(obj, "dim", "table")
+    theta_dim = _dimension(obj, "theta_dim", "table")
     theta0 = np.asarray(obj["theta0"], dtype=float).reshape(-1)
     if theta0.shape[0] != theta_dim:
         raise DimensionMismatchError(

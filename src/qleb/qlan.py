@@ -15,8 +15,11 @@ kernels of ``linalg``: the model's states (one ``states_at`` call where the
 model has one) at the Richardson stencil of every SLD direction, at the
 local shifts theta0 + h / sqrt(n) of the n grid and at the ``oh2_report``
 points; their positivity, AC and ``qllr`` checks; and the site factors of
-every (n, query) pair. Errors stay those of the point-by-point loop: the
-earliest point fails first, and within a point the earlier stage.
+every (n, query) pair. The QCF kernel ``_guarded_powers`` takes the site
+observables of each n, so the probe's remainder R(n) enters as one more
+observable beside the SLDs, with eta as its query column. Errors stay those
+of the point-by-point loop: the earliest point fails first, and within a
+point the earlier stage.
 ``_guarded_powers`` checks its (n, query) slices in that order. The other
 kernels raise at a slice that fails, which on a failing grid need not be
 the earliest; ``linalg._replay`` then reruns the grid one point at a time
@@ -50,6 +53,7 @@ from .linalg import (
     _expm_checked,
     _expm_stack,
     _hermitize_stack,
+    _pair,
     _positive,
     _replay,
     expm,
@@ -114,8 +118,7 @@ def _model_states(model: ParametricModel, thetas) -> Sequence:
     return [model.state_at(theta) for theta in thetas]
 
 
-def sld(model: ParametricModel, direction: int, step: float = FD_STEP,
-        cutoff: float | None = None) -> np.ndarray:
+def sld(model: ParametricModel, direction: int, cutoff: float | None = None) -> np.ndarray:
     """Symmetric logarithmic derivative L_i at theta0.
 
     Solves d rho / d theta^i = (rho L + L rho) / 2 in the eigenbasis of
@@ -127,11 +130,11 @@ def sld(model: ParametricModel, direction: int, step: float = FD_STEP,
         raise DimensionMismatchError(
             f"direction {direction} out of range for theta_dim {model.theta_dim}"
         )
-    return _slds(model, positive(model.state0(), cutoff), [direction], step)[0]
+    return _slds(model, positive(model.state0(), cutoff), [direction])[0]
 
 
-def _slds(model: ParametricModel, rho0: PositiveOperator, directions: Sequence[int],
-          step: float) -> list[np.ndarray]:
+def _slds(model: ParametricModel, rho0: PositiveOperator,
+          directions: Sequence[int]) -> list[np.ndarray]:
     """``sld`` along each direction at the already validated base state ``rho0``.
 
     The Richardson stencils of all directions are evaluated in one pass, in
@@ -145,15 +148,15 @@ def _slds(model: ParametricModel, rho0: PositiveOperator, directions: Sequence[i
         for direction in directions:
             e = np.zeros_like(t0)
             e[direction] = 1.0
-            for s in (step, step / 2):
+            for s in (FD_STEP, FD_STEP / 2):
                 thetas += [t0 + s * e, t0 - s * e]
         states = _model_states(model, thetas)
         ls = []
         for i in range(len(directions)):
             plus, minus, half_plus, half_minus = states[4 * i:4 * (i + 1)]
-            # Richardson-extrapolated central differences at step and step / 2
-            d1 = (plus - minus) / (2 * step)
-            d2 = (half_plus - half_minus) / (2 * (step / 2))
+            # Richardson-extrapolated central differences at FD_STEP and FD_STEP / 2
+            d1 = (plus - minus) / (2 * FD_STEP)
+            d2 = (half_plus - half_minus) / (2 * (FD_STEP / 2))
             ls.append(_sld(rho0, (4.0 * d2 - d1) / 3.0))
         return ls
 
@@ -206,13 +209,8 @@ def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:
 
 def _sld_set(model: ParametricModel, rho0: PositiveOperator) -> SldSet:
     """``sld_set`` at the already validated base state ``rho0``."""
-    ls = tuple(_slds(model, rho0, range(model.theta_dim), FD_STEP))
-    k = model.theta_dim
-    j = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for jj in range(k):
-            j[i, jj] = np.trace(rho0.matrix @ ls[jj] @ ls[i])
-    j = hermitize(j, tol=1e-8)
+    ls = tuple(_slds(model, rho0, range(model.theta_dim)))
+    j = hermitize(_gram(rho0.matrix, ls, ls), tol=1e-8)
     # J itself is a Gram matrix and may be singular (pure models saturate
     # the uncertainty bound); only a singular covariance Re J degenerates
     # the limit law
@@ -224,6 +222,16 @@ def _sld_set(model: ParametricModel, rho0: PositiveOperator) -> SldSet:
             stacklevel=3,
         )
     return SldSet(l_ops=ls, j_matrix=j)
+
+
+def _gram(rho0: np.ndarray, a_ops: Sequence[np.ndarray],
+          b_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """The matrix G_ij = Tr rho0 B_j A_i: J, Sigma and tau of the reports."""
+    g = np.zeros((len(a_ops), len(b_ops)), dtype=complex)
+    for i, a in enumerate(a_ops):
+        for j, b in enumerate(b_ops):
+            g[i, j] = np.trace(rho0 @ b @ a)
+    return g
 
 
 def _combination(ops: Sequence[np.ndarray], xi: np.ndarray) -> np.ndarray:
@@ -246,7 +254,7 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
     state, ops, q = _site_operands(site_state, site_ops, query)
     if int(n) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return _guarded_powers([[state]], ops, [q], [int(n)], guard)[0][0][0]
+    return _guarded_powers([[state]], [ops], [q], [int(n)], guard)[0][0][0]
 
 
 def _site_operands(site_state, site_ops, query) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -262,47 +270,39 @@ def _site_operands(site_state, site_ops, query) -> tuple[np.ndarray, list[np.nda
     return state, ops, as_query(query, len(ops))
 
 
-def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[np.ndarray],
-                    queries: Sequence[np.ndarray], ns: Sequence[int], guard: float = QCF_GUARD,
-                    extras: Sequence[np.ndarray] | None = None,
-                    etas: Sequence[float | None] | None = None) -> list[list[list[complex]]]:
-    """z^n = exp(n log z) for z = Tr rho prod_t exp(i (xi_t . A + eta R_n) / sqrt(n)).
+def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[Sequence[np.ndarray]],
+                    queries: Sequence[np.ndarray], ns: Sequence[int],
+                    guard: float = QCF_GUARD) -> list[list[list[complex]]]:
+    """z^n = exp(n log z) for z = Tr rho prod_t exp(i xi_t . A / sqrt(n)).
 
-    ``ns`` is an n grid. At ``ns[i]`` each state of ``states[i]`` is traced against one
-    product per slice: slice j is the query ``queries[j]``, with eta_j R_n
-    (R_n = ``extras[i]``) added to each factor's generator when ``etas[j]``
-    is not None. The factors of every (n, slice) are exponentiated in one
-    stacked pass. Errors are those of a loop over the n and then the slices:
-    each factor's exponential, then |z - 1| < ``guard`` for each state in
-    turn. Returns per n one list per state of one value per slice.
+    ``ns`` is an n grid. At ``ns[i]`` the site observables A are ``ops[i]``,
+    and each state of ``states[i]`` is traced against one product per query
+    of ``queries``. The factors of every (n, query) are exponentiated in one
+    stacked pass. Errors are those of a loop over the n and then the
+    queries: each factor's exponential, then |z - 1| < ``guard`` for each
+    state in turn. Returns per n one list per state of one value per query.
 
-    Operands are trusted: states, ``ops`` and ``extras`` hermitized, queries
-    normalized by ``as_query``, each n a positive int.
+    Operands are trusted: states and observables hermitized, queries
+    normalized by ``as_query`` with one column per observable, each n a
+    positive int.
     """
     count = len(queries)
-    d = ops[0].shape[0]
+    d = ops[0][0].shape[0]
     t_max = max(q.shape[0] for q in queries)
     # shorter queries get identity factors in front; eye @ eye is exactly
     # eye, so every product is the one a loop over that query alone builds
-    coef = np.zeros((count, t_max, len(ops)), dtype=complex)
+    coef = np.zeros((count, t_max, len(ops[0])), dtype=complex)
     real = np.zeros((count, t_max), dtype=bool)
     for j, q in enumerate(queries):
         coef[j, t_max - q.shape[0]:] = q
         real[j, t_max - q.shape[0]:] = True
     factors = []
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = np.zeros((count, t_max, d, d), dtype=complex)
-        for i, op in enumerate(ops):
-            gen = gen + coef[:, :, i, None, None] * op
-        if etas is not None:
-            shifted = [j for j, eta in enumerate(etas) if eta is not None]
-            eta_col = np.array([etas[j] for j in shifted])[:, None, None, None]
-        for i, n in enumerate(ns):
-            gen_n = gen
-            if etas is not None:
-                gen_n = gen.copy()
-                gen_n[shifted] = gen[shifted] + eta_col * extras[i]
-            factors.append(1j * (1.0 / np.sqrt(n)) * gen_n[real])
+        for n, site_ops in zip(ns, ops):
+            gen = np.zeros((count, t_max, d, d), dtype=complex)
+            for i, op in enumerate(site_ops):
+                gen = gen + coef[:, :, i, None, None] * op
+            factors.append(1j * (1.0 / np.sqrt(n)) * gen[real])
     factors = np.concatenate(factors)
     # flat (n, slice, factor) position of each factor
     at = (np.arange(len(ns))[:, None] * (count * t_max) + np.flatnonzero(real.ravel())).ravel()
@@ -445,7 +445,7 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
     queries = _normalize_queries(query_grid, model.theta_dim)
     limit = GaussianSpec(np.zeros(model.theta_dim), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
-    powers = _guarded_powers([[rho0.matrix]] * len(ns), slds.l_ops, queries, ns)
+    powers = _guarded_powers([[rho0.matrix]] * len(ns), [slds.l_ops] * len(ns), queries, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
     return _rate_report("qclt", ns, errors, rate_threshold)
 
@@ -481,13 +481,13 @@ def _shifted_states(model: ParametricModel, thetas, rho0: PositiveOperator) -> P
     """The model's states at ``thetas``, validated as one stack at rho0's cutoff.
 
     A state whose shape differs from rho0's raises the error of
-    ``decomp._pair``.
+    ``linalg._pair``.
     """
     states = _model_states(model, thetas)
     shape = rho0.matrix.shape
     for state in states:
         if np.shape(state) != shape:
-            decomp._pair(rho0, state, rho0.cutoff)
+            _pair(rho0, state, rho0.cutoff)
     return _positive(_hermitize_stack(np.asarray(states, dtype=complex).reshape(-1, *shape)),
                      rho0.cutoff)
 
@@ -511,30 +511,22 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     if ops is None:
         ops = list(slds.l_ops)
     _centered_or_raise(rho0, ops)
-    k = len(ops)
-    sigma = np.zeros((k, k), dtype=complex)
-    tau = np.zeros((k, model.theta_dim), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            sigma[i, j] = np.trace(rho0 @ ops[j] @ ops[i])
-        for j in range(model.theta_dim):
-            tau[i, j] = np.trace(rho0 @ slds.l_ops[j] @ ops[i])
-    limit = lecam_limit_spec(sigma, tau, h)
-    queries = _normalize_queries(query_grid, k)
+    limit = lecam_limit_spec(_gram(rho0, ops, ops), _gram(rho0, ops, slds.l_ops), h)
+    queries = _normalize_queries(query_grid, len(ops))
     limits = [qcf(limit, q) for q in queries]
 
     def run(ns):
         thetas = _local_shifts(model, h, ns)
         rho_n = _shifted_states(model, thetas, base)
-        _, min_eigs, floors = decomp._ac_verdicts(base, rho_n)
-        for n, theta, min_eig, floor in zip(ns, thetas, min_eigs, floors):
+        _, eig, floors = decomp._ac_verdicts(base, rho_n)
+        for n, theta, min_eig, floor in zip(ns, thetas, eig.eigenvalues[:, -1].tolist(), floors):
             if not min_eig > floor:
                 raise SupportViolationError(
                     f"shifted state at n = {n} does not dominate the base state",
                     n=n,
                     theta=theta,
                 )
-        return _guarded_powers([[m] for m in rho_n.stack], ops, queries, ns)
+        return _guarded_powers([[m] for m in rho_n.stack], [ops] * len(ns), queries, ns)
 
     powers = _replay(run, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
@@ -559,7 +551,7 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int, site_ops=None,
         _sld_set(model, rho0).l_ops
     )
     rho_n = _shifted_states(model, _local_shifts(model, h, [n]), rho0)
-    return _guarded_powers([_sandwiches(rho0, rho_n)], ops, [as_query(query, len(ops))],
+    return _guarded_powers([_sandwiches(rho0, rho_n)], [ops], [as_query(query, len(ops))],
                            [n])[0][0][0]
 
 
@@ -582,8 +574,8 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     def run(ns):
         rho_n = _shifted_states(model, _local_shifts(model, h, ns), rho0)
         # one product per query, traced against both states
-        return _guarded_powers(list(zip(_sandwiches(rho0, rho_n), rho_n.stack)), ops,
-                               queries, ns)
+        return _guarded_powers(list(zip(_sandwiches(rho0, rho_n), rho_n.stack)),
+                               [ops] * len(ns), queries, ns)
 
     powers = _replay(run, ns)
     errors = [max(abs(a - b) for a, b in zip(shifted, unshifted))
@@ -718,8 +710,9 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
     limit = GaussianSpec(np.zeros(len(ops)), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
     rho0 = base.matrix
-    # per query: the eta-free slice, then one slice per eta
-    slices = [(q, eta) for q in queries for eta in (None, *etas)]
+    # R(n) is one more site observable, with coefficient eta in every factor:
+    # per query the eta-free slice (eta = 0), then one slice per eta
+    slices = [np.column_stack([q, np.full(len(q), eta)]) for q in queries for eta in (0.0, *etas)]
 
     def run(ns):
         extras = [hermitize(remainder_rule(n)) for n in ns]
@@ -729,8 +722,8 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
                     f"remainder at n = {n} has dimension {extra.shape[0]}, "
                     f"expected {model.dim}"
                 )
-        return _guarded_powers([[rho0]] * len(ns), ops, [q for q, _ in slices], ns,
-                               extras=extras, etas=[eta for _, eta in slices])
+        return _guarded_powers([[rho0]] * len(ns), [ops + [extra] for extra in extras], slices,
+                               ns)
 
     grid = _replay(run, ns)
     deviations = []
@@ -768,12 +761,12 @@ def iid_remainder_rule(model: ParametricModel, h,
     slds = _sld_set(model, rho0)
     lin = _combination(slds.l_ops, h)
     jquad = float((h @ (slds.j_matrix @ h)).real)
-    t0 = np.asarray(model.theta0, dtype=float)
     eye = np.eye(model.dim, dtype=complex)
 
     def rule(n: int) -> np.ndarray:
         rn = np.sqrt(float(n))
-        l_matrix = decomp.qllr(model.state_at(t0 + h / rn), rho0, cutoff).l_matrix
+        (theta,) = _local_shifts(model, h, [n])
+        l_matrix = decomp._qllr_stack(rho0, _shifted_states(model, [theta], rho0))[0]
         return rn * (l_matrix - lin / rn + (jquad / (2.0 * n)) * eye)
 
     return rule

@@ -177,6 +177,13 @@ class TestCheck:
         sigma = write_matrix(tmp_path, "s.json", np.diag([0.3, 0.7]))
         assert run_cli("check", "mutual", "--rho", rho, "--sigma", sigma) == 0
 
+    def test_fractional_dim_is_invalid_input(self, tmp_path, capsys):
+        ok = write_matrix(tmp_path, "ok.json", np.eye(2))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2.5, "entries": [[0.5, 0.0]] * 4}))
+        assert run_cli("check", "ac", "--rho", ok, "--sigma", str(bad)) == 2
+        assert capsys.readouterr().err == "error: dim must be an integer, got 2.5\n"
+
     def test_unknown_predicate(self, tmp_path):
         rho = write_matrix(tmp_path, "r.json", np.eye(2))
         with pytest.raises(SystemExit) as exc:

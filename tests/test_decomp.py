@@ -61,6 +61,10 @@ class TestAbsoluteContinuity:
         assert not chk.absolutely_continuous
         assert chk.witness is None and chk.witness_residual is None
 
+    def test_zero_reference_rejected(self):
+        with pytest.raises(ZeroOperatorError, match="^absolute continuity needs a nonzero"):
+            decomp.is_absolutely_continuous(np.zeros((2, 2)), np.eye(2))
+
     def test_rank_one_reference_inside_support(self):
         # rho = e0 projector, sigma = plus state: the compression is [[1/2]]
         chk = decomp.is_absolutely_continuous(np.diag([1.0, 0.0]), PLUS)
@@ -233,6 +237,14 @@ class TestLebesgueDecompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             decomp.lebesgue_decompose(np.eye(3), np.eye(2))
+
+    def test_direct_route_zero_operands(self):
+        with pytest.raises(ZeroOperatorError, match="^decomposition needs a nonzero reference"):
+            decomp.lebesgue_decompose_direct(np.eye(2), np.zeros((2, 2)))
+        # sigma of rank 0 is all singular part
+        dec = decomp.lebesgue_decompose_direct(np.zeros((2, 2)), np.eye(2))
+        assert dec.route == "direct" and dec.sigma_ac.rank == 0 and dec.witness_r.rank == 0
+        np.testing.assert_array_equal(dec.sigma_sing.matrix, np.zeros((2, 2)))
 
 
 class TestQllr:

@@ -216,6 +216,23 @@ def test_positive_accepts_positive_operator_passthrough():
     np.testing.assert_array_equal(p.matrix, q.matrix)
 
 
+def test_positive_revalidates_an_operator_at_another_cutoff():
+    p = linalg.positive(np.diag([1.0, 1e-10]))
+    assert linalg.positive(p, linalg.DEFAULT_CUTOFF) is p and p.rank == 2
+    q = linalg.positive(p, 1e-9)
+    assert q is not p and q.cutoff == 1e-9 and q.rank == 1
+    np.testing.assert_array_equal(q.matrix, p.matrix)
+
+
+@pytest.mark.parametrize("fn", [linalg.positive, linalg.hermitize, linalg.expm])
+@pytest.mark.parametrize("a", [[["a", "b"], ["c", "d"]], {"dim": 2}, [[1.0, 0.0], [0.0]],
+                               [[10**400]]])
+def test_unreadable_input_is_an_invalid_matrix(fn, a):
+    with pytest.raises(InvalidMatrixError, match="^cannot read a complex matrix: ") as info:
+        fn(a)
+    assert info.value.__context__ is None
+
+
 def test_support_and_kernel_bases():
     p = linalg.positive(np.diag([0.0, 3.0, 0.0]))
     assert p.rank == 1
@@ -368,9 +385,9 @@ def public_view(p, support_first=True):
             + [repr(x) for x in scalars])
 
 
-def unmemoized(a, cutoff=linalg.DEFAULT_CUTOFF, scale_floor=0.0):
+def unmemoized(a, cutoff=linalg.DEFAULT_CUTOFF):
     """``positive(a)`` built without the memo."""
-    return linalg._positive(linalg.hermitize(a)[None], cutoff, scale_floor)
+    return linalg._positive(linalg.hermitize(a)[None], cutoff)
 
 
 #: degenerate clusters in the support and in the kernel, so part of the
@@ -420,7 +437,7 @@ def test_equal_input_gets_the_same_operator(memo):
     for same in (DEGENERATE.copy(), np.asfortranarray(DEGENERATE), np.diag([2, 1, 1, 0, 0]),
                  np.pad(DEGENERATE, 1)[1:-1, 1:-1], DEGENERATE.astype(complex)):
         assert linalg.positive(same) is p
-    assert linalg.positive(DEGENERATE, None, scale_floor=0.0) is p
+    assert linalg.positive(DEGENERATE, None) is p
     assert len(memo) == 1
 
 
@@ -445,18 +462,15 @@ def test_the_sign_of_zero_is_part_of_the_key(memo):
     assert public_view(q) == public_view(unmemoized(minus))
 
 
-def test_shape_cutoff_and_scale_floor_are_part_of_the_key(memo):
+def test_shape_and_cutoff_are_part_of_the_key(memo):
     p = linalg.positive(np.eye(4))
     with pytest.raises(NonSquareError):
         linalg.positive(np.eye(4).reshape(2, 8))
     q = linalg.positive(np.eye(4), 1e-9)
-    r = linalg.positive(np.eye(4), scale_floor=10.0)
-    assert len({id(p), id(q), id(r)}) == 3 and len(memo) == 3
-    assert q.cutoff == 1e-9 and r.rank_tol == 4 * 10.0 * linalg.DEFAULT_CUTOFF
+    assert p is not q and len(memo) == 2
+    assert q.cutoff == 1e-9
     assert linalg.positive(np.eye(4), 1e-9) is q
-    assert linalg.positive(np.eye(4), scale_floor=10.0) is r
     assert public_view(q) == public_view(unmemoized(np.eye(4), 1e-9))
-    assert public_view(r) == public_view(unmemoized(np.eye(4), scale_floor=10.0))
 
 
 @pytest.mark.parametrize("a,error", [

@@ -68,6 +68,12 @@ class TestMatrixJson:
             matio.dump_matrix(loaded, again)
             assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("dim", [2.5, "2"])
+    def test_dim_that_is_not_an_integer_is_rejected(self, dim):
+        # truncated to 2, a dim of 2.5 would fit the 4 entries
+        with pytest.raises(InvalidMatrixError, match="dim must be an integer"):
+            matio.matrix_from_json_dict({"dim": dim, "entries": [[1.0, 0.0]] * 4})
+
     def test_huge_integer_dim_is_a_malformed_object(self, tmp_path):
         # integers load as floats, and one past the float range as inf
         path = tmp_path / "m.json"

@@ -186,6 +186,16 @@ class TestModelRegistry:
         with pytest.raises(InvalidMatrixError, match="malformed table object"):
             models.table_model(path)
 
+    @pytest.mark.parametrize("header,field", [
+        ({"dim": 2.5, "theta_dim": 1.9}, "dim"), ({"dim": 2, "theta_dim": 1.9}, "theta_dim"),
+        ({"dim": 2, "theta_dim": 0}, "theta_dim"), ({"dim": -2, "theta_dim": 1}, "dim")])
+    def test_table_model_dims_are_positive_integers(self, tmp_path, header, field):
+        state = {"theta": [0.0], "matrix": {"dim": 2, "entries": [[0.5, 0.0]] * 4}}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({**header, "theta0": [0.0], "states": [state]}))
+        with pytest.raises(InvalidMatrixError, match=f"^{field} must be"):
+            models.table_model(path)
+
 
 class TestRandomPsdPair:
     def test_deterministic_in_the_seed(self):

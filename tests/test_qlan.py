@@ -202,6 +202,21 @@ def test_non_positive_n_grid_rejected(report, n_grid):
         calls[report]()
 
 
+def test_sandwich_qcf_rejects_a_non_positive_n():
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got 0$"):
+        qlan.sandwich_qcf(models.spin_perturbed_model(), (0.3, 0.1), E1, 0)
+
+
+def test_a_shifted_state_of_another_shape_is_a_dimension_mismatch():
+    def state(theta):
+        # the base state is 2 x 2, every shifted one 3 x 3
+        return np.eye(3) / 3 if np.any(theta) else np.eye(2) / 2
+
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^operands must share a dimension, got 2 and 3$"):
+        qlan.oh2_report(toy_model(state, theta_dim=2))
+
+
 @pytest.mark.parametrize("entry", ["lecam", "sandwich_report", "sandwich_qcf", "remainder"])
 @pytest.mark.parametrize("h", [(np.nan, 0.0), (0.3, np.inf)])
 def test_non_finite_h_rejected_before_any_model_evaluation(entry, h):

@@ -213,8 +213,10 @@ def test_site_products_are_the_per_query_products(d):
     queries.append(rng.standard_normal((2, 3)) * 0.3 + 0.2j * rng.standard_normal((2, 3)))
     queries = [as_query(q, 3) for q in queries]
     slices = [(q, eta) for q in queries for eta in (None, 0.5, -1.0)]
-    grid = qlan._guarded_powers(per_n, ops, [q for q, _ in slices], ns,
-                                extras=extras, etas=[eta for _, eta in slices])
+    # the remainder is one more site observable; its column holds eta, 0 for None
+    grid = qlan._guarded_powers(per_n, [ops + [extra] for extra in extras],
+                                [np.column_stack([q, np.full(len(q), eta or 0.0)])
+                                 for q, eta in slices], ns)
     assert len(grid) == len(ns)
     for n, extra, traced, powers in zip(ns, extras, per_n, grid):
         for state, values in zip(traced, powers):
@@ -234,7 +236,7 @@ def test_site_products_fail_at_the_first_failing_factor(order):
     queries = [as_query([[0.1, 0.0]], 2), as_query(failing, 2)]
     with np.errstate(over="ignore", invalid="ignore"):
         expected = first_error([lambda q=q: site_power_loop(state, ops, q, 1) for q in queries])
-        got = raised(lambda: qlan._guarded_powers([[state]], ops, queries, [1]))
+        got = raised(lambda: qlan._guarded_powers([[state]], [ops], queries, [1]))
     assert expected[0] is (OverflowError if order == "overflow_first" else InvalidMatrixError)
     assert got == expected
 
