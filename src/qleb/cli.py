@@ -40,12 +40,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    ns = []
-    for x in _parse_float_list(text, "--n"):
-        if x != int(x) or x < 1:
-            raise ValueError(f"--n expects positive integers, got {x}")
-        ns.append(int(x))
-    return ns
+    return [qlan._positive_n(x) for x in _parse_float_list(text, "--n")]
 
 
 def _parse_xi(text: str) -> np.ndarray:

@@ -49,17 +49,10 @@ SINGULARITY_TOL = 1e-10
 EXCISION_FLOOR = 1e-14
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
-def _trace_singular(r: PositiveOperator, s: PositiveOperator,
-                    tol: float = SINGULARITY_TOL) -> tuple[bool, float, float]:
+def _trace_singular(r: PositiveOperator, s: PositiveOperator) -> tuple[bool, float, float]:
     """The trace criterion of mutual singularity: its verdict, Tr rho sigma and the bound."""
     tr = float(np.trace(r.matrix @ s.matrix).real)
-    bound = tol * r.norm2 * s.norm2
+    bound = SINGULARITY_TOL * r.norm2 * s.norm2
     return tr <= bound, tr, bound
 
 
@@ -80,24 +73,24 @@ class SingularityCheck:
         return self.singular
 
 
-def is_singular(rho, sigma, cutoff: float | None = None, tol: float = SINGULARITY_TOL) -> SingularityCheck:
+def is_singular(rho, sigma, cutoff: float | None = None) -> SingularityCheck:
     """Test whether rho and sigma are mutually singular.
 
     Three equivalent criteria are evaluated: the compression of sigma onto
     supp rho vanishes, the support projectors are orthogonal, and Tr rho
     sigma = 0. The verdict is the trace criterion; ``consistent`` records
-    whether all three agree at their calibrated thresholds (the projector
-    functional scales as the square root of the other two, hence sqrt(tol)).
+    whether all three agree at thresholds set by ``SINGULARITY_TOL`` (the
+    projector functional scales as the square root of the other two).
     """
     r, s = _pair(rho, sigma, cutoff)
     if r.rank == 0 or s.rank == 0:
         raise ZeroOperatorError("singularity test needs two nonzero operators")
-    exc = excision(s, r)
-    exc_norm = _spectral_norm(exc)
-    proj = _spectral_norm(support_projector(r) @ support_projector(s))
-    by_trace, tr, trace_bound = _trace_singular(r, s, tol)
-    exc_bound = tol * s.norm2
-    proj_bound = float(np.sqrt(tol))
+    # both operands are nonzero, so neither matrix is empty
+    exc_norm = float(np.linalg.norm(excision(s, r), 2))
+    proj = float(np.linalg.norm(support_projector(r) @ support_projector(s), 2))
+    by_trace, tr, trace_bound = _trace_singular(r, s)
+    exc_bound = SINGULARITY_TOL * s.norm2
+    proj_bound = float(np.sqrt(SINGULARITY_TOL))
     by_exc = exc_norm <= exc_bound
     by_proj = proj <= proj_bound
     return SingularityCheck(
@@ -321,12 +314,7 @@ class LebesgueDecomposition:
 def _zero_decomposition(s: PositiveOperator, cutoff: float, route: str) -> LebesgueDecomposition:
     d = s.dim
     zero = _positive(np.zeros((1, d, d), dtype=complex), cutoff)
-    return LebesgueDecomposition(
-        sigma_ac=zero,
-        sigma_sing=s,
-        witness_r=zero,
-        route=route,
-    )
+    return LebesgueDecomposition(sigma_ac=zero, sigma_sing=s, witness_r=zero, route=route)
 
 
 def _witness_stack(sigma0: np.ndarray, alpha: np.ndarray, rho0: np.ndarray, lead: int,

@@ -39,29 +39,36 @@ def _dimension(obj, key: str, kind: str) -> int:
         value = obj[key]
         dim = int(value)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidMatrixError(f"malformed {kind} object: {exc}") from exc
-    if dim != value:
+        dim, reason = None, str(exc)
+    # raised outside the handler, so Python's error is not chained to it
+    if dim is None:
+        raise InvalidMatrixError(f"malformed {kind} object: {reason}")
+    if isinstance(value, bool) or dim != value:
         raise InvalidMatrixError(f"{key} must be an integer, got {value!r}")
     if dim <= 0:
         raise InvalidMatrixError(f"{key} must be positive, got {dim}")
     return dim
 
 
+def _is_real(x) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def matrix_from_json_dict(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InvalidMatrixError(f"expected a matrix object, got {type(obj).__name__}")
     dim = _dimension(obj, "dim", "matrix")
-    try:
-        entries = obj["entries"]
-    except KeyError as exc:
-        raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
+    entries = obj.get("entries")
+    if not isinstance(entries, (list, tuple)):
+        raise InvalidMatrixError(f"entries must be a list, got {type(entries).__name__}")
     if len(entries) != dim * dim:
         raise InvalidMatrixError(
             f"expected {dim * dim} entries for dim {dim}, got {len(entries)}"
         )
     flat = np.empty(dim * dim, dtype=complex)
     for k, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_real, pair)):
             raise InvalidMatrixError(f"entry {k} is not an [re, im] pair: {pair!r}")
         flat[k] = complex(float(pair[0]), float(pair[1]))
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):

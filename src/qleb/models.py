@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidMatrixError,
     InvalidRanksError,
     NotUnitError,
     UnreachableOverlapError,
@@ -32,7 +33,7 @@ from .linalg import (
     hermitian_part,
     positive,
 )
-from .matio import _dimension, matrix_from_json_dict
+from .matio import _dimension, _is_real, matrix_from_json_dict
 from .qlan import ParametricModel
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -73,8 +74,16 @@ def spin_pure_states(thetas) -> np.ndarray:
 
 def spin_perturbed_states(thetas, f_rule="quartic") -> np.ndarray:
     """``spin_perturbed_state`` at each theta of a sequence, as one (N, 2, 2) stack."""
-    f = _F_RULES[f_rule] if isinstance(f_rule, str) else f_rule
+    f = _f_rule(f_rule)
     return _spin_states(thetas, lambda theta: float(np.exp(-f(theta))))
+
+
+def _f_rule(f_rule):
+    """The exponent f of the perturbed family: a rule name of ``_F_RULES`` or a callable."""
+    if isinstance(f_rule, str) and f_rule not in _F_RULES:
+        raise ValueError(f"unknown f rule {f_rule!r}; choose from {sorted(_F_RULES)} "
+                         "or pass a callable")
+    return _F_RULES[f_rule] if isinstance(f_rule, str) else f_rule
 
 
 def _spin_states(thetas, weight) -> np.ndarray:
@@ -121,22 +130,14 @@ def spin_pure_model() -> ParametricModel:
 
 
 def spin_perturbed_model(f_rule="quartic") -> ParametricModel:
-    if isinstance(f_rule, str):
-        if f_rule not in _F_RULES:
-            raise ValueError(
-                f"unknown f rule {f_rule!r}; choose from {sorted(_F_RULES)} "
-                "or pass a callable"
-            )
-        name = f"spin-perturbed:{f_rule}"
-    else:
-        name = "spin-perturbed:custom"
+    f = _f_rule(f_rule)
     return ParametricModel(
-        name=name,
+        name=f"spin-perturbed:{f_rule if isinstance(f_rule, str) else 'custom'}",
         dim=2,
         theta_dim=2,
         theta0=np.zeros(2),
-        state_at=lambda theta: spin_perturbed_state(theta, f_rule),
-        states_at=lambda thetas: spin_perturbed_states(thetas, f_rule),
+        state_at=lambda theta: spin_perturbed_state(theta, f),
+        states_at=lambda thetas: spin_perturbed_states(thetas, f),
     )
 
 
@@ -163,26 +164,29 @@ def table_model(path) -> ParametricModel:
 
     Evaluation off the stored grid raises KeyError; in particular the
     finite-difference SLD machinery refuses table models unless the probe
-    points were tabulated, which is the intended behavior. A ``dim`` or
-    ``theta_dim`` that is missing or not a positive integer raises
-    InvalidMatrixError.
+    points were tabulated, which is the intended behavior. A missing or
+    ill-typed field, a ``dim`` or ``theta_dim`` that is not a positive
+    integer among them, raises InvalidMatrixError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # integers parse as floats, so a "-0" matrix entry keeps its sign
         obj = json.load(fh, parse_int=float)
     dim = _dimension(obj, "dim", "table")
     theta_dim = _dimension(obj, "theta_dim", "table")
-    theta0 = np.asarray(obj["theta0"], dtype=float).reshape(-1)
+    theta0 = np.array(_point(obj, "theta0"))
     if theta0.shape[0] != theta_dim:
         raise DimensionMismatchError(
             f"theta0 has dimension {theta0.shape[0]}, declared theta_dim {theta_dim}"
         )
+    rows = obj.get("states")
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise InvalidMatrixError("malformed table object: states must be a list of objects")
     table: dict[tuple, np.ndarray] = {}
-    for row in obj["states"]:
-        key = tuple(float(x) for x in row["theta"])
+    for row in rows:
+        key = _point(row, "theta")
         if len(key) != theta_dim:
             raise DimensionMismatchError(f"grid point {key} has wrong dimension")
-        matrix = matrix_from_json_dict(row["matrix"])
+        matrix = matrix_from_json_dict(row.get("matrix"))
         if matrix.shape[0] != dim:
             raise DimensionMismatchError(
                 f"state at {key} has dimension {matrix.shape[0]}, declared dim {dim}"
@@ -205,6 +209,15 @@ def table_model(path) -> ParametricModel:
         theta0=theta0,
         state_at=state,
     )
+
+
+def _point(obj: dict, key: str) -> tuple[float, ...]:
+    """``obj[key]`` of a table as a parameter vector; anything but finite numbers raises."""
+    value = obj.get(key)
+    if not isinstance(value, list) or not all(_is_real(x) and np.isfinite(x) for x in value):
+        raise InvalidMatrixError(
+            f"malformed table object: {key} must be a list of finite numbers, got {value!r}")
+    return tuple(float(x) for x in value)
 
 
 def get_model(name: str) -> ParametricModel:

@@ -86,6 +86,15 @@ ERROR_FLOOR = 1e-14
 #: second-order normalization verdict
 OH2_SLOPE_THRESHOLD = 0.5
 
+#: radii ||h|| of the second-order normalization check, largest first
+OH2_RADII = (0.2, 0.1, 0.05, 0.025)
+
+#: directions of h sampled at each radius
+OH2_DIRECTIONS = 8
+
+#: the probe's deviation and excess at the largest n must be at most this
+PROBE_CEILING = 0.05
+
 
 @dataclass(frozen=True)
 class ParametricModel:
@@ -251,23 +260,35 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
     logarithm well conditioned and the power away from underflow, and
     queries violating it are rejected.
     """
-    state, ops, q = _site_operands(site_state, site_ops, query)
-    if int(n) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return _guarded_powers([[state]], [ops], [q], [int(n)], guard)[0][0][0]
+    state, ops, q, n = _site_operands(site_state, site_ops, query, n)
+    return _guarded_powers([[state]], [ops], [q], [n], guard)[0][0][0]
 
 
-def _site_operands(site_state, site_ops, query) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The validated site state, site observables and query of the QCF functions."""
+def _site_operands(site_state, site_ops, query, n) -> tuple[np.ndarray, list, np.ndarray, int]:
+    """The validated site state, site observables, query and n of the QCF functions."""
     state = hermitize(site_state)
+    ops = _site_ops(site_ops, state.shape)
+    return state, ops, as_query(query, len(ops)), _positive_n(n)
+
+
+def _positive_n(n) -> int:
+    """The one reader of n: an integer or integral float of at least 1, never a bool, as an int."""
+    value = int(n) if isinstance(n, (float, np.floating)) and float(n).is_integer() else n
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    raise ValueError(f"n must be a positive integer, got {repr(n) if isinstance(n, str) else n}")
+
+
+def _site_ops(site_ops, shape: tuple[int, int]) -> list[np.ndarray]:
+    """Site observables, hermitized, for a site state of ``shape``: nonempty, each that shape."""
     ops = [hermitize(op) for op in site_ops]
     if not ops:
         raise ValueError("site_ops is empty; the QCF needs at least one site observable")
     for i, op in enumerate(ops):
-        if op.shape != state.shape:
+        if op.shape != shape:
             raise DimensionMismatchError(f"site observable {i} has shape {op.shape} but the "
-                                         f"site state has shape {state.shape}")
-    return state, ops, as_query(query, len(ops))
+                                         f"site state has shape {shape}")
+    return ops
 
 
 def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[Sequence[np.ndarray]],
@@ -348,11 +369,8 @@ def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 def collective_qcf_brute(site_state, site_ops, query, n: int) -> complex:
     """Dense tensor-power oracle for the collective QCF (small n only)."""
-    state, ops, q = _site_operands(site_state, site_ops, query)
-    n = int(n)
+    state, ops, q, n = _site_operands(site_state, site_ops, query, n)
     d = state.shape[0]
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     # d >= 2 and n >= the cap's bit length give d^n > cap without forming d^n
     if (d >= 2 and n >= BRUTE_DIM_CAP.bit_length()) or d ** n > BRUTE_DIM_CAP:
         raise DimensionTooLargeError(
@@ -403,29 +421,24 @@ class ConvergenceReport:
 
 
 def _normalize_n_grid(n_grid) -> tuple[int, ...]:
-    ns = tuple(int(n) for n in n_grid)
+    ns = tuple(_positive_n(n) for n in n_grid)
     if len(ns) < 2:
         raise ValueError("need at least two n values to fit a rate")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"n grid must be strictly increasing, got {ns}")
-    if ns[0] < 1:
-        raise ValueError(f"n must be a positive integer, got {ns[0]}")
     return ns
 
 
-def _rate_report(study: str, ns: tuple[int, ...], errors: list[float],
-                 rate_threshold: float) -> ConvergenceReport:
+def _rate_report(study: str, ns: tuple[int, ...], errors: list[float]) -> ConvergenceReport:
     errs = tuple(float(e) for e in errors)
-    if all(e <= ERROR_FLOOR * n for e, n in zip(errs, ns)):
-        return ConvergenceReport(study, ns, errs, None, "pass", rate_threshold, True)
-    monotone = all(b < a for a, b in zip(errs, errs[1:]))
+    converged = all(e <= ERROR_FLOOR * n for e, n in zip(errs, ns))
+    monotone = converged or all(b < a for a, b in zip(errs, errs[1:]))
     fit = None
-    if min(errs) > 0:
-        slope, _ = np.polyfit(np.log(np.asarray(ns, float)), np.log(np.asarray(errs)), 1)
-        fit = float(slope)
-    ok = monotone and fit is not None and fit <= rate_threshold
+    if not converged and min(errs) > 0:
+        fit = float(np.polyfit(np.log(np.asarray(ns, float)), np.log(np.asarray(errs)), 1)[0])
+    ok = converged or (monotone and fit is not None and fit <= RATE_THRESHOLD)
     return ConvergenceReport(study, ns, errs, fit, "pass" if ok else "fail",
-                             rate_threshold, monotone)
+                             RATE_THRESHOLD, monotone)
 
 
 def _normalize_queries(query_grid, dim: int) -> list[np.ndarray]:
@@ -436,7 +449,6 @@ def _normalize_queries(query_grid, dim: int) -> list[np.ndarray]:
 
 
 def qclt_report(model: ParametricModel, query_grid, n_grid,
-                rate_threshold: float = RATE_THRESHOLD,
                 cutoff: float | None = None) -> ConvergenceReport:
     """Central-limit check: collective SLD observables against N(0, J)."""
     ns = _normalize_n_grid(n_grid)
@@ -447,7 +459,7 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
     limits = [qcf(limit, q) for q in queries]
     powers = _guarded_powers([[rho0.matrix]] * len(ns), [slds.l_ops] * len(ns), queries, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
-    return _rate_report("qclt", ns, errors, rate_threshold)
+    return _rate_report("qclt", ns, errors)
 
 
 def _centered_or_raise(rho0: np.ndarray, ops: Sequence[np.ndarray]) -> None:
@@ -493,7 +505,6 @@ def _shifted_states(model: ParametricModel, thetas, rho0: PositiveOperator) -> P
 
 
 def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
-                 rate_threshold: float = RATE_THRESHOLD,
                  cutoff: float | None = None) -> ConvergenceReport:
     """Third-lemma check: shifted collective observables against N((Re tau) h, Sigma).
 
@@ -503,7 +514,7 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     ``b_ops=None`` takes the SLDs at theta0 as the observables B.
     """
     ns = _normalize_n_grid(n_grid)
-    ops = None if b_ops is None else [hermitize(op) for op in b_ops]
+    ops = None if b_ops is None else _site_ops(b_ops, (model.dim, model.dim))
     h = _shift(model, h)
     base = positive(model.state0(), cutoff)
     rho0 = base.matrix
@@ -530,26 +541,22 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
 
     powers = _replay(run, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
-    return _rate_report("lecam", ns, errors, rate_threshold)
+    return _rate_report("lecam", ns, errors)
 
 
-def sandwich_qcf(model: ParametricModel, h, query, n: int, site_ops=None,
+def sandwich_qcf(model: ParametricModel, h, query, n: int,
                  cutoff: float | None = None) -> complex:
     """QCF with the shifted state replaced by its sandwich exp(L/2) rho0 exp(L/2).
 
     L is the symmetric log-likelihood ratio of the shifted state along the
     base state, so the sandwich is exactly the absolutely continuous part of
     the shifted state; the gap to the true shifted QCF is controlled by the
-    singular mass. Site observables default to the SLDs.
+    singular mass. The site observables are the SLDs.
     """
     h = _shift(model, h)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _positive_n(n)
     rho0 = positive(model.state0(), cutoff)
-    ops = [hermitize(op) for op in site_ops] if site_ops is not None else list(
-        _sld_set(model, rho0).l_ops
-    )
+    ops = list(_sld_set(model, rho0).l_ops)
     rho_n = _shifted_states(model, _local_shifts(model, h, [n]), rho0)
     return _guarded_powers([_sandwiches(rho0, rho_n)], [ops], [as_query(query, len(ops))],
                            [n])[0][0][0]
@@ -562,7 +569,6 @@ def _sandwiches(rho0: PositiveOperator, rho_n: PositiveOperator) -> np.ndarray:
 
 
 def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
-                    rate_threshold: float = RATE_THRESHOLD,
                     cutoff: float | None = None) -> ConvergenceReport:
     """Gap between the sandwiched and true shifted collective QCFs, per n."""
     ns = _normalize_n_grid(n_grid)
@@ -580,7 +586,7 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     powers = _replay(run, ns)
     errors = [max(abs(a - b) for a, b in zip(shifted, unshifted))
               for shifted, unshifted in powers]
-    return _rate_report("sandwich", ns, errors, rate_threshold)
+    return _rate_report("sandwich", ns, errors)
 
 
 @dataclass(frozen=True)
@@ -617,22 +623,17 @@ def _sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def oh2_report(model: ParametricModel, radii=(0.2, 0.1, 0.05, 0.025),
-               n_directions: int = 8, seed: int = 0,
-               slope_threshold: float = OH2_SLOPE_THRESHOLD,
+def oh2_report(model: ParametricModel, seed: int = 0,
                cutoff: float | None = None) -> Oh2Report:
     """Check Tr rho0 e^{L_h} = 1 - o(||h||^2) along shrinking radii.
 
-    g(h) = (1 - Tr rho0 e^{L_h}) / ||h||^2 is maximized over directions at
-    each radius; the verdict passes iff g vanishes identically (within
-    1e-10) or fits a positive log-log slope of at least ``slope_threshold``.
+    g(h) = (1 - Tr rho0 e^{L_h}) / ||h||^2 is maximized over ``OH2_DIRECTIONS``
+    directions (drawn with ``seed`` unless theta is 2-dimensional) at each of
+    ``OH2_RADII``; the verdict passes iff g vanishes identically (within
+    1e-10) or fits a log-log slope of at least ``OH2_SLOPE_THRESHOLD``.
     """
-    radii = tuple(sorted((float(r) for r in radii), reverse=True))
-    if len(radii) < 2 or radii[-1] <= 0:
-        raise ValueError("need at least two positive radii")
-    if n_directions < 1:
-        raise ValueError(f"need at least one direction, got {n_directions}")
-    dirs = _sphere_directions(model.theta_dim, n_directions, seed)
+    radii = np.asarray(OH2_RADII)
+    dirs = _sphere_directions(model.theta_dim, OH2_DIRECTIONS, seed)
     rho0 = positive(model.state0(), cutoff)
     t0 = np.asarray(model.theta0, dtype=float)
 
@@ -642,23 +643,16 @@ def oh2_report(model: ParametricModel, radii=(0.2, 0.1, 0.05, 0.025),
 
     # every (radius, direction) point in one stack, radius-major as a loop
     # over radii and then directions would visit them
-    traces = _replay(run, [t0 + r * u for r in radii for u in dirs])
-    g_values = []
-    for i, r in enumerate(radii):
-        worst = -np.inf
-        for tr in traces[i * len(dirs):(i + 1) * len(dirs)]:
-            worst = max(worst, (1.0 - tr) / (r * r))
-        g_values.append(float(worst))
-    gs = np.asarray(g_values)
-    if np.max(np.abs(gs)) <= 1e-10:
-        return Oh2Report(radii, tuple(g_values), None, g_values[-1],
-                         slope_threshold, "pass")
+    traces = _replay(run, [t0 + r * u for r in OH2_RADII for u in dirs])
+    gs = ((1.0 - np.reshape(traces, (len(radii), -1))) / (radii * radii)[:, None]).max(axis=1)
+    g_values = tuple(gs.tolist())
+    vanishes = np.max(np.abs(gs)) <= 1e-10
     slope = None
-    if np.min(gs) > 0:
-        slope = float(np.polyfit(np.log(np.asarray(radii)), np.log(gs), 1)[0])
-    ok = slope is not None and slope >= slope_threshold
-    return Oh2Report(radii, tuple(g_values), slope, g_values[-1],
-                     slope_threshold, "pass" if ok else "fail")
+    if not vanishes and np.min(gs) > 0:
+        slope = float(np.polyfit(np.log(radii), np.log(gs), 1)[0])
+    ok = vanishes or (slope is not None and slope >= OH2_SLOPE_THRESHOLD)
+    return Oh2Report(OH2_RADII, g_values, slope, g_values[-1], OH2_SLOPE_THRESHOLD,
+                     "pass" if ok else "fail")
 
 
 @dataclass(frozen=True)
@@ -691,22 +685,24 @@ class ProbeReport:
 
 def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
                         model: ParametricModel, query_grid, eta_grid, n_grid,
-                        ceiling: float = 0.05,
                         cutoff: float | None = None) -> ProbeReport:
     """Probe whether a site-local remainder R(n) is asymptotically negligible.
 
     Evaluates Tr rho^(x n) prod_t exp(i (xi_t . X + eta_t R(n)) / ... ) via
     site factorization at sampled real (xi, eta) and reports how far the
-    values sit from the eta-free limit and from the eta-free finite-n values.
+    values sit from the eta-free limit and from the eta-free finite-n values;
+    it passes when both stay within ``PROBE_CEILING`` at the largest n.
     """
     ns = _normalize_n_grid(n_grid)
+    etas = [float(e) for e in eta_grid]
+    if not etas:
+        raise ValueError("eta grid is empty")
+    if not np.isfinite(etas).all():
+        raise ValueError(f"eta grid has non-finite entries: {etas}")
     base = positive(model.state0(), cutoff)
     slds = _sld_set(model, base)
     ops = list(slds.l_ops)
     queries = _normalize_queries(query_grid, len(ops))
-    etas = [float(e) for e in eta_grid]
-    if not etas:
-        raise ValueError("eta grid is empty")
     limit = GaussianSpec(np.zeros(len(ops)), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
     rho0 = base.matrix
@@ -740,12 +736,9 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
                 exc = max(exc, abs(joint - plain))
         deviations.append(dev)
         excesses.append(exc)
-    ok = (
-        deviations[-1] <= ceiling
-        and deviations[-1] <= deviations[0] + 1e-12
-        and excesses[-1] <= ceiling
-    )
-    return ProbeReport(ns, tuple(deviations), tuple(excesses), ceiling,
+    ok = (deviations[-1] <= PROBE_CEILING and deviations[-1] <= deviations[0] + 1e-12
+          and excesses[-1] <= PROBE_CEILING)
+    return ProbeReport(ns, tuple(deviations), tuple(excesses), PROBE_CEILING,
                        "pass" if ok else "fail")
 
 

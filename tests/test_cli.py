@@ -241,6 +241,11 @@ class TestQlan:
         assert run_cli("qlan", "--model", "spin-pure", "--n", n_arg,
                        "--xi", "1,0") == 2
 
+    @pytest.mark.parametrize("n_arg,shown", [("0,10", "0.0"), ("2.5,10", "2.5")])
+    def test_n_grid_error_is_the_library_one(self, n_arg, shown, capsys):
+        assert run_cli("qlan", "--model", "spin-pure", "--n", n_arg, "--xi", "1,0") == 2
+        assert capsys.readouterr().err == f"error: n must be a positive integer, got {shown}\n"
+
     def test_unknown_model(self, capsys):
         assert run_cli("qlan", "--model", "xyz", "--xi", "1,0") == 2
         assert "unknown model" in capsys.readouterr().err

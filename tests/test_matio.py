@@ -39,6 +39,32 @@ class TestMatrixJson:
         with pytest.raises(InvalidMatrixError):
             matio.matrix_from_json_dict(doc)
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"dim": 1, "entries": 5}, "entries must be a list, got int"),
+        ({"dim": 1, "entries": None}, "entries must be a list, got NoneType"),
+        ({"dim": 1, "entries": [["a", 0.0]]}, "entry 0 is not an [re, im] pair: ['a', 0.0]"),
+        ({"dim": 1, "entries": [[None, 0.0]]}, "entry 0 is not an [re, im] pair: [None, 0.0]"),
+        ({"dim": 1, "entries": [[0.5, True]]}, "entry 0 is not an [re, im] pair: [0.5, True]"),
+        ({"dim": True, "entries": [[1.0, 0.0]]}, "dim must be an integer, got True"),
+        ({"dim": 1}, "entries must be a list, got NoneType"),
+        ({"entries": [[1.0, 0.0]]}, "malformed matrix object: 'dim'"),
+        ({"dim": "two", "entries": []},
+         "malformed matrix object: invalid literal for int() with base 10: 'two'"),
+        ({"dim": float("inf"), "entries": []},
+         "malformed matrix object: cannot convert float infinity to integer"),
+    ])
+    def test_malformed_objects_raise_the_typed_error(self, doc, message):
+        with pytest.raises(InvalidMatrixError) as exc:
+            matio.matrix_from_json_dict(doc)
+        assert str(exc.value) == message
+        assert exc.value.__context__ is None
+
+    def test_boolean_dim_in_a_file_is_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"dim": true, "entries": [[1, 0]]}')
+        with pytest.raises(InvalidMatrixError, match=r"^dim must be an integer, got True$"):
+            matio.load_matrix(path)
+
     def test_rejects_non_finite_entries(self):
         with pytest.raises(InvalidMatrixError):
             matio.matrix_from_json_dict({"dim": 1, "entries": [[1e999, 0.0]]})

@@ -1,6 +1,7 @@
 """Tests for the built-in state families and random pair generators."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -84,6 +85,23 @@ class TestSpinPerturbed:
     def test_unknown_rule_name(self):
         with pytest.raises(ValueError):
             models.spin_perturbed_model("quintic")
+
+    @pytest.mark.parametrize("call", [
+        lambda: models.spin_perturbed_model("quintic"),
+        lambda: models.spin_perturbed_state((0.1, 0.2), "quintic"),
+        lambda: models.spin_perturbed_states([(0.1, 0.2)], "quintic"),
+    ])
+    def test_unknown_rule_name_is_rejected_before_any_state(self, monkeypatch, call):
+        def no_states(*args):
+            raise AssertionError("states built before the rule was checked")
+
+        monkeypatch.setattr(models, "_spin_states", no_states)
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == ("unknown f rule 'quintic'; choose from "
+                                  "['cubic', 'quartic', 'squared'] or pass a callable")
+        assert exc.value.__context__ is None
 
     def test_lebesgue_parts_have_closed_form(self):
         # along rho(0) = |0><0| the a.c. part is the reweighted pure state and
@@ -195,6 +213,65 @@ class TestModelRegistry:
         path.write_text(json.dumps({**header, "theta0": [0.0], "states": [state]}))
         with pytest.raises(InvalidMatrixError, match=f"^{field} must be"):
             models.table_model(path)
+
+
+    @pytest.mark.parametrize("body,message", [
+        ({"states": []}, "theta0 must be a list of finite numbers, got None"),
+        ({"theta0": 0.0, "states": []}, "theta0 must be a list of finite numbers, got 0.0"),
+        ({"theta0": ["0"], "states": []},
+         "theta0 must be a list of finite numbers, got ['0']"),
+        ({"theta0": [None], "states": []},
+         "theta0 must be a list of finite numbers, got [None]"),
+        ({"theta0": [True], "states": []},
+         "theta0 must be a list of finite numbers, got [True]"),
+        ({"theta0": [float("nan")], "states": []},
+         "theta0 must be a list of finite numbers, got [nan]"),
+        ({"theta0": [0.0]}, "states must be a list of objects"),
+        ({"theta0": [0.0], "states": 3}, "states must be a list of objects"),
+        ({"theta0": [0.0], "states": [[0.0]]}, "states must be a list of objects"),
+        ({"theta0": [0.0], "states": [{"matrix": None}]},
+         "theta must be a list of finite numbers, got None"),
+        ({"theta0": [0.0], "states": [{"theta": ["a"]}]},
+         "theta must be a list of finite numbers, got ['a']"),
+        ({"theta0": [0.0], "states": [{"theta": 0.5}]},
+         "theta must be a list of finite numbers, got 0.5"),
+    ])
+    def test_table_model_malformed_body(self, tmp_path, body, message):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"dim": 2, "theta_dim": 1, **body}))
+        with pytest.raises(InvalidMatrixError) as exc:
+            models.table_model(path)
+        assert str(exc.value) == f"malformed table object: {message}"
+        assert exc.value.__context__ is None
+
+    @pytest.mark.parametrize("state,message", [
+        ({"theta": [0.0]}, "expected a matrix object, got NoneType"),
+        ({"theta": [0.0], "matrix": {"dim": 2, "entries": 4}}, "entries must be a list, got float"),
+    ])
+    def test_table_model_malformed_matrix(self, tmp_path, state, message):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"dim": 2, "theta_dim": 1, "theta0": [0.0],
+                                    "states": [state]}))
+        with pytest.raises(InvalidMatrixError) as exc:
+            models.table_model(path)
+        assert str(exc.value) == message
+        assert exc.value.__context__ is None
+
+    def test_table_model_keeps_its_dimension_errors(self, tmp_path):
+        matrix = {"dim": 2, "entries": [[0.5, 0.0]] * 4}
+        path = tmp_path / "table.json"
+        for body, message in [
+            ({"theta0": [0.0, 0.0], "states": []},
+             "theta0 has dimension 2, declared theta_dim 1"),
+            ({"theta0": [0.0], "states": [{"theta": [0.0, 1.0], "matrix": matrix}]},
+             "grid point (0.0, 1.0) has wrong dimension"),
+            ({"theta0": [0.0], "states": [{"theta": [0.0], "matrix": {
+                "dim": 1, "entries": [[1.0, 0.0]]}}]},
+             "state at (0.0,) has dimension 1, declared dim 2"),
+        ]:
+            path.write_text(json.dumps({"dim": 2, "theta_dim": 1, **body}))
+            with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+                models.table_model(path)
 
 
 class TestRandomPsdPair:

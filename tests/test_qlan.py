@@ -240,6 +240,91 @@ def test_non_finite_h_rejected_before_any_model_evaluation(entry, h):
     assert exc.value.__context__ is None
 
 
+def unevaluated_model():
+    def state(theta):
+        raise AssertionError("model evaluated before the arguments were checked")
+
+    return qlan.ParametricModel("toy", 2, 2, np.zeros(2), state)
+
+
+def raised_first(monkeypatch, call):
+    """Type and text of the error ``call`` raises before any exponential, chaining none."""
+    def no_exponential(*args):
+        raise AssertionError("exponential formed before the arguments were checked")
+
+    monkeypatch.setattr(qlan, "_expm_stack", no_exponential)
+    monkeypatch.setattr(qlan, "expm", no_exponential)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as exc:
+            call()
+    assert exc.value.__context__ is None
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("n,shown", [(2.5, "2.5"), (np.float64(10.5), "10.5"), (True, "True"),
+                                     ("3", "'3'"), (np.nan, "nan"), (0, "0")])
+@pytest.mark.parametrize("entry", ["factorized", "brute", "sandwich_qcf", "qclt", "lecam",
+                                   "sandwich_report", "probe"])
+def test_n_is_read_as_a_positive_integer(monkeypatch, entry, n, shown):
+    m = unevaluated_model()
+    q = np.array([[1.0, 0.0]])
+
+    def rule(n):
+        raise AssertionError("remainder rule ran before n was checked")
+
+    calls = {
+        "factorized": lambda: qlan.collective_qcf_factorized(np.eye(2) / 2, [SX, SY], q, n),
+        "brute": lambda: qlan.collective_qcf_brute(np.eye(2) / 2, [SX, SY], q, n),
+        "sandwich_qcf": lambda: qlan.sandwich_qcf(m, (0.3, 0.1), q, n),
+        "qclt": lambda: qlan.qclt_report(m, [q], (n, 100)),
+        "lecam": lambda: qlan.lecam_report(m, None, (0.3, 0.1), [q], (n, 100)),
+        "sandwich_report": lambda: qlan.sandwich_report(m, (0.3, 0.1), [q], (n, 100)),
+        "probe": lambda: qlan.infinitesimal_probe(rule, m, [q], [0.5], (n, 100)),
+    }
+    assert raised_first(monkeypatch, calls[entry]) == (
+        ValueError, f"n must be a positive integer, got {shown}")
+
+
+def test_n_accepts_numpy_integers_and_integral_floats():
+    rho = np.diag([0.7, 0.3])
+    want = qlan.collective_qcf_factorized(rho, [SX], [0.3], 5)
+    for n in (np.int64(5), np.uint8(5), 5.0, np.float64(5.0)):
+        assert qlan.collective_qcf_factorized(rho, [SX], [0.3], n) == want
+        assert qlan.collective_qcf_brute(rho, [SX], [0.3], n) == qlan.collective_qcf_brute(
+            rho, [SX], [0.3], 5)
+    m = models.spin_perturbed_model()
+    want = qlan.qclt_report(m, [E1], (10, 100))
+    assert qlan.qclt_report(m, [E1], np.array([10, 100])) == want
+    assert qlan.qclt_report(m, [E1], (10.0, 100.0)) == want
+    assert want.n_values == (10, 100) and all(type(n) is int for n in want.n_values)
+
+
+@pytest.mark.parametrize("b_ops,expected", [
+    ([np.eye(3)], (DimensionMismatchError,
+                   "site observable 0 has shape (3, 3) but the site state has shape (2, 2)")),
+    ([SX, np.eye(3)], (DimensionMismatchError,
+                       "site observable 1 has shape (3, 3) but the site state has shape (2, 2)")),
+    ([], (ValueError, "site_ops is empty; the QCF needs at least one site observable")),
+])
+def test_lecam_observables_are_checked_before_any_model_evaluation(monkeypatch, b_ops,
+                                                                    expected):
+    query = np.ones((1, max(len(b_ops), 1)))
+    call = lambda: qlan.lecam_report(unevaluated_model(), b_ops, (0.3, 0.1), [query], (10, 100))
+    assert raised_first(monkeypatch, call) == expected
+
+
+@pytest.mark.parametrize("etas", [[np.nan, 0.5], [0.5, np.inf], [-np.inf]])
+def test_non_finite_eta_rejected_before_any_model_evaluation(monkeypatch, etas):
+    def rule(n):
+        raise AssertionError("remainder rule ran before eta was checked")
+
+    call = lambda: qlan.infinitesimal_probe(rule, unevaluated_model(), [E1[None]], etas,
+                                            (10, 100))
+    assert raised_first(monkeypatch, call) == (
+        ValueError, f"eta grid has non-finite entries: {[float(e) for e in etas]}")
+
+
 class TestQcltReport:
     def test_pure_model_converges_at_rate_one(self):
         rep = qlan.qclt_report(models.spin_pure_model(), [E1], (100, 1000, 10000))
@@ -383,14 +468,10 @@ class TestOh2Report:
         assert max(abs(g) for g in rep.g_values) <= 1e-10
 
     def test_json_shape(self):
-        rep = qlan.oh2_report(models.spin_pure_model(), radii=(0.2, 0.1))
+        rep = qlan.oh2_report(models.spin_pure_model())
         doc = rep.to_json_dict()
         assert set(doc) == {"radii", "g_values", "slope", "g_at_smallest_radius",
                             "slope_threshold", "verdict"}
-
-    def test_radii_validation(self):
-        with pytest.raises(ValueError):
-            qlan.oh2_report(models.spin_pure_model(), radii=(0.1,))
 
 
 class TestInfinitesimalProbe:

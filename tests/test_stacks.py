@@ -129,7 +129,7 @@ def test_failing_checks_leave_no_reference_cycles():
                (lambda: linalg.geometric_mean(np.diag([1.0, 0.0]), np.eye(2)), QlebError, None),
                # failing grids, replayed one point at a time; the toy model's
                # own error at point 3 is a plain ValueError
-               (lambda: qlan.oh2_report(oh2_toy, radii=radii), ValueError, None),
+               (lambda: qlan.oh2_report(oh2_toy), ValueError, None),
                # the norm of (1e200, 1e200) overflows; under -W error that
                # would raise a RuntimeWarning before the typed error
                (lambda: models.spin_pure_states([np.zeros(2), [1e200, 1e200], np.zeros(3)]),
@@ -315,7 +315,7 @@ def test_oh2_report_raises_the_first_failing_point(bad):
     rho0 = linalg.positive(model.state0())
     expected = first_error([lambda p=p: decomp.qllr(model.state_at(p), rho0) for p in points])
     assert expected is not None
-    assert raised(lambda: qlan.oh2_report(model, radii=radii)) == expected
+    assert raised(lambda: qlan.oh2_report(model)) == expected
 
 
 def test_a_states_at_error_reaches_the_caller_as_it_is():
@@ -327,21 +327,14 @@ def test_a_states_at_error_reaches_the_caller_as_it_is():
         raise RuntimeError("stacked states failed")
 
     model = dataclasses.replace(toy, states_at=states_at)
-    assert raised(lambda: qlan.oh2_report(model, radii=radii)) == (
+    assert raised(lambda: qlan.oh2_report(model)) == (
         RuntimeError, "stacked states failed")
-
-
-def test_oh2_report_without_directions():
-    model = models.get_model("spin-perturbed:quartic")
-    for count in (0, -1):
-        with pytest.raises(ValueError, match=f"need at least one direction, got {count}"):
-            qlan.oh2_report(model, n_directions=count)
 
 
 def test_oh2_report_of_a_good_custom_model_matches_the_loop():
     model, radii, points = oh2_model({})
     rho0 = linalg.positive(model.state0())
-    rep = qlan.oh2_report(model, radii=radii)
+    rep = qlan.oh2_report(model)
     traces = [float(np.trace(rho0.matrix @ linalg.expm(decomp.qllr(model.state_at(p), rho0)
                                                          .l_matrix)).real) for p in points]
     for i, r in enumerate(radii):
