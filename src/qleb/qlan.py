@@ -25,10 +25,16 @@ kernels raise at a slice that fails, which on a failing grid need not be
 the earliest; ``linalg._replay`` then reruns the grid one point at a time
 (one SLD direction, one n, one ``oh2_report`` point) and raises the first
 point's error. A grid that passes is evaluated once.
+
+Every report reads one q-LAN base per model from ``_base``: theta0's
+validated state and, built on first use, the SLD set. It is kept per
+thread, keyed on the model object's identity and the resolved cutoff; a
+failure is not kept, so it is raised again on every call.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -49,6 +55,7 @@ from .errors import (
 from .gaussian import GaussianSpec, as_query, lecam_limit_spec, qcf
 from .linalg import (
     _EXPM_OVERFLOW,
+    _MEMO_SIZE,
     PositiveOperator,
     _expm_checked,
     _expm_stack,
@@ -56,6 +63,7 @@ from .linalg import (
     _pair,
     _positive,
     _replay,
+    _resolve_cutoff,
     expm,
     hermitian_part,
     hermitize,
@@ -107,6 +115,10 @@ class ParametricModel:
     raises reaches the caller as it is, even where a loop over ``state_at``
     would have met another one first. Without it the harness loops over
     ``state_at``.
+
+    The family must be pure, ``state_at`` returning the same bytes for the
+    same theta: theta0 and the SLD stencil are evaluated once per model
+    object, cutoff and thread (see ``_base``).
     """
 
     name: str
@@ -127,6 +139,38 @@ def _model_states(model: ParametricModel, thetas) -> Sequence:
     return [model.state_at(theta) for theta in thetas]
 
 
+@dataclass
+class _Base:
+    """A model's validated theta0 state at one cutoff, and its SLD set once built."""
+
+    model: ParametricModel  # held, so the id keying this entry is not reused
+    rho0: PositiveOperator
+    slds: SldSet | None = None
+    degenerate: bool = False
+
+
+class _Bases(threading.local):
+    # (id(model), cutoff) -> _Base, oldest first; per thread as ``linalg._memo``
+    def __init__(self):
+        self.entries: dict[tuple, _Base] = {}
+
+
+_bases = _Bases()
+
+
+def _base(model: ParametricModel, cutoff: float | None) -> _Base:
+    """The q-LAN base of ``model`` at ``cutoff``; this thread's last ``_MEMO_SIZE`` are kept."""
+    key = (id(model), _resolve_cutoff(cutoff))
+    entries = _bases.entries
+    base = entries.pop(key, None)
+    if base is None:
+        base = _Base(model, positive(model.state0(), key[1]))
+        if len(entries) >= _MEMO_SIZE:
+            del entries[next(iter(entries))]
+    entries[key] = base
+    return base
+
+
 def sld(model: ParametricModel, direction: int, cutoff: float | None = None) -> np.ndarray:
     """Symmetric logarithmic derivative L_i at theta0.
 
@@ -139,7 +183,7 @@ def sld(model: ParametricModel, direction: int, cutoff: float | None = None) -> 
         raise DimensionMismatchError(
             f"direction {direction} out of range for theta_dim {model.theta_dim}"
         )
-    return _slds(model, positive(model.state0(), cutoff), [direction])[0]
+    return _slds(model, _base(model, cutoff).rho0, [direction])[0]
 
 
 def _slds(model: ParametricModel, rho0: PositiveOperator,
@@ -213,24 +257,32 @@ def fisher_j(model: ParametricModel, cutoff: float | None = None) -> np.ndarray:
 
 
 def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:
-    return _sld_set(model, positive(model.state0(), cutoff))
+    _, slds = _sld_set(model, cutoff)
+    return SldSet(tuple(op.copy() for op in slds.l_ops), slds.j_matrix.copy())
 
 
-def _sld_set(model: ParametricModel, rho0: PositiveOperator) -> SldSet:
-    """``sld_set`` at the already validated base state ``rho0``."""
-    ls = tuple(_slds(model, rho0, range(model.theta_dim)))
-    j = hermitize(_gram(rho0.matrix, ls, ls), tol=1e-8)
-    # J itself is a Gram matrix and may be singular (pure models saturate
-    # the uncertainty bound); only a singular covariance Re J degenerates
-    # the limit law
-    v = np.linalg.eigvalsh(j.real + j.real.T) / 2.0
-    if v[0] < 1e-12 * max(1.0, float(v[-1])):
+def _sld_set(model: ParametricModel, cutoff: float | None) -> tuple[PositiveOperator, SldSet]:
+    """rho0 and the shared SLD set of ``_base``, built on first use; a failure is not kept.
+
+    A degenerate covariance warns on every call, at the public entry's caller.
+    """
+    base = _base(model, cutoff)
+    if base.slds is None:
+        ls = tuple(_slds(model, base.rho0, range(model.theta_dim)))
+        j = hermitize(_gram(base.rho0.matrix, ls, ls), tol=1e-8)
+        # J itself is a Gram matrix and may be singular (pure models saturate
+        # the uncertainty bound); only a singular covariance Re J degenerates
+        # the limit law
+        v = np.linalg.eigvalsh(j.real + j.real.T) / 2.0
+        base.degenerate = bool(v[0] < 1e-12 * max(1.0, float(v[-1])))
+        base.slds = SldSet(l_ops=ls, j_matrix=j)
+    if base.degenerate:
         warnings.warn(
             "covariance Re J is not strictly positive definite; "
             "the Gaussian limit law is degenerate",
             stacklevel=3,
         )
-    return SldSet(l_ops=ls, j_matrix=j)
+    return base.rho0, base.slds
 
 
 def _gram(rho0: np.ndarray, a_ops: Sequence[np.ndarray],
@@ -452,9 +504,8 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
                 cutoff: float | None = None) -> ConvergenceReport:
     """Central-limit check: collective SLD observables against N(0, J)."""
     ns = _normalize_n_grid(n_grid)
-    rho0 = positive(model.state0(), cutoff)
-    slds = _sld_set(model, rho0)
     queries = _normalize_queries(query_grid, model.theta_dim)
+    rho0, slds = _sld_set(model, cutoff)
     limit = GaussianSpec(np.zeros(model.theta_dim), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
     powers = _guarded_powers([[rho0.matrix]] * len(ns), [slds.l_ops] * len(ns), queries, ns)
@@ -516,14 +567,13 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     ns = _normalize_n_grid(n_grid)
     ops = None if b_ops is None else _site_ops(b_ops, (model.dim, model.dim))
     h = _shift(model, h)
-    base = positive(model.state0(), cutoff)
+    queries = _normalize_queries(query_grid, model.theta_dim if ops is None else len(ops))
+    base, slds = _sld_set(model, cutoff)
     rho0 = base.matrix
-    slds = _sld_set(model, base)
     if ops is None:
         ops = list(slds.l_ops)
     _centered_or_raise(rho0, ops)
     limit = lecam_limit_spec(_gram(rho0, ops, ops), _gram(rho0, ops, slds.l_ops), h)
-    queries = _normalize_queries(query_grid, len(ops))
     limits = [qcf(limit, q) for q in queries]
 
     def run(ns):
@@ -555,11 +605,10 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int,
     """
     h = _shift(model, h)
     n = _positive_n(n)
-    rho0 = positive(model.state0(), cutoff)
-    ops = list(_sld_set(model, rho0).l_ops)
+    q = as_query(query, model.theta_dim)
+    rho0, slds = _sld_set(model, cutoff)
     rho_n = _shifted_states(model, _local_shifts(model, h, [n]), rho0)
-    return _guarded_powers([_sandwiches(rho0, rho_n)], [ops], [as_query(query, len(ops))],
-                           [n])[0][0][0]
+    return _guarded_powers([_sandwiches(rho0, rho_n)], [list(slds.l_ops)], [q], [n])[0][0][0]
 
 
 def _sandwiches(rho0: PositiveOperator, rho_n: PositiveOperator) -> np.ndarray:
@@ -573,9 +622,9 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     """Gap between the sandwiched and true shifted collective QCFs, per n."""
     ns = _normalize_n_grid(n_grid)
     h = _shift(model, h)
-    rho0 = positive(model.state0(), cutoff)
-    ops = list(_sld_set(model, rho0).l_ops)
-    queries = _normalize_queries(query_grid, len(ops))
+    queries = _normalize_queries(query_grid, model.theta_dim)
+    rho0, slds = _sld_set(model, cutoff)
+    ops = list(slds.l_ops)
 
     def run(ns):
         rho_n = _shifted_states(model, _local_shifts(model, h, ns), rho0)
@@ -634,7 +683,7 @@ def oh2_report(model: ParametricModel, seed: int = 0,
     """
     radii = np.asarray(OH2_RADII)
     dirs = _sphere_directions(model.theta_dim, OH2_DIRECTIONS, seed)
-    rho0 = positive(model.state0(), cutoff)
+    rho0 = _base(model, cutoff).rho0
     t0 = np.asarray(model.theta0, dtype=float)
 
     def run(points):
@@ -699,10 +748,9 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
         raise ValueError("eta grid is empty")
     if not np.isfinite(etas).all():
         raise ValueError(f"eta grid has non-finite entries: {etas}")
-    base = positive(model.state0(), cutoff)
-    slds = _sld_set(model, base)
+    queries = _normalize_queries(query_grid, model.theta_dim)
+    base, slds = _sld_set(model, cutoff)
     ops = list(slds.l_ops)
-    queries = _normalize_queries(query_grid, len(ops))
     limit = GaussianSpec(np.zeros(len(ops)), slds.j_matrix)
     limits = [qcf(limit, q) for q in queries]
     rho0 = base.matrix
@@ -750,8 +798,7 @@ def iid_remainder_rule(model: ParametricModel, h,
     for a second-order-normalized family this tends to zero with n.
     """
     h = _shift(model, h)
-    rho0 = positive(model.state0(), cutoff)
-    slds = _sld_set(model, rho0)
+    rho0, slds = _sld_set(model, cutoff)
     lin = _combination(slds.l_ops, h)
     jquad = float((h @ (slds.j_matrix @ h)).real)
     eye = np.eye(model.dim, dtype=complex)

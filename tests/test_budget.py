@@ -7,6 +7,8 @@ figure that tracks repeated work. ``numpy.linalg.eigh`` and
 library itself never counts.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,17 @@ QCLT_BUDGET = 5
 LECAM_BUDGET = 8
 SANDWICH_BUDGET = 13
 OH2_BUDGET = 11
-PROBE_BUDGET = 29
+PROBE_BUDGET = 26
 QLLR_BUDGET = 8
+
+#: one round of the five reports on one spin-perturbed:quartic model object
+#: whose q-LAN base is built: theta0 and the SLD stencil are not evaluated
+#: again, and each ``states_at`` call is a grid of shifted states (one each
+#: for ``lecam_report``, ``sandwich_report`` and ``oh2_report``, one per n
+#: of the probe's remainder rule); 65 eigensolves, 7 ``state_at`` and 12
+#: ``states_at`` calls when every report built its own base
+ROUND_BUDGET = 52
+ROUND_STATES_AT = 6
 
 
 @pytest.fixture
@@ -105,6 +116,39 @@ def test_infinitesimal_probe_budget(eigh_calls):
     rep = qlan.infinitesimal_probe(rule, model, queries, (0.5, 1.0), n_grid)
     assert rep.passed()
     assert 0 < len(eigh_calls) <= PROBE_BUDGET
+
+
+def test_round_of_reports_on_one_model_budget(eigh_calls):
+    quartic = models.get_model("spin-perturbed:quartic")
+    evaluations = {"state_at": 0, "states_at": 0}
+
+    def counted(name, fn):
+        def call(arg):
+            evaluations[name] += 1
+            return fn(arg)
+
+        return call
+
+    model = dataclasses.replace(quartic, state_at=counted("state_at", quartic.state_at),
+                                states_at=counted("states_at", quartic.states_at))
+    h, queries, n_grid = _cli_defaults(model)
+
+    def round_of_reports():
+        # as the qlan-studies benchmark runs them: lecam_report after sld_set
+        reports = [qlan.qclt_report(model, queries, n_grid),
+                   qlan.lecam_report(model, qlan.sld_set(model).l_ops, h, queries, n_grid),
+                   qlan.sandwich_report(model, h, queries, n_grid),
+                   qlan.oh2_report(model, seed=0),
+                   qlan.infinitesimal_probe(qlan.iid_remainder_rule(model, h), model, queries,
+                                            (0.5, 1.0), n_grid)]
+        assert all(rep.passed() for rep in reports)
+
+    round_of_reports()
+    eigh_calls.clear()
+    evaluations.update(state_at=0, states_at=0)
+    round_of_reports()
+    assert 0 < len(eigh_calls) <= ROUND_BUDGET
+    assert evaluations == {"state_at": 0, "states_at": ROUND_STATES_AT}
 
 
 #: the decomposition pipeline; each validates its two raw operands once

@@ -1,6 +1,11 @@
 """Tests for the local-asymptotic-normality harness."""
 
+import dataclasses
+import gc
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -241,10 +246,10 @@ def test_non_finite_h_rejected_before_any_model_evaluation(entry, h):
 
 
 def unevaluated_model():
-    def state(theta):
+    def fail(*args):
         raise AssertionError("model evaluated before the arguments were checked")
 
-    return qlan.ParametricModel("toy", 2, 2, np.zeros(2), state)
+    return qlan.ParametricModel("toy", 2, 2, np.zeros(2), fail, fail)
 
 
 def raised_first(monkeypatch, call):
@@ -323,6 +328,238 @@ def test_non_finite_eta_rejected_before_any_model_evaluation(monkeypatch, etas):
                                             (10, 100))
     assert raised_first(monkeypatch, call) == (
         ValueError, f"eta grid has non-finite entries: {[float(e) for e in etas]}")
+
+
+BAD_QUERIES = [
+    (np.ones((1, 3)), (DimensionMismatchError, "query vectors have dimension 3, expected 2")),
+    (np.zeros((0, 2)), (DimensionMismatchError,
+                        "a query is a nonempty sequence of test vectors, got shape (0, 2)")),
+    (np.array([[np.nan, 0.0]]), (ValueError, "query has non-finite entries")),
+]
+
+
+@pytest.mark.parametrize("grid,expected", [
+    *[([E1[None], q], want) for q, want in BAD_QUERIES],
+    ([], (ValueError, "query grid is empty")),
+])
+@pytest.mark.parametrize("entry", ["qclt", "lecam", "lecam_b_ops", "sandwich_report", "probe"])
+def test_query_grid_checked_before_any_model_evaluation(monkeypatch, entry, grid, expected):
+    m = unevaluated_model()
+
+    def rule(n):
+        raise AssertionError("remainder rule ran before the query grid was checked")
+
+    ns = (10, 100)
+    calls = {
+        "qclt": lambda: qlan.qclt_report(m, grid, ns),
+        "lecam": lambda: qlan.lecam_report(m, None, (0.3, 0.1), grid, ns),
+        "lecam_b_ops": lambda: qlan.lecam_report(m, [SX, SY], (0.3, 0.1), grid, ns),
+        "sandwich_report": lambda: qlan.sandwich_report(m, (0.3, 0.1), grid, ns),
+        "probe": lambda: qlan.infinitesimal_probe(rule, m, grid, [0.5], ns),
+    }
+    assert raised_first(monkeypatch, calls[entry]) == expected
+
+
+@pytest.mark.parametrize("query,expected", BAD_QUERIES)
+def test_sandwich_query_checked_before_any_model_evaluation(monkeypatch, query, expected):
+    call = lambda: qlan.sandwich_qcf(unevaluated_model(), (0.3, 0.1), query, 10)
+    assert raised_first(monkeypatch, call) == expected
+
+
+@pytest.mark.parametrize("entry", ["sld", "sld_set", "fisher_j", "qclt", "lecam", "sandwich_qcf",
+                                   "sandwich_report", "oh2", "remainder", "probe"])
+def test_cutoff_checked_before_any_model_evaluation(monkeypatch, entry):
+    m = unevaluated_model()
+    q = E1[None]
+    cut = {"cutoff": 2.0}
+    calls = {
+        "sld": lambda: qlan.sld(m, 0, **cut),
+        "sld_set": lambda: qlan.sld_set(m, **cut),
+        "fisher_j": lambda: qlan.fisher_j(m, **cut),
+        "qclt": lambda: qlan.qclt_report(m, [q], (10, 100), **cut),
+        "lecam": lambda: qlan.lecam_report(m, None, (0.3, 0.1), [q], (10, 100), **cut),
+        "sandwich_qcf": lambda: qlan.sandwich_qcf(m, (0.3, 0.1), q, 10, **cut),
+        "sandwich_report": lambda: qlan.sandwich_report(m, (0.3, 0.1), [q], (10, 100), **cut),
+        "oh2": lambda: qlan.oh2_report(m, **cut),
+        "remainder": lambda: qlan.iid_remainder_rule(m, (0.3, 0.1), **cut),
+        "probe": lambda: qlan.infinitesimal_probe(lambda n: np.zeros((2, 2)), m, [q], [0.5],
+                                                  (10, 100), **cut),
+    }
+    assert raised_first(monkeypatch, calls[entry]) == (
+        ValueError, "rank cutoff must lie in (0, 1), got 2.0")
+
+
+#: each public entry that reads the q-LAN base, as one call on a model
+BASE_READERS = {
+    "sld": lambda m, h, qs, ns: qlan.sld(m, m.theta_dim - 1),
+    "sld_set": lambda m, h, qs, ns: qlan.sld_set(m),
+    "fisher_j": lambda m, h, qs, ns: qlan.fisher_j(m),
+    "qclt": lambda m, h, qs, ns: qlan.qclt_report(m, qs, ns),
+    "lecam": lambda m, h, qs, ns: qlan.lecam_report(m, None, h, qs, ns),
+    "sandwich_qcf": lambda m, h, qs, ns: qlan.sandwich_qcf(m, h, qs[0], ns[1]),
+    "sandwich_report": lambda m, h, qs, ns: qlan.sandwich_report(m, h, qs, ns),
+    "oh2": lambda m, h, qs, ns: qlan.oh2_report(m, seed=3),
+    "remainder": lambda m, h, qs, ns: [qlan.iid_remainder_rule(m, h)(n) for n in ns],
+    "probe": lambda m, h, qs, ns: qlan.infinitesimal_probe(qlan.iid_remainder_rule(m, h), m, qs,
+                                                           (0.5, 1.0), ns),
+}
+
+
+def result_bytes(value) -> bytes:
+    if isinstance(value, qlan.SldSet):
+        return b"".join(op.tobytes() for op in value.l_ops) + value.j_matrix.tobytes()
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, list):
+        return b"".join(result_bytes(v) for v in value)
+    if isinstance(value, complex):
+        return repr(value).encode()
+    return matio.dumps_json(value.to_json_dict()).encode()
+
+
+class TestBase:
+    """The per-thread q-LAN base: theta0 and the SLD set, built once per model object."""
+
+    @pytest.fixture(autouse=True)
+    def own_memo(self, monkeypatch):
+        monkeypatch.setattr(qlan._bases, "entries", {})
+
+    @staticmethod
+    def counted(state_fn, calls):
+        def state(theta):
+            calls.append(1)
+            return state_fn(theta)
+
+        return state
+
+    @pytest.mark.parametrize("family", ["spin-perturbed:quartic", "qubit-fullrank"])
+    def test_warm_calls_equal_cold_ones(self, family):
+        def args(m):
+            ns = (10, 100, 1000)
+            return cli._default_h(m.theta_dim), [q[None] for q in cli._default_queries(
+                m.theta_dim)], ns
+
+        # cold: each entry on a model object of its own
+        cold = {}
+        for name, call in BASE_READERS.items():
+            m = models.get_model(family)
+            cold[name] = result_bytes(call(m, *args(m)))
+        m = models.get_model(family)
+        for _ in range(2):
+            warm = {name: result_bytes(call(m, *args(m))) for name, call in BASE_READERS.items()}
+            assert warm == cold
+
+    def test_degenerate_covariance_warns_on_every_call(self):
+        m = toy_model(lambda t: np.eye(2, dtype=complex) / 2)
+        calls = [(lambda: qlan.sld_set(m), __file__),
+                 (lambda: qlan.sld_set(m), __file__),
+                 (lambda: qlan.qclt_report(m, [np.array([[0.5]])], (10, 100)), __file__),
+                 # fisher_j warns through sld_set, so the warning points at fisher_j
+                 (lambda: qlan.fisher_j(m), qlan.__file__),
+                 (lambda: qlan.iid_remainder_rule(m, (0.3,)), __file__)]
+        for call, blamed in calls:
+            with pytest.warns(UserWarning, match="degenerate") as record:
+                call()
+            assert [w.filename for w in record] == [blamed]
+
+    def test_a_failing_sld_set_is_rebuilt_and_raised_on_every_call(self):
+        def state(t):
+            # leaves the support to first order inside the SLD stencil only
+            s = t[0] if abs(t[0]) < 1e-3 else 0.0
+            return np.diag([1.0 - s, s])
+
+        calls = []
+        m = toy_model(self.counted(state, calls))
+        readers = [lambda: qlan.sld_set(m), lambda: qlan.fisher_j(m),
+                   lambda: qlan.qclt_report(m, [np.array([[0.5]])], (10, 100)),
+                   lambda: qlan.iid_remainder_rule(m, (0.3,))]
+        for i, call in enumerate(readers * 2):
+            with pytest.raises(DerivativeLeavesSupportError,
+                               match=r"^derivative weight 1\.000e\+00 outside the support"):
+                call()
+            # theta0 once, then the four stencil states on every call
+            assert len(calls) == 1 + 4 * (i + 1)
+        assert qlan.oh2_report(m).passed()
+
+    def test_handed_out_arrays_are_the_callers_own(self):
+        m = models.spin_perturbed_model("cubic")
+        want = result_bytes(qlan.sld_set(m))
+        report = result_bytes(qlan.qclt_report(m, [E1[None]], (10, 100)))
+        s = qlan.sld_set(m)
+        s.l_ops[0][...] = 7.0
+        s.j_matrix[...] = 7.0
+        qlan.fisher_j(m)[...] = 9.0
+        assert result_bytes(qlan.sld_set(m)) == want
+        assert result_bytes(qlan.qclt_report(m, [E1[None]], (10, 100))) == report
+
+    def test_a_replaced_copy_is_another_model(self):
+        calls = []
+        m = toy_model(self.counted(models.spin_pure_state, calls), theta_dim=2)
+        qlan.sld_set(m)
+        assert len(calls) == 9
+        qlan.sld_set(m)
+        qlan.oh2_report(m)
+        assert len(calls) == 9 + 32
+        qlan.sld_set(dataclasses.replace(m))
+        assert len(calls) == 9 + 32 + 9
+
+    def test_the_last_eight_models_are_kept(self):
+        calls = []
+        family = [toy_model(self.counted(models.spin_pure_state, calls), theta_dim=2)
+                  for _ in range(9)]
+        for m in family[:8]:
+            qlan.sld(m, 0)
+        assert len(calls) == 8 * 5
+        qlan.sld(family[0], 0)
+        assert len(calls) == 8 * 5 + 4
+        # the ninth evicts the least recently used, family[1]
+        qlan.sld(family[8], 0)
+        qlan.sld(family[1], 0)
+        assert len(calls) == 8 * 5 + 4 + 5 + 5
+
+    def test_the_memo_holds_its_models(self):
+        m = toy_model(models.spin_pure_state, theta_dim=2)
+        ref = weakref.ref(m)
+        qlan.oh2_report(m)
+        del m
+        gc.collect()
+        # alive, so its id cannot key another model's base
+        assert ref() is not None
+
+    def test_each_thread_builds_its_own_base(self):
+        m = models.spin_perturbed_model()
+        mine = qlan._base(m, None)
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(qlan._base(m, None)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert theirs[0] is not mine and theirs[0].rho0 is not mine.rho0
+        assert qlan._base(m, None) is mine
+
+    def test_threads_sharing_a_model_get_the_serial_results(self):
+        m = models.spin_perturbed_model()
+        h, queries, ns = (0.3, 0.1), [E1[None], E2[None]], (10, 100, 1000)
+        readers = ["sld_set", "qclt", "lecam", "oh2", "probe"]
+        want = {name: result_bytes(BASE_READERS[name](m, h, queries, ns)) for name in readers}
+        got = []
+
+        def work():
+            got.append([{name: result_bytes(BASE_READERS[name](m, h, queries, ns))
+                         for name in readers} for _ in range(3)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [[want] * 3] * 4
 
 
 class TestQcltReport:
