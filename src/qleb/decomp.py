@@ -9,11 +9,20 @@ sandwich and a pseudoinverse. Their agreement is the main cross-check.
 
 Singularity and absolute continuity each come with several equivalent
 criteria; the predicates here evaluate all of them and report consistency.
+
+The pair functions share what they build from one validated pair through
+``_shared``: the excision of sigma onto supp rho, its eigenpairs and floor,
+and the ``is_absolutely_continuous`` check of each direction. Each thread
+keeps its last few pairs, keyed on the identity of the operators that
+``positive`` hands out; a part that fails to build is not kept, and a caller
+gets its own copy of a witness. The q-LAN grids never enter this memo.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,10 +41,10 @@ from .linalg import (
     _excision,
     _geometric_mean,
     _log_stack,
+    _Memo,
     _pair,
     _positive,
     _resolve_cutoff,
-    excision,
     hermitian_part,
     positive,
     support_projector,
@@ -86,7 +95,7 @@ def is_singular(rho, sigma, cutoff: float | None = None) -> SingularityCheck:
     if r.rank == 0 or s.rank == 0:
         raise ZeroOperatorError("singularity test needs two nonzero operators")
     # both operands are nonzero, so neither matrix is empty
-    exc_norm = float(np.linalg.norm(excision(s, r), 2))
+    exc_norm = float(np.linalg.norm(_shared(r, s).excision[0], 2))
     proj = float(np.linalg.norm(support_projector(r) @ support_projector(s), 2))
     by_trace, tr, trace_bound = _trace_singular(r, s)
     exc_bound = SINGULARITY_TOL * s.norm2
@@ -105,26 +114,84 @@ def is_singular(rho, sigma, cutoff: float | None = None) -> SingularityCheck:
     )
 
 
-def _ac_verdicts(r: PositiveOperator,
-                 s: PositiveOperator) -> tuple[np.ndarray, SpectralDecomposition, list[float]]:
-    """Excision of each slice of s onto supp r, its eigenpairs and its positivity floor.
+class _Parts:
+    """What the pair functions build from validated operators r and s, each part once.
 
-    r << s iff the smallest eigenvalue exceeds the floor; the eigenvectors
-    of the eigenvalues above it span H2 of ``support_split``. They are the
-    solver's, so a caller that reads them canonicalizes them. Takes
-    validated operators of one dimension with a nonzero reference and builds
-    no witness.
+    s is a stack of r's dimension, and a part is read only for a nonzero r.
+    Each part is built on first read and kept only if it built without an
+    error. ``_shared`` keeps the parts of this thread's recent public pairs;
+    a q-LAN grid builds its own from a fresh stack that no later call reuses.
     """
-    exc = _excision(r.support_basis(), s.bases(), s.values)
-    eig = _eigh_raw(exc)
-    k = exc.shape[-1]
-    # strict positivity of a compressed sigma is decided against the larger of
-    # the usual rank tolerance and a machine floor anchored to sigma itself;
-    # an all-noise excision (orthogonal supports) has a norm ~ eps, and its
-    # own rank_tol would accept the noise as positive
-    floors = [k * max(r.cutoff * w[0], EXCISION_FLOOR * norm)
-              for w, norm in zip(eig.eigenvalues.tolist(), s.norms())]
-    return exc, eig, floors
+
+    def __init__(self, r: PositiveOperator, s: PositiveOperator):
+        self.r, self.s = r, s
+
+    @cached_property
+    def excision(self) -> np.ndarray:
+        """Excision of each slice of s onto supp r."""
+        return _excision(self.r.support_basis(), self.s.bases(), self.s.values)
+
+    @cached_property
+    def verdicts(self) -> tuple[SpectralDecomposition, list[float]]:
+        """The excision's eigenpairs and each slice's positivity floor, frozen.
+
+        r << s iff the smallest eigenvalue exceeds the floor; the eigenvectors
+        of the eigenvalues above it span H2 of ``support_split``. They are the
+        solver's, so a caller that reads them canonicalizes a copy.
+        """
+        exc = self.excision
+        eig = _eigh_raw(exc)
+        for a in (exc, *eig):
+            a.flags.writeable = False
+        k = exc.shape[-1]
+        # strict positivity of a compressed sigma is decided against the larger of
+        # the usual rank tolerance and a machine floor anchored to sigma itself;
+        # an all-noise excision (orthogonal supports) has a norm ~ eps, and its
+        # own rank_tol would accept the noise as positive
+        floors = [k * max(self.r.cutoff * w[0], EXCISION_FLOOR * norm)
+                  for w, norm in zip(eig.eigenvalues.tolist(), self.s.norms())]
+        return eig, floors
+
+    @cached_property
+    def check(self) -> AbsoluteContinuityCheck:
+        """``is_absolutely_continuous`` for s a single operator, its witness frozen."""
+        r, s = self.r, self.s
+        eig, (floor,) = self.verdicts
+        (min_eig,) = eig.eigenvalues[:, -1].tolist()
+        holds = min_eig > floor
+        witness = None
+        residual = None
+        if holds:
+            rho0 = np.diag(r.eigenvalues[:r.rank]).astype(complex)
+            x = _mean_with_inverse(rho0[None], self.excision[0], r.cutoff)[0]
+            v = r.support_basis()
+            witness = hermitian_part(v @ x @ v.conj().T)
+            witness.flags.writeable = False
+            # evaluate R sigma R through sigma's spectral root: R can be large
+            # (~ 1/sqrt of a small overlap) while R @ root stays O(||rho||^1/2),
+            # so the identity is checked without amplifying rounding by ||R||^2
+            root = s.eigenvectors * np.sqrt(s.eigenvalues)
+            m = witness @ root
+            residual = float(np.max(np.abs(m @ m.conj().T - r.matrix)))
+        return AbsoluteContinuityCheck(
+            absolutely_continuous=holds,
+            excision_min_eigenvalue=min_eig,
+            positivity_floor=floor,
+            witness=witness,
+            witness_residual=residual,
+        )
+
+
+#: (id(r), id(s)) -> _Parts
+_pairs = _Memo()
+
+
+def _shared(r: PositiveOperator, s: PositiveOperator) -> _Parts:
+    """The parts of a public pair; this thread's last ``_MEMO_SIZE`` pairs are kept.
+
+    An entry holds r and s, so the ids that key it are not reused while it lives.
+    """
+    return _pairs.get((id(r), id(s)), lambda: _Parts(r, s))
 
 
 def _mean_with_inverse(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
@@ -162,29 +229,8 @@ def is_absolutely_continuous(rho, sigma, cutoff: float | None = None) -> Absolut
     r, s = _pair(rho, sigma, cutoff)
     if r.rank == 0:
         raise ZeroOperatorError("absolute continuity needs a nonzero reference")
-    (exc,), eig, (floor,) = _ac_verdicts(r, s)
-    (min_eig,) = eig.eigenvalues[:, -1].tolist()
-    holds = min_eig > floor
-    witness = None
-    residual = None
-    if holds:
-        rho0 = np.diag(r.eigenvalues[:r.rank]).astype(complex)
-        x = _mean_with_inverse(rho0[None], exc, r.cutoff)[0]
-        v = r.support_basis()
-        witness = hermitian_part(v @ x @ v.conj().T)
-        # evaluate R sigma R through sigma's spectral root: R can be large
-        # (~ 1/sqrt of a small overlap) while R @ root stays O(||rho||^1/2),
-        # so the identity is checked without amplifying rounding by ||R||^2
-        root = s.eigenvectors * np.sqrt(s.eigenvalues)
-        m = witness @ root
-        residual = float(np.max(np.abs(m @ m.conj().T - r.matrix)))
-    return AbsoluteContinuityCheck(
-        absolutely_continuous=holds,
-        excision_min_eigenvalue=min_eig,
-        positivity_floor=floor,
-        witness=witness,
-        witness_residual=residual,
-    )
+    chk = _shared(r, s).check
+    return dataclasses.replace(chk, witness=None if chk.witness is None else chk.witness.copy())
 
 
 @dataclass(frozen=True)
@@ -273,7 +319,8 @@ def _support_split(r: PositiveOperator, s: PositiveOperator) -> SupportSplit:
     """``support_split`` of a validated pair already found not trace-singular."""
     v_supp = r.support_basis()
     v_ker = r.kernel_basis()
-    _, ((w,), (u,)), (pos_tol,) = _ac_verdicts(r, s)
+    ((w,), (u,)), (pos_tol,) = _shared(r, s).verdicts
+    u = u.copy()
     _canonicalize(u[None], [_clusters(w.tolist())], len(w))
     m = int(np.count_nonzero(w > pos_tol))
     if m == 0:
@@ -453,21 +500,22 @@ def qllr(sigma, rho, cutoff: float | None = None) -> QllrVersion:
     c = _resolve_cutoff(cutoff)
     r, s = _pair(rho, sigma, c)
     return QllrVersion(
-        l_matrix=_qllr_stack(r, s)[0],
+        l_matrix=_qllr_stack(_shared(r, s))[0],
         gamma_choice="identity on the kernel of the reference operator",
     )
 
 
-def _qllr_stack(r: PositiveOperator, s: PositiveOperator) -> np.ndarray:
-    """``qllr`` of each slice of a stack along one reference, at ``r.cutoff``.
+def _qllr_stack(p: _Parts) -> np.ndarray:
+    """``qllr`` of each slice of the stack ``p.s`` along one reference ``p.r``, at its cutoff.
 
-    ``s`` holds validated operators of r's dimension. The slices meet
+    ``p.s`` holds validated operators of r's dimension. The slices meet
     ``qllr``'s checks in ``qllr``'s order, and each check raises at a slice
     that fails. The operand inv(rho0) that every slice shares is built once.
     """
+    r, s = p.r, p.s
     if r.rank == 0:
         raise ZeroOperatorError("log-likelihood ratio needs a nonzero reference")
-    _, eig, floors = _ac_verdicts(r, s)
+    eig, floors = p.verdicts
     for min_eig, floor in zip(eig.eigenvalues[:, -1].tolist(), floors):
         if not min_eig > floor:
             raise NotAbsolutelyContinuousError(

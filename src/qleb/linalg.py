@@ -62,14 +62,26 @@ _MEMO_SIZE = 8
 
 
 class _Memo(threading.local):
-    """Per-thread map (shape, bytes, cutoff) -> operator, oldest first.
+    """Per-thread map key -> value holding the last ``_MEMO_SIZE`` used, oldest first.
 
-    Per thread because an operator canonicalizes its basis in place on first
-    read, so one operator must not be read from two threads at once.
+    Per thread because what it holds is built further on first read (an
+    operator canonicalizes its basis in place), so one value must not be read
+    from two threads at once.
     """
 
     def __init__(self):
-        self.entries: dict[tuple, PositiveOperator] = {}
+        self.entries: dict = {}
+
+    def get(self, key, build: Callable[[], object]):
+        """The value at ``key``, or ``build()`` kept there; a build that raises keeps nothing."""
+        entries = self.entries
+        value = entries.pop(key, None)
+        if value is None:
+            value = build()
+            if len(entries) >= _MEMO_SIZE:
+                del entries[next(iter(entries))]
+        entries[key] = value
+        return value
 
 
 _memo = _Memo()
@@ -386,16 +398,7 @@ def positive(a, cutoff: float | None = None) -> PositiveOperator:
         a = a.matrix
     c = _resolve_cutoff(cutoff)
     m = _as_complex(a)
-    key = (m.shape, m.tobytes(), c)
-    memo = _memo.entries
-    p = memo.pop(key, None)
-    if p is None:
-        # only an operator that validates is kept
-        p = _positive(hermitize(m)[None], c)
-        if len(memo) >= _MEMO_SIZE:
-            del memo[next(iter(memo))]
-    memo[key] = p
-    return p
+    return _memo.get((m.shape, m.tobytes(), c), lambda: _positive(hermitize(m)[None], c))
 
 
 def _positive(m: np.ndarray, cutoff: float, scale_floor=0.0) -> PositiveOperator:

@@ -34,7 +34,6 @@ failure is not kept, so it is raised again on every call.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -55,8 +54,8 @@ from .errors import (
 from .gaussian import GaussianSpec, as_query, lecam_limit_spec, qcf
 from .linalg import (
     _EXPM_OVERFLOW,
-    _MEMO_SIZE,
     PositiveOperator,
+    _Memo,
     _expm_checked,
     _expm_stack,
     _hermitize_stack,
@@ -149,26 +148,14 @@ class _Base:
     degenerate: bool = False
 
 
-class _Bases(threading.local):
-    # (id(model), cutoff) -> _Base, oldest first; per thread as ``linalg._memo``
-    def __init__(self):
-        self.entries: dict[tuple, _Base] = {}
-
-
-_bases = _Bases()
+#: (id(model), cutoff) -> _Base
+_bases = _Memo()
 
 
 def _base(model: ParametricModel, cutoff: float | None) -> _Base:
     """The q-LAN base of ``model`` at ``cutoff``; this thread's last ``_MEMO_SIZE`` are kept."""
-    key = (id(model), _resolve_cutoff(cutoff))
-    entries = _bases.entries
-    base = entries.pop(key, None)
-    if base is None:
-        base = _Base(model, positive(model.state0(), key[1]))
-        if len(entries) >= _MEMO_SIZE:
-            del entries[next(iter(entries))]
-    entries[key] = base
-    return base
+    c = _resolve_cutoff(cutoff)
+    return _bases.get((id(model), c), lambda: _Base(model, positive(model.state0(), c)))
 
 
 def sld(model: ParametricModel, direction: int, cutoff: float | None = None) -> np.ndarray:
@@ -177,13 +164,17 @@ def sld(model: ParametricModel, direction: int, cutoff: float | None = None) -> 
     Solves d rho / d theta^i = (rho L + L rho) / 2 in the eigenbasis of
     rho_theta0, zeroing the blocks where both eigenvalues vanish. Derivative
     weight on those blocks means the family leaves the support to first
-    order, which is rejected.
+    order, which is rejected. Once the model's SLD set is built, L_i is read
+    from it.
     """
     if not 0 <= direction < model.theta_dim:
         raise DimensionMismatchError(
             f"direction {direction} out of range for theta_dim {model.theta_dim}"
         )
-    return _slds(model, _base(model, cutoff).rho0, [direction])[0]
+    base = _base(model, cutoff)
+    if base.slds is not None:
+        return base.slds.l_ops[direction].copy()
+    return _slds(model, base.rho0, [direction])[0]
 
 
 def _slds(model: ParametricModel, rho0: PositiveOperator,
@@ -253,7 +244,7 @@ class SldSet:
 
 def fisher_j(model: ParametricModel, cutoff: float | None = None) -> np.ndarray:
     """Information matrix J_ij = Tr rho_theta0 L_j L_i."""
-    return sld_set(model, cutoff).j_matrix
+    return _sld_set(model, cutoff)[1].j_matrix.copy()
 
 
 def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:
@@ -579,7 +570,7 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     def run(ns):
         thetas = _local_shifts(model, h, ns)
         rho_n = _shifted_states(model, thetas, base)
-        _, eig, floors = decomp._ac_verdicts(base, rho_n)
+        eig, floors = decomp._Parts(base, rho_n).verdicts
         for n, theta, min_eig, floor in zip(ns, thetas, eig.eigenvalues[:, -1].tolist(), floors):
             if not min_eig > floor:
                 raise SupportViolationError(
@@ -613,7 +604,7 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int,
 
 def _sandwiches(rho0: PositiveOperator, rho_n: PositiveOperator) -> np.ndarray:
     """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of each slice along rho0."""
-    halves = _expm_checked(decomp._qllr_stack(rho0, rho_n) / 2.0)
+    halves = _expm_checked(decomp._qllr_stack(decomp._Parts(rho0, rho_n)) / 2.0)
     return hermitian_part(halves @ rho0.matrix @ halves)
 
 
@@ -687,7 +678,8 @@ def oh2_report(model: ParametricModel, seed: int = 0,
     t0 = np.asarray(model.theta0, dtype=float)
 
     def run(points):
-        exps = _expm_checked(decomp._qllr_stack(rho0, _shifted_states(model, points, rho0)))
+        rho_n = _shifted_states(model, points, rho0)
+        exps = _expm_checked(decomp._qllr_stack(decomp._Parts(rho0, rho_n)))
         return np.trace(rho0.matrix @ exps, axis1=-2, axis2=-1).real.tolist()
 
     # every (radius, direction) point in one stack, radius-major as a loop
@@ -806,7 +798,8 @@ def iid_remainder_rule(model: ParametricModel, h,
     def rule(n: int) -> np.ndarray:
         rn = np.sqrt(float(n))
         (theta,) = _local_shifts(model, h, [n])
-        l_matrix = decomp._qllr_stack(rho0, _shifted_states(model, [theta], rho0))[0]
+        rho_n = _shifted_states(model, [theta], rho0)
+        l_matrix = decomp._qllr_stack(decomp._Parts(rho0, rho_n))[0]
         return rn * (l_matrix - lin / rn + (jquad / (2.0 * n)) * eye)
 
     return rule

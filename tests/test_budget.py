@@ -156,8 +156,14 @@ PIPELINE = ("is_singular", "is_absolutely_continuous", "is_mutually_ac",
             "lebesgue_decompose", "lebesgue_decompose_direct", "qllr")
 
 #: eigensolver calls of the whole pipeline on one raw pair the memo of
-#: ``linalg.positive`` has not seen (45 and 41 before the memo)
-PIPELINE_BUDGET = 35
+#: ``linalg.positive`` has not seen (45 and 41 before that memo, 35 and 31
+#: before the pair memo of ``decomp``)
+PIPELINE_BUDGET = 28
+
+#: eigensolver calls of ``is_mutually_ac`` right after
+#: ``is_absolutely_continuous`` on the same raw pair: the forward check is
+#: shared, so only the backward one is built (10 and 6 before the pair memo)
+MUTUAL_AC_BUDGET = 5
 
 
 @pytest.fixture
@@ -209,3 +215,13 @@ def test_pipeline_on_one_raw_pair_validates_twice(hermitize_calls, eigh_calls,
         getattr(decomp, name)(*args)
     assert len(hermitize_calls) == 2
     assert 0 < len(eigh_calls) <= PIPELINE_BUDGET
+
+
+@pytest.mark.parametrize("dim,rank_rho,rank_sigma", [(4, 4, 4), (6, 2, 4)])
+def test_mutual_ac_after_absolute_continuity_builds_the_backward_check_only(
+        eigh_calls, dim, rank_rho, rank_sigma):
+    rho_m, sigma_m = _raw_pair(dim, rank_rho, rank_sigma)
+    decomp.is_absolutely_continuous(rho_m, sigma_m)
+    eigh_calls.clear()
+    decomp.is_mutually_ac(rho_m, sigma_m)
+    assert 0 < len(eigh_calls) <= MUTUAL_AC_BUDGET

@@ -1,13 +1,18 @@
 """Tests for the operator Lebesgue decomposition and its diagnostics."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from qleb import cli, decomp, linalg, models
+from qleb import cli, decomp, linalg, models, qlan
 from qleb.errors import (
     DimensionMismatchError,
     MutuallySingularError,
     NotAbsolutelyContinuousError,
+    NotPositiveError,
     QlebError,
     ZeroOperatorError,
 )
@@ -418,3 +423,187 @@ class TestOracles:
                     assert gap <= 1e-10 * max(1.0, np.max(np.abs(r))), spec
                     checked += 1
         assert checked > 0
+
+
+#: the six public pair functions, in the order ``qleb check`` and the benchmark call them
+PIPELINE = ("is_singular", "is_absolutely_continuous", "is_mutually_ac",
+            "lebesgue_decompose", "lebesgue_decompose_direct", "qllr")
+
+MODES = ("generic", "orthogonal", "near_singular", "near_deficient")
+
+
+def exact(x):
+    """``x`` as nested tuples that compare equal only if every bit is equal."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.dtype.str, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, linalg.PositiveOperator):
+        return tuple(exact(v) for v in (x.matrix, x.eigenvalues, x.eigenvectors, x.cutoff,
+                                        x.rank_tol, x.rank, x.support_basis(), x.kernel_basis()))
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(exact(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return x
+
+
+def outcome(name, rho, sigma):
+    """Every field of the result of ``name`` on the pair, or its error's type, text and context."""
+    args = (rho, sigma) if name.startswith("is_") else (sigma, rho)
+    try:
+        return exact(getattr(decomp, name)(*args))
+    except Exception as exc:
+        ctx = exc.__context__
+        return type(exc), str(exc), type(ctx), str(ctx)
+
+
+def clear_memos():
+    linalg._memo.entries.clear()
+    decomp._pairs.entries.clear()
+
+
+def raw_pair(dim, rank_rho, rank_sigma, mode="generic", seed=3):
+    rho, sigma = models.random_psd_pair(
+        models.RandomPsdPairSpec(dim, rank_rho, rank_sigma, seed=seed, mode=mode))
+    return np.array(rho.matrix), np.array(sigma.matrix)
+
+
+class TestPairMemo:
+    """The per-thread memo of what the pair functions build from one validated pair."""
+
+    @pytest.fixture(autouse=True)
+    def pair_memo(self, monkeypatch):
+        entries = {}
+        monkeypatch.setattr(decomp._pairs, "entries", entries)
+        monkeypatch.setattr(linalg._memo, "entries", {})
+        return entries
+
+    def test_warm_calls_equal_cold_ones(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def pairs(draw):
+            mode = draw(st.sampled_from(MODES))
+            d = draw(st.integers(2, 6))
+            apart = mode in ("orthogonal", "near_singular")
+            kr = draw(st.integers(1, d - 1 if apart else d))
+            ks = draw(st.integers(1, d - kr if apart else d))
+            return raw_pair(d, kr, ks, mode, draw(st.integers(0, 2 ** 31 - 1)))
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None)
+        @hypothesis.given(pairs())
+        def check(pair):
+            rho, sigma = pair
+            cold = {}
+            for name in PIPELINE:
+                clear_memos()
+                cold[name] = outcome(name, rho, sigma)
+            clear_memos()
+            for order in (PIPELINE, PIPELINE[::-1]):
+                assert {name: outcome(name, rho, sigma) for name in order} == cold
+            # the shared excision is the one the public ``excision`` builds
+            norm = np.linalg.norm(linalg.excision(sigma, rho), 2)
+            assert decomp.is_singular(rho, sigma).excision_norm == norm
+
+        check()
+
+    def test_a_returned_witness_is_the_callers_own(self):
+        rho, sigma = raw_pair(4, 4, 4)
+        forward = exact(decomp.is_absolutely_continuous(rho, sigma))
+        backward = exact(decomp.is_absolutely_continuous(sigma, rho))
+        mutual = decomp.is_mutually_ac(rho, sigma)
+        for chk in (decomp.is_absolutely_continuous(rho, sigma), mutual.forward,
+                    mutual.backward):
+            chk.witness[...] = 7.0
+        assert exact(decomp.is_absolutely_continuous(rho, sigma)) == forward
+        assert exact(decomp.is_absolutely_continuous(sigma, rho)) == backward
+        assert exact(decomp.is_mutually_ac(rho, sigma).forward) == forward
+
+    def test_the_split_canonicalizes_its_own_copy(self, pair_memo):
+        # a degenerate excision spectrum: the solver's basis is canonicalized
+        rho, sigma = np.eye(3) / 3, np.diag([1.0, 1.0, 2.0])
+        cold = exact(decomp.lebesgue_decompose(sigma, rho))
+        (entry,) = pair_memo.values()
+        (eig, _) = entry.verdicts
+        solver = exact(eig.eigenvectors)
+        assert exact(decomp.lebesgue_decompose(sigma, rho)) == cold
+        assert exact(eig.eigenvectors) == solver
+        assert not any(a.flags.writeable for a in (entry.excision, *eig))
+
+    def test_the_last_eight_pairs_are_kept(self, pair_memo, monkeypatch):
+        ops = [(linalg.positive(np.diag([1.0, k])), linalg.positive(np.diag([k, 1.0])))
+               for k in range(1, 10)]
+        for r, s in ops[:8]:
+            decomp.is_absolutely_continuous(r, s)
+        decomp.qllr(ops[0][1], ops[0][0])
+        # the ninth evicts the least recently used, ops[1]
+        decomp.is_singular(*ops[8])
+        kept = ops[2:8] + [ops[0], ops[8]]
+        assert list(pair_memo) == [(id(r), id(s)) for r, s in kept]
+        # each entry holds its operators, so their ids key no other pair
+        assert all(e.r is r and e.s is s for e, (r, s) in zip(pair_memo.values(), kept))
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(1) or real(*a))
+        decomp.is_absolutely_continuous(*ops[0])
+        assert calls == []
+        decomp.is_absolutely_continuous(*ops[1])
+        assert calls
+
+    def test_a_part_that_fails_is_not_kept(self, pair_memo, monkeypatch):
+        rho, sigma = raw_pair(3, 2, 3)
+        want = exact(decomp.is_absolutely_continuous(rho, sigma))
+        clear_memos()
+        real = decomp._mean_with_inverse
+
+        def fails_once(*args):
+            monkeypatch.setattr(decomp, "_mean_with_inverse", real)
+            raise NotPositiveError("injected")
+
+        monkeypatch.setattr(decomp, "_mean_with_inverse", fails_once)
+        with pytest.raises(NotPositiveError, match="^injected$"):
+            decomp.is_absolutely_continuous(rho, sigma)
+        (entry,) = pair_memo.values()
+        assert "verdicts" in vars(entry) and "check" not in vars(entry)
+        assert exact(decomp.is_absolutely_continuous(rho, sigma)) == want
+
+    def test_each_thread_keeps_its_own_pairs(self, pair_memo):
+        r, s = linalg.positive(np.eye(2)), linalg.positive(np.diag([1.0, 2.0]))
+        mine = decomp._shared(r, s)
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(decomp._shared(r, s)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert theirs[0] is not mine
+        assert decomp._shared(r, s) is mine and list(pair_memo) == [(id(r), id(s))]
+
+    def test_threads_on_one_pair_get_the_serial_results(self):
+        rho, sigma = raw_pair(5, 3, 4)
+        want = [outcome(name, rho, sigma) for name in PIPELINE]
+        got = []
+
+        def work():
+            got.append([[outcome(name, rho, sigma) for name in PIPELINE] for _ in range(3)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [[want] * 3] * 4
+
+    def test_qlan_reports_leave_the_pair_memo_empty(self, pair_memo):
+        m = models.get_model("spin-perturbed:quartic")
+        h, queries, ns = (0.3, 0.1), [np.array([[1.0, 0.0]])], (10, 100, 1000)
+        qlan.lecam_report(m, None, h, queries, ns)
+        qlan.sandwich_report(m, h, queries, ns)
+        qlan.oh2_report(m, seed=0)
+        qlan.infinitesimal_probe(qlan.iid_remainder_rule(m, h), m, queries, (0.5, 1.0), ns)
+        assert pair_memo == {}

@@ -454,8 +454,7 @@ class TestBase:
         calls = [(lambda: qlan.sld_set(m), __file__),
                  (lambda: qlan.sld_set(m), __file__),
                  (lambda: qlan.qclt_report(m, [np.array([[0.5]])], (10, 100)), __file__),
-                 # fisher_j warns through sld_set, so the warning points at fisher_j
-                 (lambda: qlan.fisher_j(m), qlan.__file__),
+                 (lambda: qlan.fisher_j(m), __file__),
                  (lambda: qlan.iid_remainder_rule(m, (0.3,)), __file__)]
         for call, blamed in calls:
             with pytest.warns(UserWarning, match="degenerate") as record:
@@ -480,6 +479,29 @@ class TestBase:
             # theta0 once, then the four stencil states on every call
             assert len(calls) == 1 + 4 * (i + 1)
         assert qlan.oh2_report(m).passed()
+
+    def test_sld_reads_a_built_sld_set(self):
+        calls = []
+        m = toy_model(self.counted(models.spin_pure_state, calls), theta_dim=2)
+        l_ops = qlan.sld_set(m).l_ops
+        calls.clear()
+        for i, l_op in enumerate(l_ops):
+            got = qlan.sld(m, i)
+            assert got.tobytes() == l_op.tobytes()
+            got[...] = 7.0
+            assert qlan.sld(m, i).tobytes() == l_op.tobytes()
+        assert calls == []
+
+    def test_sld_never_warns_of_a_degenerate_covariance(self):
+        m = toy_model(lambda t: np.eye(2, dtype=complex) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unbuilt = qlan.sld(m, 0)
+        with pytest.warns(UserWarning, match="degenerate"):
+            qlan.sld_set(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qlan.sld(m, 0).tobytes() == unbuilt.tobytes()
 
     def test_handed_out_arrays_are_the_callers_own(self):
         m = models.spin_perturbed_model("cubic")

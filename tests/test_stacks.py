@@ -70,7 +70,7 @@ def raised(call):
 
 def stacked_qllr(states, r):
     def run(states):
-        return decomp._qllr_stack(r, linalg._positive(np.array(states), r.cutoff))
+        return decomp._qllr_stack(decomp._Parts(r, linalg._positive(np.array(states), r.cutoff)))
 
     return linalg._replay(run, states)
 
