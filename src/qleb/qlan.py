@@ -164,17 +164,13 @@ def sld(model: ParametricModel, direction: int, cutoff: float | None = None) -> 
     Solves d rho / d theta^i = (rho L + L rho) / 2 in the eigenbasis of
     rho_theta0, zeroing the blocks where both eigenvalues vanish. Derivative
     weight on those blocks means the family leaves the support to first
-    order, which is rejected. Once the model's SLD set is built, L_i is read
-    from it.
+    order, which is rejected.
     """
     if not 0 <= direction < model.theta_dim:
         raise DimensionMismatchError(
             f"direction {direction} out of range for theta_dim {model.theta_dim}"
         )
-    base = _base(model, cutoff)
-    if base.slds is not None:
-        return base.slds.l_ops[direction].copy()
-    return _slds(model, base.rho0, [direction])[0]
+    return _slds(model, _base(model, cutoff).rho0, [direction])[0]
 
 
 def _slds(model: ParametricModel, rho0: PositiveOperator,

@@ -480,18 +480,6 @@ class TestBase:
             assert len(calls) == 1 + 4 * (i + 1)
         assert qlan.oh2_report(m).passed()
 
-    def test_sld_reads_a_built_sld_set(self):
-        calls = []
-        m = toy_model(self.counted(models.spin_pure_state, calls), theta_dim=2)
-        l_ops = qlan.sld_set(m).l_ops
-        calls.clear()
-        for i, l_op in enumerate(l_ops):
-            got = qlan.sld(m, i)
-            assert got.tobytes() == l_op.tobytes()
-            got[...] = 7.0
-            assert qlan.sld(m, i).tobytes() == l_op.tobytes()
-        assert calls == []
-
     def test_sld_never_warns_of_a_degenerate_covariance(self):
         m = toy_model(lambda t: np.eye(2, dtype=complex) / 2)
         with warnings.catch_warnings():
