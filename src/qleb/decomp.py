@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import (
     PositiveOperator,
-    SpectralDecomposition,
+    _Spectrum,
     _canonicalize,
     _clusters,
     _dagger,
@@ -45,9 +45,9 @@ from .linalg import (
     _pair,
     _positive,
     _resolve_cutoff,
+    _support_projector,
     hermitian_part,
-    positive,
-    support_projector,
+    positive,  # noqa: F401  not called here; bench/test_bench.py reads this binding
 )
 
 #: absolute overlap tolerance, scaled by operator norms where it is applied
@@ -96,7 +96,7 @@ def is_singular(rho, sigma, cutoff: float | None = None) -> SingularityCheck:
         raise ZeroOperatorError("singularity test needs two nonzero operators")
     # both operands are nonzero, so neither matrix is empty
     exc_norm = float(np.linalg.norm(_shared(r, s).excision[0], 2))
-    proj = float(np.linalg.norm(support_projector(r) @ support_projector(s), 2))
+    proj = float(np.linalg.norm(_support_projector(r) @ _support_projector(s), 2))
     by_trace, tr, trace_bound = _trace_singular(r, s)
     exc_bound = SINGULARITY_TOL * s.norm2
     proj_bound = float(np.sqrt(SINGULARITY_TOL))
@@ -132,11 +132,11 @@ class _Parts:
         return _excision(self.r.support_basis(), self.s.bases(), self.s.values)
 
     @cached_property
-    def verdicts(self) -> tuple[SpectralDecomposition, list[float]]:
+    def verdicts(self) -> tuple[_Spectrum, list[float]]:
         """The excision's eigenpairs and each slice's positivity floor, frozen.
 
         r << s iff the smallest eigenvalue exceeds the floor; the eigenvectors
-        of the eigenvalues above it span H2 of ``support_split``. They are the
+        of the eigenvalues above it span H2 of ``_support_split``. They are the
         solver's, so a caller that reads them canonicalizes a copy.
         """
         exc = self.excision
@@ -268,8 +268,8 @@ def is_mutually_ac(rho, sigma, cutoff: float | None = None) -> MutualContinuityC
 
 
 @dataclass(frozen=True)
-class SupportSplit:
-    """Basis adapted to a pair (rho, sigma) and the induced blocks.
+class _SupportSplit:
+    """Basis adapted to a pair (rho, sigma) and the blocks the block route reads.
 
     H2 is the support of sigma compressed onto supp rho, H1 its kernel inside
     supp rho, H3 the kernel of rho. In the basis (H1, H2, H3):
@@ -284,8 +284,6 @@ class SupportSplit:
     basis_h1: np.ndarray
     basis_h2: np.ndarray
     basis_h3: np.ndarray
-    rho2: np.ndarray
-    rho1: np.ndarray
     rho0: np.ndarray
     sigma0: np.ndarray
     alpha: np.ndarray
@@ -303,20 +301,8 @@ class SupportSplit:
         return np.hstack([self.basis_h1, self.basis_h2, self.basis_h3])
 
 
-def support_split(rho, sigma, cutoff: float | None = None) -> SupportSplit:
-    """Adapt a basis to (rho, sigma) and extract the canonical blocks."""
-    r, s = _pair(rho, sigma, cutoff)
-    if r.rank == 0 or s.rank == 0:
-        raise ZeroOperatorError("support split needs two nonzero operators")
-    if _trace_singular(r, s)[0]:
-        raise MutuallySingularError(
-            "operators are mutually singular; the adapted split is empty"
-        )
-    return _support_split(r, s)
-
-
-def _support_split(r: PositiveOperator, s: PositiveOperator) -> SupportSplit:
-    """``support_split`` of a validated pair already found not trace-singular."""
+def _support_split(r: PositiveOperator, s: PositiveOperator) -> _SupportSplit:
+    """The adapted basis and blocks of a validated pair already found not trace-singular."""
     v_supp = r.support_basis()
     v_ker = r.kernel_basis()
     ((w,), (u,)), (pos_tol,) = _shared(r, s).verdicts
@@ -331,14 +317,11 @@ def _support_split(r: PositiveOperator, s: PositiveOperator) -> SupportSplit:
     h1 = v_supp @ u[:, m:]
     h3 = v_ker
     sm = s.matrix
-    rm = r.matrix
-    return SupportSplit(
+    return _SupportSplit(
         basis_h1=h1,
         basis_h2=h2,
         basis_h3=h3,
-        rho2=hermitian_part(h1.conj().T @ rm @ h1),
-        rho1=h1.conj().T @ rm @ h2,
-        rho0=hermitian_part(h2.conj().T @ rm @ h2),
+        rho0=hermitian_part(h2.conj().T @ r.matrix @ h2),
         sigma0=hermitian_part(h2.conj().T @ sm @ h2),
         alpha=h2.conj().T @ sm @ h3,
         beta=hermitian_part(h3.conj().T @ sm @ h3),
@@ -387,7 +370,7 @@ def _witness_stack(sigma0: np.ndarray, alpha: np.ndarray, rho0: np.ndarray, lead
 def lebesgue_decompose(sigma, rho, cutoff: float | None = None) -> LebesgueDecomposition:
     """Split sigma along rho via the adapted block construction.
 
-    In the (H1, H2, H3) basis of ``support_split``:
+    In the (H1, H2, H3) basis of ``_support_split``:
 
         sigma_ac   = [[0, 0,      0],                [[0, 0, 0],
                       [0, sigma0, alpha],  sigma_sing = [0, 0, 0],
@@ -530,18 +513,3 @@ def _qllr_stack(p: _Parts) -> np.ndarray:
     r_plus = _witness_stack(hermitian_part(sb[:, :k, :k]), sb[:, :k, k:], rho0, 0, 1.0, c)
     l_basis = _log_stack(_positive(r_plus, c, 1.0))
     return hermitian_part(v @ l_basis @ _dagger(v)) * 2.0
-
-
-def ac_ball_radius(rho, cutoff: float | None = None) -> float:
-    """Smallest positive eigenvalue of a density operator rho.
-
-    Every state sigma with ||sigma - rho||_2 below this radius satisfies
-    rho << sigma.
-    """
-    r = positive(rho, cutoff)
-    if r.rank == 0:
-        raise ZeroOperatorError("radius of the zero operator is undefined")
-    tr = r.trace()
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"expected a density operator (trace 1), got trace {tr!r}")
-    return float(r.eigenvalues[r.rank - 1])

@@ -80,7 +80,3 @@ class UnreachableOverlapError(QlebError, ValueError):
 
 class InvalidRanksError(QlebError, ValueError):
     """Requested ranks are not realizable at the given dimension."""
-
-
-class NotUnitError(QlebError, ValueError):
-    """Vector is not normalized."""

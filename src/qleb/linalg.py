@@ -150,7 +150,7 @@ def _hermitize_stack(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return hermitian_part(m)
 
 
-class SpectralDecomposition(NamedTuple):
+class _Spectrum(NamedTuple):
     """Eigenvalues (real, descending) and matching orthonormal eigenvectors."""
 
     eigenvalues: np.ndarray
@@ -230,25 +230,20 @@ def _canonicalize(vectors: np.ndarray, pending: list[list[tuple[int, int]]], lim
         clusters[:] = [c for c in clusters if c[0] >= limit]
 
 
-def eig_hermitian(a) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
+def _eigh(h: np.ndarray) -> _Spectrum:
+    """Eigenpairs of a ``hermitian_part``-exact matrix or stack, eigenvalues descending.
 
     Within degenerate eigenspaces the eigenvectors are replaced by a
     deterministic orthonormalization of the standard basis projected onto the
     eigenspace, so the returned basis does not depend on solver internals.
     """
-    return _eigh(hermitize(a))
-
-
-def _eigh(h: np.ndarray) -> SpectralDecomposition:
-    """``eig_hermitian`` of a matrix, or a stack, that is ``hermitian_part``-exact."""
     w, v = _eigh_raw(h)
     n, d = (1, w.shape[0]) if w.ndim == 1 else w.shape
     _canonicalize(v.reshape(n, d, d), [_clusters(vals) for vals in w.reshape(n, d).tolist()], d)
-    return SpectralDecomposition(w, v)
+    return _Spectrum(w, v)
 
 
-def _eigh_raw(h: np.ndarray) -> SpectralDecomposition:
+def _eigh_raw(h: np.ndarray) -> _Spectrum:
     """The solver's eigenpairs of ``h`` (or of each slice), descending, in fresh arrays.
 
     Degenerate eigenspaces keep whatever basis the solver returned, so use it
@@ -258,8 +253,7 @@ def _eigh_raw(h: np.ndarray) -> SpectralDecomposition:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(np.ascontiguousarray(w[..., ::-1]),
-                                 np.ascontiguousarray(v[..., ::-1]))
+    return _Spectrum(np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1]))
 
 
 def _synth(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
@@ -430,20 +424,14 @@ def _positive(m: np.ndarray, cutoff: float, scale_floor=0.0) -> PositiveOperator
                             [_clusters(wj) for wj in vals])
 
 
-def support_projector(a, cutoff: float | None = None) -> np.ndarray:
-    """Orthogonal projector onto the numerical support of a PSD matrix."""
-    p = positive(a, cutoff)
+def _support_projector(p: PositiveOperator) -> np.ndarray:
+    """Orthogonal projector onto the numerical support of the operator ``p``."""
     v = p.support_basis()
     return hermitian_part(v @ v.conj().T)
 
 
-def log_pd(a, cutoff: float | None = None) -> np.ndarray:
-    """Matrix logarithm of a strictly positive matrix."""
-    return _log_stack(positive(a, cutoff))[0]
-
-
 def _log_stack(p: PositiveOperator) -> np.ndarray:
-    """``log_pd`` of each slice of a stack; raises at a rank-deficient slice."""
+    """Matrix logarithm of each slice of a stack; raises at a rank-deficient slice."""
     d = p.dim
     for rank in p.ranks():
         if rank < d:

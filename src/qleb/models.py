@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidMatrixError,
     InvalidRanksError,
-    NotUnitError,
     UnreachableOverlapError,
 )
 from .linalg import (
@@ -59,21 +58,13 @@ def _theta2(theta) -> np.ndarray:
     return theta
 
 
-def spin_pure_state(theta) -> np.ndarray:
-    return spin_pure_states([theta])[0]
-
-
-def spin_perturbed_state(theta, f_rule="quartic") -> np.ndarray:
-    return spin_perturbed_states([theta], f_rule)[0]
-
-
 def spin_pure_states(thetas) -> np.ndarray:
-    """``spin_pure_state`` at each theta of a sequence, as one (N, 2, 2) stack."""
+    """The pure family rho_bar at each theta of a sequence, as one (N, 2, 2) stack."""
     return _spin_states(thetas, None)
 
 
 def spin_perturbed_states(thetas, f_rule="quartic") -> np.ndarray:
-    """``spin_perturbed_state`` at each theta of a sequence, as one (N, 2, 2) stack."""
+    """The perturbed family at each theta of a sequence, as one (N, 2, 2) stack."""
     f = _f_rule(f_rule)
     return _spin_states(thetas, lambda theta: float(np.exp(-f(theta))))
 
@@ -124,7 +115,7 @@ def spin_pure_model() -> ParametricModel:
         dim=2,
         theta_dim=2,
         theta0=np.zeros(2),
-        state_at=spin_pure_state,
+        state_at=lambda theta: spin_pure_states([theta])[0],
         states_at=spin_pure_states,
     )
 
@@ -136,7 +127,7 @@ def spin_perturbed_model(f_rule="quartic") -> ParametricModel:
         dim=2,
         theta_dim=2,
         theta0=np.zeros(2),
-        state_at=lambda theta: spin_perturbed_state(theta, f),
+        state_at=lambda theta: spin_perturbed_states([theta], f)[0],
         states_at=lambda thetas: spin_perturbed_states(thetas, f),
     )
 
@@ -369,17 +360,3 @@ def _rotate_to_overlap(rho: np.ndarray, sigma: np.ndarray, gen: np.ndarray,
     raise UnreachableOverlapError(
         f"bisection did not reach overlap {target:.3e}; stuck at {value:.3e}"
     )
-
-
-def pure_pair(psi, xi) -> tuple[PositiveOperator, PositiveOperator]:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if psi.shape != xi.shape:
-        raise DimensionMismatchError(
-            f"vectors have different dimensions {psi.shape[0]} and {xi.shape[0]}"
-        )
-    for label, vec in (("psi", psi), ("xi", xi)):
-        gap = abs(float(np.linalg.norm(vec)) - 1.0)
-        if gap > 1e-12:
-            raise NotUnitError(f"{label} is off unit norm by {gap:.3e}")
-    return positive(np.outer(psi, psi.conj())), positive(np.outer(xi, xi.conj()))

@@ -158,24 +158,9 @@ def _base(model: ParametricModel, cutoff: float | None) -> _Base:
     return _bases.get((id(model), c), lambda: _Base(model, positive(model.state0(), c)))
 
 
-def sld(model: ParametricModel, direction: int, cutoff: float | None = None) -> np.ndarray:
-    """Symmetric logarithmic derivative L_i at theta0.
-
-    Solves d rho / d theta^i = (rho L + L rho) / 2 in the eigenbasis of
-    rho_theta0, zeroing the blocks where both eigenvalues vanish. Derivative
-    weight on those blocks means the family leaves the support to first
-    order, which is rejected.
-    """
-    if not 0 <= direction < model.theta_dim:
-        raise DimensionMismatchError(
-            f"direction {direction} out of range for theta_dim {model.theta_dim}"
-        )
-    return _slds(model, _base(model, cutoff).rho0, [direction])[0]
-
-
 def _slds(model: ParametricModel, rho0: PositiveOperator,
           directions: Sequence[int]) -> list[np.ndarray]:
-    """``sld`` along each direction at the already validated base state ``rho0``.
+    """The SLD along each direction at the already validated base state ``rho0``.
 
     The Richardson stencils of all directions are evaluated in one pass, in
     the order a loop over the directions visits them; a failing pass is
@@ -204,7 +189,12 @@ def _slds(model: ParametricModel, rho0: PositiveOperator,
 
 
 def _sld(rho0: PositiveOperator, drho: np.ndarray) -> np.ndarray:
-    """The SLD at ``rho0`` of the state derivative ``drho``."""
+    """Symmetric logarithmic derivative L at ``rho0`` of the state derivative ``drho``.
+
+    Solves drho = (rho0 L + L rho0) / 2 in the eigenbasis of rho0, zeroing the
+    blocks where both eigenvalues vanish. Derivative weight on those blocks
+    means the family leaves the support to first order, which is rejected.
+    """
     gap = float(np.max(np.abs(drho - drho.conj().T)))
     if gap > FD_TOL:
         raise DerivativeUnstableError(
@@ -232,15 +222,10 @@ def _sld(rho0: PositiveOperator, drho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SldSet:
-    """All SLD directions at theta0 plus the induced information matrix."""
+    """All SLD directions at theta0 plus the information matrix J_ij = Tr rho_theta0 L_j L_i."""
 
     l_ops: tuple[np.ndarray, ...]
     j_matrix: np.ndarray
-
-
-def fisher_j(model: ParametricModel, cutoff: float | None = None) -> np.ndarray:
-    """Information matrix J_ij = Tr rho_theta0 L_j L_i."""
-    return _sld_set(model, cutoff)[1].j_matrix.copy()
 
 
 def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:

@@ -21,11 +21,16 @@ def report(capsys, k, failures, desc):
     assert ok, f"criterion {k}: " + "; ".join(failures)
 
 
+def pure_states(*vectors):
+    """The projector onto each unit vector, validated."""
+    return [linalg.positive(np.outer(v, v.conj())) for v in vectors]
+
+
 def test_criterion_1_fisher_matrix(capsys):
     t0 = time.perf_counter()
     failures = []
     for name in ("spin-pure", "spin-perturbed:quartic"):
-        j = qlan.fisher_j(models.get_model(name))
+        j = qlan.sld_set(models.get_model(name)).j_matrix
         gap = float(np.max(np.abs(j - J_SPIN)))
         if gap > 1e-10:
             failures.append(f"{name} J off by {gap:.3e}")
@@ -278,7 +283,7 @@ def test_criterion_8_pure_state_continuity(capsys):
         overlap = abs(complex(psi.conj() @ xi))
         if overlap <= 1e-3:
             continue
-        rho, sigma = models.pure_pair(psi, xi)
+        rho, sigma = pure_states(psi, xi)
         chk = decomp.is_mutually_ac(rho, sigma)
         checked += 1
         if not chk.mutually_ac:
@@ -287,7 +292,7 @@ def test_criterion_8_pure_state_continuity(capsys):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         u = models.haar_unitary(4, rng)
-        rho, sigma = models.pure_pair(u[:, 0], u[:, 1])
+        rho, sigma = pure_states(u[:, 0], u[:, 1])
         chk = decomp.is_singular(rho, sigma)
         if not chk.singular:
             failures.append(f"orthogonal pair seed={seed} not singular")

@@ -299,7 +299,7 @@ class TestQlan:
             for s in (1e-5, 5e-6):
                 grid.append(t0 + s * e)
                 grid.append(t0 - s * e)
-        states = [models.spin_pure_state(t) for t in grid]
+        states = list(models.spin_pure_states(grid))
         for n in (100, 1000):
             grid.append(t0 + h / np.sqrt(n))
             states.append(np.diag([0.0, 1.0]))

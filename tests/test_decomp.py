@@ -127,23 +127,27 @@ class TestSupportSplit:
         [[0.5, 0.0, 0.4], [0.0, 0.0, 0.0], [0.4, 0.0, 0.5]], dtype=complex
     )
 
+    def split(self):
+        return decomp._support_split(*linalg._pair(self.RHO, self.SIGMA, None))
+
     def test_block_dimensions(self):
-        split = decomp.support_split(self.RHO, self.SIGMA)
+        split = self.split()
         assert split.dims == (1, 1, 1)
         basis = split.full_basis()
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-13)
 
     def test_block_values(self):
-        split = decomp.support_split(self.RHO, self.SIGMA)
+        split = self.split()
         np.testing.assert_allclose(split.sigma0, [[0.5]], atol=1e-13)
         np.testing.assert_allclose(np.abs(split.alpha), [[0.4]], atol=1e-13)
         np.testing.assert_allclose(split.beta, [[0.5]], atol=1e-13)
         np.testing.assert_allclose(split.rho0, [[0.7]], atol=1e-13)
-        np.testing.assert_allclose(split.rho2, [[0.3]], atol=1e-13)
-        np.testing.assert_allclose(split.rho1, [[0.0]], atol=1e-13)
+        h1, h2 = split.basis_h1, split.basis_h2
+        np.testing.assert_allclose(h1.conj().T @ self.RHO @ h1, [[0.3]], atol=1e-13)
+        np.testing.assert_allclose(h1.conj().T @ self.RHO @ h2, [[0.0]], atol=1e-13)
 
     def test_zero_patterns_in_adapted_basis(self):
-        split = decomp.support_split(self.RHO, self.SIGMA)
+        split = self.split()
         basis = split.full_basis()
         rho_b = basis.conj().T @ self.RHO @ basis
         sigma_b = basis.conj().T @ self.SIGMA @ basis
@@ -152,12 +156,10 @@ class TestSupportSplit:
         np.testing.assert_allclose(sigma_b[0, :], 0.0, atol=1e-13)
 
     def test_mutually_singular_pair_rejected(self):
+        # the compression of sigma onto supp rho vanishes: no H2 to split off
+        pair = linalg._pair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), None)
         with pytest.raises(MutuallySingularError):
-            decomp.support_split(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-
-    def test_zero_operator_rejected(self):
-        with pytest.raises(ZeroOperatorError):
-            decomp.support_split(self.RHO, np.zeros((3, 3)))
+            decomp._support_split(*pair)
 
 
 class TestLebesgueDecompose:
@@ -335,20 +337,23 @@ class TestQllr:
 
 
 class TestAcBallRadius:
+    """Every state within the smallest positive eigenvalue of rho, in norm, dominates rho."""
+
+    @staticmethod
+    def radius(rho) -> float:
+        p = linalg.positive(rho)
+        return float(p.eigenvalues[p.rank - 1])
+
     def test_value_is_smallest_positive_eigenvalue(self):
         rho = np.diag([0.6, 0.3, 0.1])
-        assert decomp.ac_ball_radius(rho) == pytest.approx(0.1)
+        assert self.radius(rho) == pytest.approx(0.1)
         rank_def = np.diag([0.9, 0.1, 0.0])
-        assert decomp.ac_ball_radius(rank_def) == pytest.approx(0.1)
-
-    def test_requires_unit_trace(self):
-        with pytest.raises(ValueError):
-            decomp.ac_ball_radius(np.diag([0.6, 0.6]))
+        assert self.radius(rank_def) == pytest.approx(0.1)
 
     def test_perturbations_inside_ball_stay_dominating(self):
         rng = np.random.default_rng(17)
         rho = np.diag([0.6, 0.3, 0.1]).astype(complex)
-        radius = decomp.ac_ball_radius(rho)
+        radius = self.radius(rho)
         for _ in range(10):
             h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             h = (h + h.conj().T) / 2
@@ -418,7 +423,7 @@ class TestOracles:
                         continue
                     half = linalg.expm(decomp.qllr(sigma, rho).l_matrix / 2)
                     r = decomp.lebesgue_decompose(sigma, rho).witness_r.matrix
-                    expected = r + np.eye(d) - linalg.support_projector(rho)
+                    expected = r + np.eye(d) - linalg._support_projector(rho)
                     gap = np.max(np.abs(half - expected))
                     assert gap <= 1e-10 * max(1.0, np.max(np.abs(r))), spec
                     checked += 1

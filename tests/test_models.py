@@ -12,39 +12,48 @@ from qleb.errors import (
     DimensionMismatchError,
     InvalidMatrixError,
     InvalidRanksError,
-    NotUnitError,
     UnreachableOverlapError,
 )
 
 
+def spin_pure_state(theta):
+    """The pure family at one theta, through its model's single-point ``state_at``."""
+    return models.spin_pure_model().state_at(theta)
+
+
+def spin_perturbed_state(theta, f_rule="quartic"):
+    """The perturbed family at one theta, through its model's single-point ``state_at``."""
+    return models.spin_perturbed_model(f_rule).state_at(theta)
+
+
 class TestSpinPure:
     def test_origin_is_ground_state(self):
-        np.testing.assert_allclose(models.spin_pure_state((0.0, 0.0)),
+        np.testing.assert_allclose(spin_pure_state((0.0, 0.0)),
                                    np.diag([1.0, 0.0]), atol=1e-15)
 
     @pytest.mark.parametrize("theta", [(0.3, 0.0), (0.0, -0.7), (1.2, 0.9),
                                        (4.0, 3.0), (-2.5, 1.5)])
     def test_unit_trace_and_rank_one(self, theta):
-        rho = models.spin_pure_state(theta)
+        rho = spin_pure_state(theta)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         w = np.linalg.eigvalsh(rho)
         assert w[0] == pytest.approx(0.0, abs=1e-12)
         assert w[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_large_theta_does_not_overflow(self):
-        rho = models.spin_pure_state((400.0, 300.0))
+        rho = spin_pure_state((400.0, 300.0))
         assert np.all(np.isfinite(rho))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
 
     def test_direction_symmetry(self):
         # rotating theta by phi in the plane conjugates the state by
         # exp(-i phi sz / 2); here phi = pi/4
-        a = models.spin_pure_state((0.5, 0.0))
+        a = spin_pure_state((0.5, 0.0))
         u = linalg.expm(-0.125j * np.pi * models.SIGMA_Z)
-        b = models.spin_pure_state((0.5 / np.sqrt(2), 0.5 / np.sqrt(2)))
+        b = spin_pure_state((0.5 / np.sqrt(2), 0.5 / np.sqrt(2)))
         np.testing.assert_allclose(u @ a @ u.conj().T, b, atol=1e-12)
 
-    @pytest.mark.parametrize("family", [models.spin_pure_state, models.spin_perturbed_state])
+    @pytest.mark.parametrize("family", [spin_pure_state, spin_perturbed_state])
     @pytest.mark.parametrize("theta", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)])
     def test_theta_must_be_finite(self, family, theta):
         with warnings.catch_warnings():
@@ -60,12 +69,12 @@ class TestSpinPure:
 
     def test_theta_must_be_a_2_vector(self):
         with pytest.raises(DimensionMismatchError):
-            models.spin_pure_state((0.1,))
+            spin_pure_state((0.1,))
 
 
 class TestSpinPerturbed:
     def test_origin_is_ground_state(self):
-        np.testing.assert_allclose(models.spin_perturbed_state((0.0, 0.0)),
+        np.testing.assert_allclose(spin_perturbed_state((0.0, 0.0)),
                                    np.diag([1.0, 0.0]), atol=1e-15)
 
     @pytest.mark.parametrize("rule,power", [("quartic", 4), ("cubic", 3),
@@ -73,14 +82,14 @@ class TestSpinPerturbed:
     def test_mixture_weight_follows_rule(self, rule, power):
         theta = np.array([0.3, 0.4])  # norm 1/2
         weight = np.exp(-0.5 ** power)
-        rho = models.spin_perturbed_state(theta, rule)
-        pure = models.spin_pure_state(theta)
+        rho = spin_perturbed_state(theta, rule)
+        pure = spin_pure_state(theta)
         np.testing.assert_allclose(rho, weight * pure + (1 - weight) * np.diag([0, 1.0]),
                                    atol=1e-14)
 
     def test_callable_rule(self):
-        rho = models.spin_perturbed_state((1.0, 0.0), lambda t: 0.0)
-        np.testing.assert_allclose(rho, models.spin_pure_state((1.0, 0.0)), atol=1e-15)
+        rho = spin_perturbed_state((1.0, 0.0), lambda t: 0.0)
+        np.testing.assert_allclose(rho, spin_pure_state((1.0, 0.0)), atol=1e-15)
 
     def test_unknown_rule_name(self):
         with pytest.raises(ValueError):
@@ -88,7 +97,7 @@ class TestSpinPerturbed:
 
     @pytest.mark.parametrize("call", [
         lambda: models.spin_perturbed_model("quintic"),
-        lambda: models.spin_perturbed_state((0.1, 0.2), "quintic"),
+        lambda: spin_perturbed_state((0.1, 0.2), "quintic"),
         lambda: models.spin_perturbed_states([(0.1, 0.2)], "quintic"),
     ])
     def test_unknown_rule_name_is_rejected_before_any_state(self, monkeypatch, call):
@@ -107,12 +116,12 @@ class TestSpinPerturbed:
         # along rho(0) = |0><0| the a.c. part is the reweighted pure state and
         # the singular part is the excited-state remainder, exactly
         theta = (0.3, 0.1)
-        rho0 = models.spin_pure_state((0.0, 0.0))
-        sigma = models.spin_perturbed_state(theta)
+        rho0 = spin_pure_state((0.0, 0.0))
+        sigma = spin_perturbed_state(theta)
         dec = decomp.lebesgue_decompose(sigma, rho0)
         weight = np.exp(-np.linalg.norm(theta) ** 4)
         np.testing.assert_allclose(dec.sigma_ac.matrix,
-                                   weight * models.spin_pure_state(theta), atol=1e-12)
+                                   weight * spin_pure_state(theta), atol=1e-12)
         np.testing.assert_allclose(dec.sigma_sing.matrix,
                                    (1 - weight) * np.diag([0.0, 1.0]), atol=1e-12)
 
@@ -123,12 +132,12 @@ class TestSpinPerturbed:
         # kernel-identity version
         theta = (0.25, -0.15)
         f = float(np.linalg.norm(theta) ** 4)
-        rho0 = models.spin_pure_state((0.0, 0.0))
-        pure_l = decomp.qllr(models.spin_pure_state(theta), rho0).l_matrix
-        pert_l = decomp.qllr(models.spin_perturbed_state(theta), rho0).l_matrix
+        rho0 = spin_pure_state((0.0, 0.0))
+        pure_l = decomp.qllr(spin_pure_state(theta), rho0).l_matrix
+        pert_l = decomp.qllr(spin_perturbed_state(theta), rho0).l_matrix
         shifted = pure_l - f * np.eye(2)
         half = linalg.expm(shifted / 2)
-        ac = decomp.lebesgue_decompose(models.spin_perturbed_state(theta),
+        ac = decomp.lebesgue_decompose(spin_perturbed_state(theta),
                                        rho0).sigma_ac.matrix
         np.testing.assert_allclose(half @ rho0 @ half, ac, atol=1e-9)
         lhs = float(np.trace(rho0 @ linalg.expm(pert_l)).real)
@@ -364,20 +373,20 @@ class TestRotateToOverlap:
 
 
 class TestPurePair:
+    @staticmethod
+    def pure_states(*vectors):
+        return [np.outer(v, np.conj(v)) for v in map(np.asarray, vectors)]
+
     def test_projectors(self):
         psi = np.array([1.0, 0.0])
         xi = np.array([1.0, 1.0]) / np.sqrt(2)
-        rho, sigma = models.pure_pair(psi, xi)
+        rho, sigma = map(linalg.positive, self.pure_states(psi, xi))
         assert rho.rank == 1 and sigma.rank == 1
         np.testing.assert_allclose(sigma.matrix, np.full((2, 2), 0.5), atol=1e-15)
 
-    def test_norm_validation(self):
-        with pytest.raises(NotUnitError):
-            models.pure_pair([1.0, 1.0], [1.0, 0.0])
-
     def test_dimension_validation(self):
         with pytest.raises(DimensionMismatchError):
-            models.pure_pair([1.0, 0.0], [1.0, 0.0, 0.0])
+            decomp.is_singular(*self.pure_states([1.0, 0.0], [1.0, 0.0, 0.0]))
 
 
 def test_haar_unitary_is_unitary_and_deterministic():

@@ -32,6 +32,10 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
 
+def spin_pure_state(theta):
+    return models.spin_pure_states([theta])[0]
+
+
 def toy_model(state_fn, theta_dim=1, dim=2, theta0=None):
     return qlan.ParametricModel(
         name="toy",
@@ -44,50 +48,46 @@ def toy_model(state_fn, theta_dim=1, dim=2, theta0=None):
 
 class TestSld:
     def test_pure_model_directions(self):
-        m = models.spin_pure_model()
-        np.testing.assert_allclose(qlan.sld(m, 0), SX, atol=1e-9)
-        np.testing.assert_allclose(qlan.sld(m, 1), SY, atol=1e-9)
+        l_ops = qlan.sld_set(models.spin_pure_model()).l_ops
+        np.testing.assert_allclose(l_ops[0], SX, atol=1e-9)
+        np.testing.assert_allclose(l_ops[1], SY, atol=1e-9)
 
     def test_fullrank_model_direction(self):
         m = models.qubit_fullrank_model()
-        np.testing.assert_allclose(qlan.sld(m, 0), SZ, atol=1e-9)
+        np.testing.assert_allclose(qlan.sld_set(m).l_ops[0], SZ, atol=1e-9)
 
     def test_defining_equation(self):
         # drho = (rho L + L rho) / 2 against an analytic derivative
         m = models.qubit_fullrank_model()
-        l = qlan.sld(m, 0)
+        l = qlan.sld_set(m).l_ops[0]
         rho0 = m.state0()
         np.testing.assert_allclose((rho0 @ l + l @ rho0) / 2, SZ / 2, atol=1e-9)
-
-    def test_direction_out_of_range(self):
-        with pytest.raises(DimensionMismatchError):
-            qlan.sld(models.spin_pure_model(), 2)
 
     def test_rejects_derivative_leaving_support(self):
         m = toy_model(lambda t: (1 - t[0]) * np.diag([1.0, 0.0])
                       + t[0] * np.diag([0.0, 1.0]))
         with pytest.raises(DerivativeLeavesSupportError):
-            qlan.sld(m, 0)
+            qlan.sld_set(m)
 
     def test_rejects_non_hermitian_derivative(self):
         nudge = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = toy_model(lambda t: np.eye(2) / 2 + t[0] * nudge)
         with pytest.raises(DerivativeUnstableError):
-            qlan.sld(m, 0)
+            qlan.sld_set(m)
 
     def test_rejects_trace_breaking_derivative(self):
         m = toy_model(lambda t: (1.0 + t[0]) * np.eye(2) / 2)
         with pytest.raises(DerivativeUnstableError):
-            qlan.sld(m, 0)
+            qlan.sld_set(m)
 
 
 class TestSldSet:
     def test_fisher_j_of_pure_model(self):
-        j = qlan.fisher_j(models.spin_pure_model())
+        j = qlan.sld_set(models.spin_pure_model()).j_matrix
         np.testing.assert_allclose(j, J_SPIN, atol=1e-10)
 
     def test_fisher_j_of_fullrank_model(self):
-        j = qlan.fisher_j(models.qubit_fullrank_model())
+        j = qlan.sld_set(models.qubit_fullrank_model()).j_matrix
         np.testing.assert_allclose(j, [[1.0]], atol=1e-10)
 
     def test_pure_model_does_not_warn(self):
@@ -366,16 +366,14 @@ def test_sandwich_query_checked_before_any_model_evaluation(monkeypatch, query, 
     assert raised_first(monkeypatch, call) == expected
 
 
-@pytest.mark.parametrize("entry", ["sld", "sld_set", "fisher_j", "qclt", "lecam", "sandwich_qcf",
-                                   "sandwich_report", "oh2", "remainder", "probe"])
+@pytest.mark.parametrize("entry", ["sld_set", "qclt", "lecam", "sandwich_qcf", "sandwich_report",
+                                   "oh2", "remainder", "probe"])
 def test_cutoff_checked_before_any_model_evaluation(monkeypatch, entry):
     m = unevaluated_model()
     q = E1[None]
     cut = {"cutoff": 2.0}
     calls = {
-        "sld": lambda: qlan.sld(m, 0, **cut),
         "sld_set": lambda: qlan.sld_set(m, **cut),
-        "fisher_j": lambda: qlan.fisher_j(m, **cut),
         "qclt": lambda: qlan.qclt_report(m, [q], (10, 100), **cut),
         "lecam": lambda: qlan.lecam_report(m, None, (0.3, 0.1), [q], (10, 100), **cut),
         "sandwich_qcf": lambda: qlan.sandwich_qcf(m, (0.3, 0.1), q, 10, **cut),
@@ -391,9 +389,7 @@ def test_cutoff_checked_before_any_model_evaluation(monkeypatch, entry):
 
 #: each public entry that reads the q-LAN base, as one call on a model
 BASE_READERS = {
-    "sld": lambda m, h, qs, ns: qlan.sld(m, m.theta_dim - 1),
     "sld_set": lambda m, h, qs, ns: qlan.sld_set(m),
-    "fisher_j": lambda m, h, qs, ns: qlan.fisher_j(m),
     "qclt": lambda m, h, qs, ns: qlan.qclt_report(m, qs, ns),
     "lecam": lambda m, h, qs, ns: qlan.lecam_report(m, None, h, qs, ns),
     "sandwich_qcf": lambda m, h, qs, ns: qlan.sandwich_qcf(m, h, qs[0], ns[1]),
@@ -454,7 +450,7 @@ class TestBase:
         calls = [(lambda: qlan.sld_set(m), __file__),
                  (lambda: qlan.sld_set(m), __file__),
                  (lambda: qlan.qclt_report(m, [np.array([[0.5]])], (10, 100)), __file__),
-                 (lambda: qlan.fisher_j(m), __file__),
+                 (lambda: qlan.sld_set(m).j_matrix, __file__),
                  (lambda: qlan.iid_remainder_rule(m, (0.3,)), __file__)]
         for call, blamed in calls:
             with pytest.warns(UserWarning, match="degenerate") as record:
@@ -469,7 +465,7 @@ class TestBase:
 
         calls = []
         m = toy_model(self.counted(state, calls))
-        readers = [lambda: qlan.sld_set(m), lambda: qlan.fisher_j(m),
+        readers = [lambda: qlan.sld_set(m), lambda: qlan.sld_set(m).j_matrix,
                    lambda: qlan.qclt_report(m, [np.array([[0.5]])], (10, 100)),
                    lambda: qlan.iid_remainder_rule(m, (0.3,))]
         for i, call in enumerate(readers * 2):
@@ -480,17 +476,6 @@ class TestBase:
             assert len(calls) == 1 + 4 * (i + 1)
         assert qlan.oh2_report(m).passed()
 
-    def test_sld_never_warns_of_a_degenerate_covariance(self):
-        m = toy_model(lambda t: np.eye(2, dtype=complex) / 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            unbuilt = qlan.sld(m, 0)
-        with pytest.warns(UserWarning, match="degenerate"):
-            qlan.sld_set(m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert qlan.sld(m, 0).tobytes() == unbuilt.tobytes()
-
     def test_handed_out_arrays_are_the_callers_own(self):
         m = models.spin_perturbed_model("cubic")
         want = result_bytes(qlan.sld_set(m))
@@ -498,13 +483,12 @@ class TestBase:
         s = qlan.sld_set(m)
         s.l_ops[0][...] = 7.0
         s.j_matrix[...] = 7.0
-        qlan.fisher_j(m)[...] = 9.0
         assert result_bytes(qlan.sld_set(m)) == want
         assert result_bytes(qlan.qclt_report(m, [E1[None]], (10, 100))) == report
 
     def test_a_replaced_copy_is_another_model(self):
         calls = []
-        m = toy_model(self.counted(models.spin_pure_state, calls), theta_dim=2)
+        m = toy_model(self.counted(spin_pure_state, calls), theta_dim=2)
         qlan.sld_set(m)
         assert len(calls) == 9
         qlan.sld_set(m)
@@ -515,20 +499,21 @@ class TestBase:
 
     def test_the_last_eight_models_are_kept(self):
         calls = []
-        family = [toy_model(self.counted(models.spin_pure_state, calls), theta_dim=2)
+        family = [toy_model(self.counted(spin_pure_state, calls), theta_dim=2)
                   for _ in range(9)]
         for m in family[:8]:
-            qlan.sld(m, 0)
-        assert len(calls) == 8 * 5
-        qlan.sld(family[0], 0)
-        assert len(calls) == 8 * 5 + 4
+            qlan.sld_set(m)
+        # theta0 and the two directions' four stencil states each
+        assert len(calls) == 8 * 9
+        qlan.sld_set(family[0])
+        assert len(calls) == 8 * 9
         # the ninth evicts the least recently used, family[1]
-        qlan.sld(family[8], 0)
-        qlan.sld(family[1], 0)
-        assert len(calls) == 8 * 5 + 4 + 5 + 5
+        qlan.sld_set(family[8])
+        qlan.sld_set(family[1])
+        assert len(calls) == 8 * 9 + 9 + 9
 
     def test_the_memo_holds_its_models(self):
-        m = toy_model(models.spin_pure_state, theta_dim=2)
+        m = toy_model(spin_pure_state, theta_dim=2)
         ref = weakref.ref(m)
         qlan.oh2_report(m)
         del m
@@ -638,7 +623,7 @@ class TestLecamReport:
         # smooth at theta0 but jumps to the orthogonal state at finite shifts
         def state(t):
             if np.linalg.norm(t) < 1e-3:
-                return models.spin_pure_state(t)
+                return spin_pure_state(t)
             return np.diag([0.0, 1.0])
 
         m = toy_model(state, theta_dim=2)
