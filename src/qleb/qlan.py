@@ -15,7 +15,9 @@ kernels of ``linalg``: the model's states (one ``states_at`` call where the
 model has one) at the Richardson stencil of every SLD direction, at the
 local shifts theta0 + h / sqrt(n) of the n grid and at the ``oh2_report``
 points; their positivity, AC and ``qllr`` checks; and the site factors of
-every (n, query) pair. The QCF kernel ``_guarded_powers`` takes the site
+every (n, query) pair. The probe evaluates the rule of ``iid_remainder_rule``
+the same way, over its whole n grid; a remainder rule that a caller supplies
+is called once per n. The QCF kernel ``_guarded_powers`` takes the site
 observables of each n, so the probe's remainder R(n) enters as one more
 observable beside the SLDs, with eta as its query column. Errors stay those
 of the point-by-point loop: the earliest point fails first, and within a
@@ -27,15 +29,16 @@ the earliest; ``linalg._replay`` then reruns the grid one point at a time
 point's error. A grid that passes is evaluated once.
 
 Every report reads one q-LAN base per model from ``_base``: theta0's
-validated state and, built on first use, the SLD set. It is kept per
-thread, keyed on the model object's identity and the resolved cutoff; a
-failure is not kept, so it is raised again on every call.
+validated state and, built on first use, the SLD set and its limit law
+N(0, J). It is kept per thread, keyed on the model object's identity and the
+resolved cutoff; a failure is not kept, so it is raised again on every call.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,6 +150,11 @@ class _Base:
     slds: SldSet | None = None
     degenerate: bool = False
 
+    @cached_property
+    def limit(self) -> GaussianSpec:
+        """N(0, J) of the SLD set, validated on its first read; a failure is not kept."""
+        return GaussianSpec(np.zeros(self.model.theta_dim), self.slds.j_matrix)
+
 
 #: (id(model), cutoff) -> _Base
 _bases = _Memo()
@@ -229,12 +237,12 @@ class SldSet:
 
 
 def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:
-    _, slds = _sld_set(model, cutoff)
+    slds = _sld_set(model, cutoff).slds
     return SldSet(tuple(op.copy() for op in slds.l_ops), slds.j_matrix.copy())
 
 
-def _sld_set(model: ParametricModel, cutoff: float | None) -> tuple[PositiveOperator, SldSet]:
-    """rho0 and the shared SLD set of ``_base``, built on first use; a failure is not kept.
+def _sld_set(model: ParametricModel, cutoff: float | None) -> _Base:
+    """The ``_base`` of ``model`` with its SLD set, built on first use; a failure is not kept.
 
     A degenerate covariance warns on every call, at the public entry's caller.
     """
@@ -254,7 +262,7 @@ def _sld_set(model: ParametricModel, cutoff: float | None) -> tuple[PositiveOper
             "the Gaussian limit law is degenerate",
             stacklevel=3,
         )
-    return base.rho0, base.slds
+    return base
 
 
 def _gram(rho0: np.ndarray, a_ops: Sequence[np.ndarray],
@@ -477,10 +485,10 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
     """Central-limit check: collective SLD observables against N(0, J)."""
     ns = _normalize_n_grid(n_grid)
     queries = _normalize_queries(query_grid, model.theta_dim)
-    rho0, slds = _sld_set(model, cutoff)
-    limit = GaussianSpec(np.zeros(model.theta_dim), slds.j_matrix)
-    limits = [qcf(limit, q) for q in queries]
-    powers = _guarded_powers([[rho0.matrix]] * len(ns), [slds.l_ops] * len(ns), queries, ns)
+    base = _sld_set(model, cutoff)
+    limits = [qcf(base.limit, q) for q in queries]
+    powers = _guarded_powers([[base.rho0.matrix]] * len(ns), [base.slds.l_ops] * len(ns), queries,
+                             ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
     return _rate_report("qclt", ns, errors)
 
@@ -540,8 +548,8 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     ops = None if b_ops is None else _site_ops(b_ops, (model.dim, model.dim))
     h = _shift(model, h)
     queries = _normalize_queries(query_grid, model.theta_dim if ops is None else len(ops))
-    base, slds = _sld_set(model, cutoff)
-    rho0 = base.matrix
+    base = _sld_set(model, cutoff)
+    rho0, slds = base.rho0.matrix, base.slds
     if ops is None:
         ops = list(slds.l_ops)
     _centered_or_raise(rho0, ops)
@@ -550,8 +558,8 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
 
     def run(ns):
         thetas = _local_shifts(model, h, ns)
-        rho_n = _shifted_states(model, thetas, base)
-        eig, floors = decomp._Parts(base, rho_n).verdicts
+        rho_n = _shifted_states(model, thetas, base.rho0)
+        eig, floors = decomp._Parts(base.rho0, rho_n).verdicts
         for n, theta, min_eig, floor in zip(ns, thetas, eig.eigenvalues[:, -1].tolist(), floors):
             if not min_eig > floor:
                 raise SupportViolationError(
@@ -578,7 +586,8 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int,
     h = _shift(model, h)
     n = _positive_n(n)
     q = as_query(query, model.theta_dim)
-    rho0, slds = _sld_set(model, cutoff)
+    base = _sld_set(model, cutoff)
+    rho0, slds = base.rho0, base.slds
     rho_n = _shifted_states(model, _local_shifts(model, h, [n]), rho0)
     return _guarded_powers([_sandwiches(rho0, rho_n)], [list(slds.l_ops)], [q], [n])[0][0][0]
 
@@ -595,8 +604,8 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     ns = _normalize_n_grid(n_grid)
     h = _shift(model, h)
     queries = _normalize_queries(query_grid, model.theta_dim)
-    rho0, slds = _sld_set(model, cutoff)
-    ops = list(slds.l_ops)
+    base = _sld_set(model, cutoff)
+    rho0, ops = base.rho0, list(base.slds.l_ops)
 
     def run(ns):
         rho_n = _shifted_states(model, _local_shifts(model, h, ns), rho0)
@@ -722,17 +731,19 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
     if not np.isfinite(etas).all():
         raise ValueError(f"eta grid has non-finite entries: {etas}")
     queries = _normalize_queries(query_grid, model.theta_dim)
-    base, slds = _sld_set(model, cutoff)
-    ops = list(slds.l_ops)
-    limit = GaussianSpec(np.zeros(len(ops)), slds.j_matrix)
-    limits = [qcf(limit, q) for q in queries]
-    rho0 = base.matrix
+    base = _sld_set(model, cutoff)
+    ops = list(base.slds.l_ops)
+    limits = [qcf(base.limit, q) for q in queries]
+    rho0 = base.rho0.matrix
     # R(n) is one more site observable, with coefficient eta in every factor:
     # per query the eta-free slice (eta = 0), then one slice per eta
     slices = [np.column_stack([q, np.full(len(q), eta)]) for q in queries for eta in (0.0, *etas)]
+    # the built-in rule evaluates the whole grid at once; any other is called once per n
+    remainders = (remainder_rule.grid if isinstance(remainder_rule, _IidRemainder)
+                  else lambda ns: map(remainder_rule, ns))
 
     def run(ns):
-        extras = [hermitize(remainder_rule(n)) for n in ns]
+        extras = [hermitize(r) for r in remainders(ns)]
         for n, extra in zip(ns, extras):
             if extra.shape[0] != model.dim:
                 raise DimensionMismatchError(
@@ -768,19 +779,35 @@ def iid_remainder_rule(model: ParametricModel, h,
     """Remainder of the i.i.d. expansion of L at the local shift h / sqrt(n).
 
     R(n) = sqrt(n) ( L_{h/sqrt(n)} - h^i L_i / sqrt(n) + (h^i h^j J_ij / 2n) I );
-    for a second-order-normalized family this tends to zero with n.
+    for a second-order-normalized family this tends to zero with n. The rule
+    takes n as the reports read it, an integer or integral float of at least
+    1, and raises ``ValueError`` for any other n before it evaluates the
+    model. ``infinitesimal_probe`` evaluates it over its whole n grid at once.
     """
-    h = _shift(model, h)
-    rho0, slds = _sld_set(model, cutoff)
-    lin = _combination(slds.l_ops, h)
-    jquad = float((h @ (slds.j_matrix @ h)).real)
-    eye = np.eye(model.dim, dtype=complex)
+    return _IidRemainder(model, _shift(model, h), _sld_set(model, cutoff))
 
-    def rule(n: int) -> np.ndarray:
-        rn = np.sqrt(float(n))
-        (theta,) = _local_shifts(model, h, [n])
-        rho_n = _shifted_states(model, [theta], rho0)
-        l_matrix = decomp._qllr_stack(decomp._Parts(rho0, rho_n))[0]
-        return rn * (l_matrix - lin / rn + (jquad / (2.0 * n)) * eye)
 
-    return rule
+class _IidRemainder:
+    """The rule of ``iid_remainder_rule``, called at one n or evaluated over an n grid."""
+
+    def __init__(self, model: ParametricModel, h: np.ndarray, base: _Base):
+        self.model, self.h, self.rho0 = model, h, base.rho0
+        self.lin = _combination(base.slds.l_ops, h)
+        self.jquad = float((h @ (base.slds.j_matrix @ h)).real)
+
+    def __call__(self, n) -> np.ndarray:
+        return self.grid([n])[0]
+
+    def grid(self, ns: Sequence) -> list[np.ndarray]:
+        """R(n) at each n of ``ns``, its shifted states, checks and ``qllr`` as one stack.
+
+        Every n is read before the model is evaluated. A failing grid raises
+        at a failing n, not necessarily the first; ``_replay`` gives it the
+        error of the loop over ``__call__``.
+        """
+        ns = [_positive_n(n) for n in ns]
+        rho_n = _shifted_states(self.model, _local_shifts(self.model, self.h, ns), self.rho0)
+        l_stack = decomp._qllr_stack(decomp._Parts(self.rho0, rho_n))
+        eye = np.eye(self.model.dim, dtype=complex)
+        return [rn * (l_matrix - self.lin / rn + (self.jquad / (2.0 * n)) * eye)
+                for n, rn, l_matrix in zip(ns, np.sqrt(np.array(ns, dtype=float)), l_stack)]

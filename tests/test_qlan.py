@@ -291,6 +291,21 @@ def test_n_is_read_as_a_positive_integer(monkeypatch, entry, n, shown):
         ValueError, f"n must be a positive integer, got {shown}")
 
 
+@pytest.mark.parametrize("n,shown", [(0, "0"), (-4, "-4"), (2.5, "2.5"), (True, "True"),
+                                     ("10", "'10'"), (np.nan, "nan")])
+@pytest.mark.parametrize("entry", ["call", "grid"])
+def test_remainder_rule_reads_n_as_a_positive_integer(monkeypatch, entry, n, shown):
+    rule = qlan.iid_remainder_rule(models.spin_perturbed_model(), (0.3, 0.1))
+
+    def unevaluated(*args):
+        raise AssertionError("model evaluated before n was checked")
+
+    monkeypatch.setattr(qlan, "_model_states", unevaluated)
+    call = (lambda: rule(n)) if entry == "call" else (lambda: rule.grid([10, n, 100]))
+    assert raised_first(monkeypatch, call) == (
+        ValueError, f"n must be a positive integer, got {shown}")
+
+
 def test_n_accepts_numpy_integers_and_integral_floats():
     rho = np.diag([0.7, 0.3])
     want = qlan.collective_qcf_factorized(rho, [SX], [0.3], 5)

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qleb import decomp, linalg, models, qlan
+from qleb import cli, decomp, linalg, matio, models, qlan
 from qleb.errors import (
     DimensionMismatchError,
     InvalidMatrixError,
@@ -513,11 +513,34 @@ def failing_rule(n_bad, kind):
     (NS[1], "raise", [BENIGN, WILD], QueryOutOfSafeRangeError),
     (NS[0], "raise", [BENIGN], ValueError),
     (NS[1], "shape", [BENIGN], DimensionMismatchError),
-], ids=["guard", "rule", "shape"])
+    (NS[1], "iid", [BENIGN], NotAbsolutelyContinuousError),
+    (NS[1], "iid", [BENIGN, WILD], QueryOutOfSafeRangeError),
+], ids=["guard", "rule", "shape", "iid", "iid-guard"])
 def test_probe_raises_the_loops_first_error(n_bad, kind, queries, error):
-    model = models.get_model("spin-perturbed:quartic")
-    rule = failing_rule(n_bad, kind)
+    if kind == "iid":
+        # the shifted state at n_bad breaks domination, so the built-in
+        # rule's grid raises there
+        model = shifted_toy(H / np.sqrt(n_bad))
+        rule = qlan.iid_remainder_rule(model, H)
+    else:
+        model = models.get_model("spin-perturbed:quartic")
+        rule = failing_rule(n_bad, kind)
     etas = (0.5, -1.0)
     expected = first_error(probe_loop(model, rule, queries, etas))
     assert expected is not None and expected[0] is error
     assert raised(lambda: qlan.infinitesimal_probe(rule, model, queries, etas, NS)) == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_remainder_grid_is_the_per_n_rule(family):
+    # qubit-fullrank has no states_at, so its grid goes through the state_at loop
+    model = models.get_model(family)
+    h = cli._default_h(model.theta_dim)
+    queries = [q[None] for q in cli._default_queries(model.theta_dim)]
+    rule = qlan.iid_remainder_rule(model, h)
+    ns = (10, 100, 1000, 10000)
+    for got, n in zip(rule.grid(ns), ns, strict=True):
+        assert np.array_equal(got, rule(n))
+    stacked = qlan.infinitesimal_probe(rule, model, queries, (0.5, 1.0), ns)
+    looped = qlan.infinitesimal_probe(lambda n: rule(n), model, queries, (0.5, 1.0), ns)
+    assert matio.dumps_json(stacked.to_json_dict()) == matio.dumps_json(looped.to_json_dict())
