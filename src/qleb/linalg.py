@@ -10,7 +10,8 @@ and its accessors (``matrix``, ``eigenvalues``, ``eigenvectors``, ``rank``,
 re-orthonormalizing degenerate eigenspaces against the standard basis, so
 block conventions downstream are reproducible run to run; an operator does
 this on the first read of its eigenvectors, and ``_canonicalize`` is the one
-routine that does it.
+routine that does it. It makes one vectorized sweep per picked vector, whose
+bits are those of the column-by-column Gram-Schmidt loop.
 
 Public functions validate their input; the private kernels (``_positive``,
 ``_geometric_mean``, ``_eigh``) take operands the package has just built and
@@ -178,21 +179,29 @@ def _replay(run: Callable[[list], object], points: Sequence):
 
 
 def _standard_basis_section(cols: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(cols) grown from e_1, e_2, ..."""
+    """Deterministic orthonormal basis of span(cols) grown from e_1, e_2, ...
+
+    Modified Gram-Schmidt on the projector's columns, right-looking: row j
+    of ``rows`` is column j of the projector, and each picked vector is swept
+    out of every later row at once. Each row meets the same operations in the
+    same order as in a loop over columns, so the bits are that loop's.
+    """
     d, k = cols.shape
-    proj = cols @ cols.conj().T
+    rows = (cols @ cols.conj().T).T.copy()
     picked: list[np.ndarray] = []
-    picked_conj: list[np.ndarray] = []
     for j in range(d):
-        u = proj[:, j].copy()
-        for q, q_conj in zip(picked, picked_conj):
-            u -= q * (q_conj @ u)
+        u = rows[j]
         nrm = float(np.linalg.norm(u))
         if nrm > 1e-8:
-            picked.append(u / nrm)
-            picked_conj.append(picked[-1].conj())
+            q = u / nrm
+            picked.append(q)
             if len(picked) == k:
                 break
+            rest = rows[j + 1:]
+            # one (1, d) @ (d, 1) matmul per row runs the same vector dot as
+            # q.conj() @ row; q.conj() @ rest.T would run gemv, which rounds
+            # differently, and np.vecdot needs numpy >= 2.0
+            rest -= q * (q.conj() @ rest[:, :, None])
     if len(picked) < k:
         # numerically defective projection; keep the solver's basis
         return cols

@@ -161,6 +161,75 @@ def test_lazy_eigenvectors_equal_eager_canonical_basis():
                                       eig(a).eigenvectors)
 
 
+def _row_loop_section(cols):
+    """Gram-Schmidt of the projector onto span(cols), one column at a time: the oracle."""
+    d, k = cols.shape
+    proj = cols @ cols.conj().T
+    picked = []
+    for j in range(d):
+        u = proj[:, j].copy()
+        for q in picked:
+            u -= q * (q.conj() @ u)
+        nrm = float(np.linalg.norm(u))
+        if nrm > 1e-8:
+            picked.append(u / nrm)
+            if len(picked) == k:
+                break
+    if len(picked) < k:
+        return cols
+    return np.column_stack(picked)
+
+
+def _orthonormal_columns(rng, d, k, complex_):
+    z = rng.standard_normal((d, k))
+    if complex_:
+        z = z + 1j * rng.standard_normal((d, k))
+    return np.linalg.qr(z)[0]
+
+
+def _nearly_dependent_columns(rng, d, k):
+    """k columns spanning k - 1 directions up to 1e-12: the projection is defective."""
+    base = _orthonormal_columns(rng, d, k - 1, True)
+    last = base[:, :1] + 1e-12 * (rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1)))
+    return np.hstack([base, last])
+
+
+def test_standard_basis_section_matches_the_row_loop():
+    rng = np.random.default_rng(20)
+    cases = [np.eye(8, dtype=complex), np.eye(64)[:, 8:]]
+    for d in range(1, 65):
+        widths = range(1, d + 1) if d <= 8 else sorted({1, d, *rng.integers(1, d + 1, 2).tolist()})
+        for k in widths:
+            cases += [_orthonormal_columns(rng, d, k, True), _orthonormal_columns(rng, d, k, False)]
+    for cols in cases:
+        got, want = linalg._standard_basis_section(cols), _row_loop_section(cols)
+        assert got.shape == want.shape == cols.shape
+        assert np.array_equal(got, want)
+    for d, k in [(2, 2), (4, 3), (16, 9), (64, 57)]:
+        cols = _nearly_dependent_columns(rng, d, k)
+        assert _row_loop_section(cols) is cols
+        assert linalg._standard_basis_section(cols) is cols
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("rank", [1, 4, 8])
+def test_deep_kernel_basis_is_the_row_loops(monkeypatch, dim, rank):
+    a = random_psd(np.random.default_rng(dim + rank), dim, rank)
+    monkeypatch.setattr(linalg._memo, "entries", {})
+    got = linalg.positive(a).eigenvectors
+    widths = []
+
+    def oracle(cols):
+        widths.append(cols.shape[1])
+        return _row_loop_section(cols)
+
+    monkeypatch.setattr(linalg, "_standard_basis_section", oracle)
+    monkeypatch.setattr(linalg._memo, "entries", {})
+    want = linalg.positive(a).eigenvectors
+    assert dim - rank in widths
+    assert np.array_equal(got, want)
+
+
 def test_canonical_basis_is_built_on_first_read(monkeypatch):
     calls = []
     real = linalg._standard_basis_section
@@ -185,6 +254,8 @@ def test_canonical_basis_is_built_on_first_read(monkeypatch):
     [0.9, 0.4, 0.4, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [0.6, 0.2, 0.0, 0.0, 0.0, 0.0],
     [0.25, 0.25, 0.25, 0.25],
+    # the pairs-large shape: a 56-wide kernel under a support with one degenerate pair
+    [0.3, 0.2, 0.12, 0.12, 0.1, 0.08, 0.05, 0.03] + [0.0] * 56,
 ])
 def test_support_basis_canonicalizes_only_the_support(monkeypatch, eigs):
     rng = np.random.default_rng(len(eigs))
@@ -203,15 +274,21 @@ def test_support_basis_canonicalizes_only_the_support(monkeypatch, eigs):
     monkeypatch.setattr(linalg._memo, "entries", {})
     p = linalg.positive(a)
     rank = int(np.count_nonzero(np.array(eigs) > 0))
+
+    def cluster_widths(vals):
+        return sorted(c for c in np.unique(vals, return_counts=True)[1].tolist() if c > 1)
+
     support = p.support_basis()
     # only the degenerate support clusters were canonicalized
-    values, counts = np.unique(np.array(eigs)[:rank], return_counts=True)
-    assert sorted(calls) == sorted(c for c in counts.tolist() if c > 1)
+    assert sorted(calls) == cluster_widths(eigs[:rank])
     assert not support.flags.writeable
     np.testing.assert_array_equal(support, eager[:, :rank])
     np.testing.assert_array_equal(p.support_basis(), eager[:, :rank])
+    assert sorted(calls) == cluster_widths(eigs[:rank])
+    # the kernel cluster is swept once, on the first read of the whole basis
     np.testing.assert_array_equal(p.eigenvectors, eager)
     np.testing.assert_array_equal(p.kernel_basis(), eager[:, rank:])
+    assert sorted(calls) == cluster_widths(eigs)
     assert not p.eigenvectors.flags.writeable
 
 
