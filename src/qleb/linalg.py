@@ -27,6 +27,12 @@ small matrices in one pass. A kernel computes the whole stack or raises at a
 slice that fails. ``_replay`` gives a failing grid the error of the
 point-by-point loop it replaces: it reruns the grid one point at a time, and
 the first point that raises is the loop's error. A passing grid runs once.
+On stacks of at least ``_STACKED`` slices the per-slice bookkeeping is one
+vectorized pass with the bits of the per-slice loop: a screen of the
+eigenvalue gaps sends only the slices with a degenerate cluster to
+``_clusters``, and ``ranks`` is one count. Shorter stacks, the single
+operators of the pair functions among them, keep the loop, which costs less
+there.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ _CLUSTER_TOL = 64 * np.finfo(float).eps
 
 #: operators ``positive`` keeps per thread, least recently used evicted first
 _MEMO_SIZE = 8
+
+#: stacks of at least this many slices do their per-slice bookkeeping in one
+#: vectorized pass; below it the per-slice loop is faster
+_STACKED = 8
 
 
 class _Memo(threading.local):
@@ -224,6 +234,24 @@ def _clusters(vals: list[float]) -> list[tuple[int, int]]:
     return clusters
 
 
+def _pending(w: np.ndarray) -> list[list[tuple[int, int]]]:
+    """``_clusters`` of each slice of the ``(N, d)`` descending eigenvalues ``w``.
+
+    A stack of at least ``_STACKED`` slices is screened in one pass: a slice
+    none of whose gaps is within ``_clusters``' tolerance has no cluster.
+    """
+    n, d = w.shape
+    if n < _STACKED:
+        return [_clusters(wj) for wj in w.tolist()]
+    pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    if d > 1:
+        # the tolerance and gaps of ``_clusters``, in the same IEEE operations
+        tol = _CLUSTER_TOL * np.maximum(1.0, np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])))
+        for j in np.flatnonzero((w[:, :-1] - w[:, 1:] <= tol[:, None]).any(axis=1)).tolist():
+            pending[j] = _clusters(w[j].tolist())
+    return pending
+
+
 def _canonicalize(vectors: np.ndarray, pending: list[list[tuple[int, int]]], limit: int) -> None:
     """Canonicalize in place each slice's pending clusters that start below ``limit``.
 
@@ -248,7 +276,9 @@ def _eigh(h: np.ndarray) -> _Spectrum:
     """
     w, v = _eigh_raw(h)
     n, d = (1, w.shape[0]) if w.ndim == 1 else w.shape
-    _canonicalize(v.reshape(n, d, d), [_clusters(vals) for vals in w.reshape(n, d).tolist()], d)
+    pending = _pending(w.reshape(n, d))
+    if any(pending):
+        _canonicalize(v.reshape(n, d, d), pending, d)
     return _Spectrum(w, v)
 
 
@@ -330,6 +360,8 @@ class PositiveOperator:
         return self._canonical(self.dim)
 
     def ranks(self) -> list[int]:
+        if len(self.tols) >= _STACKED:
+            return np.count_nonzero(self.values > np.array(self.tols)[:, None], axis=1).tolist()
         return [sum(x > tol for x in w) for w, tol in zip(self.values.tolist(), self.tols)]
 
     def norms(self) -> list[float]:
@@ -429,8 +461,7 @@ def _positive(m: np.ndarray, cutoff: float, scale_floor=0.0) -> PositiveOperator
                 f"eigenvalue {wj[-1]:.6e} below -rank_tol = {-rank_tol:.6e}"
             )
         rank_tols.append(rank_tol)
-    return PositiveOperator(m, np.maximum(w, 0.0), v, tuple(rank_tols), cutoff,
-                            [_clusters(wj) for wj in vals])
+    return PositiveOperator(m, np.maximum(w, 0.0), v, tuple(rank_tols), cutoff, _pending(w))
 
 
 def _support_projector(p: PositiveOperator) -> np.ndarray:
@@ -556,16 +587,21 @@ def _geometric_mean(pa: PositiveOperator, pb: PositiveOperator) -> PositiveOpera
     operand.
     """
     d = pa.dim
-    for rank in pa.ranks():
-        _require_rank("left", rank, d)
+    ranks = pa.ranks()
+    if ranks:
+        # the order of a loop over the slices: slice 0, the right operand, the rest
+        _require_rank("left", ranks[0], d)
         _require_rank("right", pb.rank, pb.dim)
+        for rank in ranks[1:]:
+            _require_rank("left", rank, d)
     va, wa = pa.bases(), pa.values
     root = _synth(va, np.sqrt(wa))
     iroot = _synth(va, 1.0 / np.sqrt(wa))
     inner = hermitian_part(iroot @ pb.matrix @ iroot)
     wi, vi = _eigh(inner)
     x = hermitian_part(root @ _synth(vi, np.sqrt(np.maximum(wi, 0.0))) @ root)
-    floors = [max(norm, pb.norm2) for norm in pa.norms()]
+    norm_b = pb.norm2
+    floors = [max(norm, norm_b) for norm in pa.norms()]
     return _positive(x, pa.cutoff, floors)
 
 

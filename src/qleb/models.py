@@ -42,11 +42,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
-_F_RULES = {
-    "quartic": lambda theta: float(np.linalg.norm(theta) ** 4),
-    "cubic": lambda theta: float(np.linalg.norm(theta) ** 3),
-    "squared": lambda theta: float(np.linalg.norm(theta) ** 2),
-}
+#: the built-in rules f(theta) = ||theta||^k, by name
+_F_POWERS = {"quartic": 4, "cubic": 3, "squared": 2}
 
 
 def _theta2(theta) -> np.ndarray:
@@ -65,45 +62,76 @@ def spin_pure_states(thetas) -> np.ndarray:
 
 def spin_perturbed_states(thetas, f_rule="quartic") -> np.ndarray:
     """The perturbed family at each theta of a sequence, as one (N, 2, 2) stack."""
-    f = _f_rule(f_rule)
-    return _spin_states(thetas, lambda theta: float(np.exp(-f(theta))))
+    return _spin_states(thetas, _f_rule(f_rule))
 
 
 def _f_rule(f_rule):
-    """The exponent f of the perturbed family: a rule name of ``_F_RULES`` or a callable."""
-    if isinstance(f_rule, str) and f_rule not in _F_RULES:
-        raise ValueError(f"unknown f rule {f_rule!r}; choose from {sorted(_F_RULES)} "
+    """``f_rule`` checked: a rule name of ``_F_POWERS``, or a callable f of theta."""
+    if isinstance(f_rule, str) and f_rule not in _F_POWERS:
+        raise ValueError(f"unknown f rule {f_rule!r}; choose from {sorted(_F_POWERS)} "
                          "or pass a callable")
-    return _F_RULES[f_rule] if isinstance(f_rule, str) else f_rule
+    return f_rule
 
 
-def _spin_states(thetas, weight) -> np.ndarray:
-    """The spin family at each theta, with one stacked exponential for all of them.
+def _finite_pairs(thetas: list) -> np.ndarray | None:
+    """``thetas`` as one (N, 2) float array when each is a finite real 2-vector, else None."""
+    try:
+        th = np.asarray(thetas)
+    except Exception:
+        # what numpy cannot stack goes through the per-theta loop, which
+        # raises the error of the first theta that fails
+        return None
+    if th.dtype.kind not in "biuf" or th.size != 2 * len(thetas):
+        return None
+    th = th.reshape(-1, 2).astype(float)
+    return th if np.isfinite(th).all() else None
 
-    ``weight`` gives the weight of the pure part at a validated theta (None:
-    the pure family). Errors are those of a loop over the thetas: per theta,
-    validation and weight, then the generator's exponential.
+
+def _spin_states(thetas, f_rule) -> np.ndarray:
+    """The spin family at each theta, in array passes and one stacked exponential.
+
+    ``f_rule`` is None for the pure family, a name of ``_F_POWERS``, or a
+    callable f. Errors are those of a loop over the thetas: per theta,
+    validation and then f, then the generator's exponential. Thetas that
+    are all finite real 2-vectors are read as one array; otherwise, and for
+    a callable f, which is called once per theta in order, a loop validates
+    them. The values are those of that loop, bit for bit: ||theta|| is the
+    dot product ``np.linalg.norm`` takes, and psi and the weight e^{-f} are
+    array ufuncs of the same scalar operations. ||theta||, psi and the
+    powers may overflow, to a state or to the generator's non-finite-entry
+    error, and they do so with numpy warnings ignored or raised alike.
     """
-
-    def point(theta):
-        theta = _theta2(theta)
-        w = None if weight is None else weight(theta)
-        r = float(np.linalg.norm(theta))
-        # psi = log cosh r, kept overflow-free
-        return theta, float(np.logaddexp(r, -r) - np.log(2.0)), w
+    power = _F_POWERS.get(f_rule) if isinstance(f_rule, str) else None
+    custom = f_rule is not None and power is None
 
     def run(thetas):
-        points = [point(theta) for theta in thetas]
-        th = np.array([p[0] for p in points]).reshape(-1, 2)
-        psi = np.array([p[1] for p in points])
+        th = None if custom else _finite_pairs(thetas)
+        weights = None
+        if th is None:
+            th, weights = [], []
+            for theta in thetas:
+                th.append(_theta2(theta))
+                if custom:
+                    weights.append(float(np.exp(-f_rule(th[-1]))))
+            th = np.array(th).reshape(-1, 2)
+        with np.errstate(over="ignore"):
+            # the vector dot of np.linalg.norm; (th * th).sum(1) rounds differently
+            r = np.sqrt((th[:, None, :] @ th[:, :, None])[:, 0, 0])
+            # psi = log cosh r, kept overflow-free
+            psi = np.logaddexp(r, -r) - np.log(2.0)
+            if power is not None:
+                # a float64 scalar power per theta: the array power r ** k
+                # runs a SIMD pow that can differ in the last bit, and a
+                # Python float power raises OverflowError where this gives inf
+                weights = np.exp(-np.array([x ** power for x in r]))
         with np.errstate(over="ignore", invalid="ignore"):
             gen = (th[:, 0, None, None] * SIGMA_X + th[:, 1, None, None] * SIGMA_Y
                    - psi[:, None, None] * np.eye(2)) / 2.0
         half = _expm_checked(gen)
         pure = hermitian_part(half @ _GROUND @ half)
-        if weight is None:
+        if f_rule is None:
             return pure
-        w = np.array([p[2] for p in points])[:, None, None]
+        w = np.asarray(weights, dtype=float)[:, None, None]
         return w * pure + (1.0 - w) * _EXCITED
 
     return _replay(run, list(thetas))
@@ -121,14 +149,14 @@ def spin_pure_model() -> ParametricModel:
 
 
 def spin_perturbed_model(f_rule="quartic") -> ParametricModel:
-    f = _f_rule(f_rule)
+    f_rule = _f_rule(f_rule)
     return ParametricModel(
         name=f"spin-perturbed:{f_rule if isinstance(f_rule, str) else 'custom'}",
         dim=2,
         theta_dim=2,
         theta0=np.zeros(2),
-        state_at=lambda theta: spin_perturbed_states([theta], f)[0],
-        states_at=lambda thetas: spin_perturbed_states(thetas, f),
+        state_at=lambda theta: spin_perturbed_states([theta], f_rule)[0],
+        states_at=lambda thetas: spin_perturbed_states(thetas, f_rule),
     )
 
 

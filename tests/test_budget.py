@@ -40,6 +40,11 @@ QLLR_BUDGET = 8
 ROUND_BUDGET = 34
 ROUND_STATES_AT = 4
 
+#: ``linalg._clusters`` calls in that round: stacks of ``linalg._STACKED``
+#: slices or more send only the slices with a degenerate cluster to it (363
+#: when every slice of every stack went)
+ROUND_CLUSTERS = 49
+
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
@@ -51,6 +56,21 @@ def eigh_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.fixture
+def cluster_calls(monkeypatch):
+    """Counts ``_clusters`` calls; ``decomp`` imports its own reference to it."""
+    calls = []
+    real = linalg._clusters
+
+    def counting(vals):
+        calls.append(1)
+        return real(vals)
+
+    monkeypatch.setattr(linalg, "_clusters", counting)
+    monkeypatch.setattr(decomp, "_clusters", counting)
     return calls
 
 
@@ -123,7 +143,7 @@ def test_infinitesimal_probe_budget(eigh_calls):
     assert 0 < len(eigh_calls) <= PROBE_BUDGET
 
 
-def test_round_of_reports_on_one_model_budget(eigh_calls):
+def test_round_of_reports_on_one_model_budget(eigh_calls, cluster_calls):
     quartic = models.get_model("spin-perturbed:quartic")
     evaluations = {"state_at": 0, "states_at": 0}
 
@@ -150,9 +170,11 @@ def test_round_of_reports_on_one_model_budget(eigh_calls):
 
     round_of_reports()
     eigh_calls.clear()
+    cluster_calls.clear()
     evaluations.update(state_at=0, states_at=0)
     round_of_reports()
     assert 0 < len(eigh_calls) <= ROUND_BUDGET
+    assert 0 < len(cluster_calls) <= ROUND_CLUSTERS
     assert evaluations == {"state_at": 0, "states_at": ROUND_STATES_AT}
 
 

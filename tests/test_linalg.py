@@ -621,3 +621,128 @@ def test_the_memo_keeps_its_most_recently_used_operators(memo):
     for k in (0, 1, 3):
         assert linalg.positive(np.eye(2) * k) is not ops[k]
         assert len(memo) == size
+
+
+# -- stacks on both sides of linalg._STACKED -------------------------------------
+
+#: stack lengths on both sides of ``_STACKED``: a single operator, just
+#: below, at and just above it, and a long stack
+STACK_LENGTHS = (1, linalg._STACKED - 1, linalg._STACKED, linalg._STACKED + 1, 45)
+
+
+def boundary_spectra(d):
+    """Descending spectra of length ``d`` whose gaps sit on ``_clusters``' tolerance.
+
+    The tolerance is 64 eps * max(1, |w_0|, |w_-1|). At w_0 = 1 that is
+    2^-46, so 1 - 2^-46 leaves a gap of exactly the tolerance (a cluster),
+    and one ulp (2^-53) either side of it a gap just inside (a cluster) or
+    just outside (none). At w_-1 = -4 it is 2^-44, with an ulp of 2^-51.
+    """
+    tol = linalg._CLUSTER_TOL
+    assert tol == 2.0**-46
+    if d < 2:
+        return [[0.25] * d]
+    top = [0.5 - 0.1 * k for k in range(d - 2)]
+    bottom = [3.0 - 0.25 * k for k in range(d - 2)]
+    rows = [[1.0, second] + top for second in (1.0, 1.0 - tol, 1.0 - tol + 2.0**-53,
+                                                1.0 - tol - 2.0**-53)]
+    rows += [bottom + [-4.0 + 4 * tol + gap, -4.0] for gap in (0.0, 2.0**-51)]
+    # degenerate in the middle and at the top
+    rows.append([0.9] + [0.3] * (d - 1))
+    rows.append([0.7, 0.7] + [0.0] * (d - 2))
+    return rows
+
+
+@pytest.mark.parametrize("n", STACK_LENGTHS)
+@pytest.mark.parametrize("d", (0, 1, 2, 6))
+def test_cluster_screen_is_the_per_slice_clusters(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    spectra = boundary_spectra(d)
+    rows = [spectra[j % len(spectra)] if j % 3 else sorted(rng.uniform(-1, 1, d), reverse=True)
+            for j in range(n)]
+    w = np.array(rows, dtype=float).reshape(n, d)
+    assert linalg._pending(w) == [linalg._clusters(row) for row in w.tolist()]
+
+
+def test_cluster_screen_sees_gaps_on_both_sides_of_the_tolerance():
+    w = np.array(boundary_spectra(2) * 2)
+    assert len(w) >= linalg._STACKED
+    assert [bool(c) for c in linalg._pending(w)][:8] == [
+        True, True, True, False, True, False, False, True]
+
+
+def stack_with_boundaries(n, d, seed):
+    """Hermitian PSD-ish stacks: random, exactly degenerate and gap-on-the-tolerance slices."""
+    rng = np.random.default_rng(seed)
+    spectra = [[abs(x) for x in row] for row in boundary_spectra(d)]
+    slices = []
+    for j in range(n):
+        if j % 3 == 0:
+            slices.append(random_psd(rng, d, rank=max(d - 1, 1)) if d else np.zeros((0, 0)))
+        elif j % 3 == 1:
+            # diagonal: the solver returns these eigenvalues exactly
+            slices.append(np.diag(spectra[j % len(spectra)]).astype(complex))
+        else:
+            eigs = spectra[j % len(spectra)]
+            u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            slices.append(linalg.hermitian_part((u * np.asarray(eigs)) @ u.conj().T))
+    return linalg.hermitian_part(np.array(slices, dtype=complex).reshape(n, d, d))
+
+
+@pytest.mark.parametrize("n", STACK_LENGTHS)
+@pytest.mark.parametrize("d", (0, 1, 2, 6))
+def test_stacked_positive_is_the_per_slice_positive(n, d):
+    m = stack_with_boundaries(n, d, seed=n + 100 * d)
+    c = linalg.DEFAULT_CUTOFF
+    stacked = linalg._positive(m.copy(), c)
+    alone = [linalg._positive(m[j:j + 1].copy(), c) for j in range(n)]
+    assert np.array_equal(stacked.values, np.concatenate([p.values for p in alone]))
+    assert stacked.tols == tuple(p.tols[0] for p in alone)
+    pending = [list(c) for c in stacked._pending]
+    assert pending == [p._pending[0] for p in alone]
+    # the degenerate and on-the-tolerance slices do reach the canonicalization
+    assert any(pending) == (d >= 2 and n >= 2)
+    assert stacked.ranks() == [p.rank for p in alone]
+    assert stacked.ranks() == [sum(x > t for x in w)
+                               for w, t in zip(stacked.values.tolist(), stacked.tols)]
+    assert np.array_equal(stacked.bases(), np.concatenate([p.bases() for p in alone]))
+
+
+@pytest.mark.parametrize("n", STACK_LENGTHS)
+@pytest.mark.parametrize("d", (0, 1, 2, 6))
+def test_stacked_eigh_is_the_per_slice_eigh(n, d):
+    m = stack_with_boundaries(n, d, seed=7 * n + d)
+    w, v = linalg._eigh(m)
+    for j in range(n):
+        wj, vj = linalg._eigh(m[j])
+        assert np.array_equal(w[j], wj)
+        assert np.array_equal(v[j], vj)
+
+
+@pytest.mark.parametrize("n", STACK_LENGTHS[2:])
+@pytest.mark.parametrize("j", (0, 3, -1))
+def test_stacked_positive_raises_the_first_indefinite_slice(n, j):
+    m = stack_with_boundaries(n, 3, seed=n)
+    bad = np.diag([0.5, 0.2, -0.1]).astype(complex)
+    m[j] = bad
+    if j != -1:
+        m[-1] = np.diag([0.5, 0.2, -0.3])
+    with pytest.raises(NotPositiveError) as stacked:
+        linalg._positive(m, linalg.DEFAULT_CUTOFF)
+    with pytest.raises(NotPositiveError) as alone:
+        linalg._positive(bad[None], linalg.DEFAULT_CUTOFF)
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("n", (2, linalg._STACKED + 1))
+def test_stacked_geometric_mean_checks_slice_0_then_the_right_operand(n):
+    c = linalg.DEFAULT_CUTOFF
+    singular = np.diag([1.0, 0.0]).astype(complex)
+    left = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    left[-1] = singular
+    right_singular = linalg._positive(singular[None], c)
+    with pytest.raises(SingularInputError, match="right operand"):
+        linalg._geometric_mean(linalg._positive(left.copy(), c), right_singular)
+    left[0] = singular
+    with pytest.raises(SingularInputError, match="left operand"):
+        linalg._geometric_mean(linalg._positive(left.copy(), c), right_singular)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qleb import decomp, linalg, models
+from qleb import cli, decomp, linalg, models, qlan
 from qleb.errors import (
     DimensionMismatchError,
     InvalidMatrixError,
@@ -144,6 +144,134 @@ class TestSpinPerturbed:
         rhs = float(np.trace(rho0 @ linalg.expm(shifted)).real)
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert lhs == pytest.approx(np.trace(ac).real, abs=1e-12)
+
+
+def oracle_theta2(theta):
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.shape[0] != 2:
+        raise DimensionMismatchError(f"theta must be a real 2-vector, got {theta}")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta has non-finite entries: {theta.tolist()}")
+    return theta
+
+
+#: the built-in rules as the per-theta loop evaluates them
+ORACLE_RULES = {
+    "quartic": lambda theta: float(np.linalg.norm(theta) ** 4),
+    "cubic": lambda theta: float(np.linalg.norm(theta) ** 3),
+    "squared": lambda theta: float(np.linalg.norm(theta) ** 2),
+}
+
+
+def oracle_spin_states(thetas, f_rule):
+    """The spin family as a loop over the thetas builds it, in scalars: the reference.
+
+    Per theta: validation, the weight e^{-f}, then ||theta|| and psi; then
+    one stacked exponential. A failing list raises the loop's first error.
+    """
+    f = ORACLE_RULES[f_rule] if isinstance(f_rule, str) else f_rule
+
+    def point(theta):
+        theta = oracle_theta2(theta)
+        w = None if f_rule is None else float(np.exp(-f(theta)))
+        r = float(np.linalg.norm(theta))
+        return theta, float(np.logaddexp(r, -r) - np.log(2.0)), w
+
+    def run(thetas):
+        points = [point(theta) for theta in thetas]
+        th = np.array([p[0] for p in points]).reshape(-1, 2)
+        psi = np.array([p[1] for p in points])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen = (th[:, 0, None, None] * models.SIGMA_X + th[:, 1, None, None] * models.SIGMA_Y
+                   - psi[:, None, None] * np.eye(2)) / 2.0
+        half = linalg._expm_checked(gen)
+        pure = linalg.hermitian_part(half @ np.diag([1.0, 0.0]) @ half)
+        if f_rule is None:
+            return pure
+        w = np.array([p[2] for p in points])[:, None, None]
+        return w * pure + (1.0 - w) * np.diag([0.0, 1.0])
+
+    # the scalar power overflows at ||theta|| = 1e80, to the excited state
+    with np.errstate(over="ignore"):
+        return linalg._replay(run, list(thetas))
+
+
+def family_states(thetas, f_rule):
+    if f_rule is None:
+        return models.spin_pure_states(thetas)
+    return models.spin_perturbed_states(thetas, f_rule)
+
+
+ORACLE_FAMILIES = [None, "quartic", "cubic", "squared",
+                   lambda theta: float(np.sum(theta ** 2)) / 3.0]
+
+
+def oracle_thetas():
+    """Seeded thetas from 1e-6 to 400, the grids of the q-LAN reports and ||theta|| = 1e80."""
+    rng = np.random.default_rng(21)
+    thetas = [scale * rng.standard_normal(2) for scale in (1e-6, 1e-4, 1e-2, 0.3, 3.0, 40.0, 400.0)
+              for _ in range(200)]
+    t0 = np.zeros(2)
+    for e in np.eye(2):
+        for step in (qlan.FD_STEP, qlan.FD_STEP / 2):
+            thetas += [t0 + step * e, t0 - step * e]
+    thetas += [t0 + r * u for r in qlan.OH2_RADII
+               for u in qlan._sphere_directions(2, qlan.OH2_DIRECTIONS, 0)]
+    h = cli._default_h(2)
+    thetas += [t0 + h / np.sqrt(n) for n in (1, 10, 100, 1000, 10000)]
+    # e^{-f} underflows to 0 there: the excited state
+    thetas.append(np.array([0.0, -1e80]))
+    return thetas
+
+
+@pytest.mark.parametrize("f_rule", ORACLE_FAMILIES, ids=["pure", "quartic", "cubic", "squared",
+                                                         "custom"])
+def test_spin_states_are_the_per_theta_loops_bit_for_bit(f_rule):
+    thetas = oracle_thetas()
+    states = family_states(thetas, f_rule)
+    assert np.array_equal(states, oracle_spin_states(thetas, f_rule))
+    if f_rule is not None:
+        assert np.array_equal(states[-1], np.diag([0.0, 1.0]))
+
+
+def raising_rule(bad):
+    def f(theta):
+        if np.array_equal(theta, bad):
+            raise RuntimeError(f"f fails at {theta.tolist()}")
+        return float(theta @ theta)
+
+    return f
+
+
+def error_of(call):
+    try:
+        call()
+    except Exception as exc:
+        assert exc.__context__ is None, exc.__context__
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("at", [0, 1, 5])
+@pytest.mark.parametrize("f_rule,kind", [
+    *((f_rule, kind) for f_rule in ORACLE_FAMILIES for kind in ("shape", "non-finite")),
+    (ORACLE_FAMILIES[-1], "f raises"),
+])
+def test_spin_states_raise_the_per_theta_loops_error(f_rule, kind, at):
+    rng = np.random.default_rng(at)
+    thetas = list(rng.uniform(-0.9, 0.9, (7, 2)))
+    # a later bad theta, which the loop does not reach
+    thetas[6] = np.array([np.inf, 0.0])
+    if kind == "shape":
+        thetas[at] = np.array([0.1, 0.2, 0.3])
+    elif kind == "non-finite":
+        thetas[at] = np.array([0.1, np.nan])
+    else:
+        f_rule = raising_rule(thetas[at])
+    expected = error_of(lambda: oracle_spin_states(thetas, f_rule))
+    assert expected is not None and expected[1].endswith(
+        {"shape": "[0.1 0.2 0.3]", "non-finite": "[0.1, nan]"}.get(kind, "]"))
+    assert error_of(lambda: family_states(thetas, f_rule)) == expected
 
 
 class TestQubitFullrank:
