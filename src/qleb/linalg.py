@@ -27,12 +27,11 @@ small matrices in one pass. A kernel computes the whole stack or raises at a
 slice that fails. ``_replay`` gives a failing grid the error of the
 point-by-point loop it replaces: it reruns the grid one point at a time, and
 the first point that raises is the loop's error. A passing grid runs once.
-On stacks of at least ``_STACKED`` slices the per-slice bookkeeping is one
-vectorized pass with the bits of the per-slice loop: a screen of the
-eigenvalue gaps sends only the slices with a degenerate cluster to
-``_clusters``, and ``ranks`` is one count. Shorter stacks, the single
-operators of the pair functions among them, keep the loop, which costs less
-there.
+On stacks of at least ``_STACKED`` slices the search for degenerate
+clusters is one vectorized pass with the bits of the per-slice loop: a
+screen of the eigenvalue gaps sends only the slices with a cluster to
+``_clusters``. Shorter stacks, the single operators of the pair functions
+among them, keep the loop, which costs less there.
 """
 
 from __future__ import annotations
@@ -360,9 +359,7 @@ class PositiveOperator:
         return self._canonical(self.dim)
 
     def ranks(self) -> list[int]:
-        if len(self.tols) >= _STACKED:
-            return np.count_nonzero(self.values > np.array(self.tols)[:, None], axis=1).tolist()
-        return [sum(x > tol for x in w) for w, tol in zip(self.values.tolist(), self.tols)]
+        return (self.values > np.array(self.tols)[:, None]).sum(axis=1).tolist()
 
     def norms(self) -> list[float]:
         """Spectral norm of each slice."""
@@ -587,13 +584,10 @@ def _geometric_mean(pa: PositiveOperator, pb: PositiveOperator) -> PositiveOpera
     operand.
     """
     d = pa.dim
-    ranks = pa.ranks()
-    if ranks:
-        # the order of a loop over the slices: slice 0, the right operand, the rest
-        _require_rank("left", ranks[0], d)
-        _require_rank("right", pb.rank, pb.dim)
-        for rank in ranks[1:]:
-            _require_rank("left", rank, d)
+    rank_b = pb.rank
+    for rank in pa.ranks():
+        _require_rank("left", rank, d)
+        _require_rank("right", rank_b, pb.dim)
     va, wa = pa.bases(), pa.values
     root = _synth(va, np.sqrt(wa))
     iroot = _synth(va, 1.0 / np.sqrt(wa))

@@ -568,12 +568,23 @@ def test_remainder_grid_is_the_per_n_rule(family):
     assert matio.dumps_json(stacked.to_json_dict()) == matio.dumps_json(looped.to_json_dict())
 
 
-def test_powers_of_a_trace_array_have_the_scalar_bits():
-    # ``_guarded_powers`` raises the traces z of each n to the n in one array
-    # pass; the traces of unitary products inside the guard
+@pytest.mark.parametrize("family", ["spin-perturbed:quartic", "spin-pure", "qubit-fullrank"])
+def test_site_powers_are_the_scalar_powers_from_n_1_to_a_million(family):
+    # z^n for traces spread over the guard's disc, n from 1 to 10^6, against
+    # the scalar exp(n log z) of the per-query loop
+    model = models.get_model(family)
+    rho0 = linalg.positive(model.state0()).matrix
+    ops = list(qlan.sld_set(model).l_ops)
+    state = model.state_at(model.theta0 + 0.05)
+    scale = qlan.QCF_GUARD / max(np.linalg.norm(op, 2) for op in ops)
     rng = np.random.default_rng(9)
-    z = 1 + qlan.QCF_GUARD * np.sqrt(rng.uniform(0, 1, 5000)) * np.exp(
-        2j * np.pi * rng.uniform(0, 1, 5000))
-    zs = z[np.abs(z) <= 1].tolist()
-    for n in (1, 7, 100, 10000, 10**6):
-        assert np.exp(n * np.log(zs)).tolist() == [complex(np.exp(n * np.log(x))) for x in zs]
+    ns = (1, 7, 100, 10**4, 10**6)
+    # every product stays inside the guard at n = 1: ||sum_t xi_t . A|| < guard
+    queries = [as_query(rng.uniform(-1.0, 1.0, (t, len(ops))) * rng.uniform(0.05, 1.0)
+                        * scale / (t * len(ops)), len(ops))
+               for t in (1, 1, 2, 3, 1, 2, 1, 3, 1, 1, 2, 1)]
+    grid = qlan._guarded_powers([[rho0, state]] * len(ns), [ops] * len(ns), queries, ns)
+    for n, powers in zip(ns, grid):
+        for traced, values in zip((rho0, state), powers):
+            for q, value in zip(queries, values):
+                assert value == site_power_loop(traced, ops, q, n)
