@@ -213,7 +213,7 @@ def cmd_qlan(args) -> int:
         else:
             envelope = matio.report_envelope(config, report.to_json_dict())
             _write_or_print(matio.dumps_json(envelope) + "\n", out)
-        verdict = report.to_json_dict()["verdict"]
+        verdict = report.verdict
         all_pass = all_pass and verdict == "pass"
         if isinstance(report, qlan.ConvergenceReport):
             rate = "n/a" if report.fitted_rate is None else f"{report.fitted_rate:.3f}"

@@ -3,10 +3,20 @@
 Matrices travel as {"dim": d, "entries": [[re, im], ...]} with entries
 row-major, length d^2. Floats are written with 17 significant digits so a
 load/dump round trip is lossless and identical configs produce
-byte-identical files. The writer checks the exact types ``float`` and
-``list`` (and ``tuple``) before anything else, since reports are mostly lists
-of floats; numpy scalars, ``bool``, ``None``, strings, dicts and subclasses
-take the general ``isinstance`` chain and print as the same bytes.
+byte-identical files.
+
+The writer prints a table, a list or tuple of equal-length exact lists and
+tuples of finite exact ``float``s such as a matrix's entries, in one
+%-format call. It checks the exact types ``float``, ``list`` and ``tuple``
+before anything else; numpy scalars, ``int``, ``bool``, ``None``, strings,
+dicts and subclasses take the general ``isinstance`` chain and print as the
+same bytes, and a non-finite float there raises ``ValueError``.
+
+The reader checks the entries' types in C-level passes and converts them in
+one ``np.array`` call; a per-entry loop runs only to name the first entry
+that is not an [re, im] pair of JSON numbers. The (re, im) columns are
+viewed as complex, never summed as ``re + 1j * im``, which would turn an
+imaginary -0.0 into +0.0 and so change the bytes of a re-dump.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -26,8 +37,12 @@ def matrix_to_json_dict(matrix) -> dict:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {m.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    entries = np.stack((m.real, m.imag), axis=-1).reshape(-1, 2).tolist()
     return {"dim": int(m.shape[0]), "entries": entries}
+
+
+_SEQUENCES = {list, tuple}
+_JSON_NUMBERS = {float, int}
 
 
 def _dimension(obj, key: str, kind: str) -> int:
@@ -66,14 +81,21 @@ def matrix_from_json_dict(obj) -> np.ndarray:
         raise InvalidMatrixError(
             f"expected {dim * dim} entries for dim {dim}, got {len(entries)}"
         )
-    flat = np.empty(dim * dim, dtype=complex)
-    for k, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_real, pair)):
-            raise InvalidMatrixError(f"entry {k} is not an [re, im] pair: {pair!r}")
-        flat[k] = complex(float(pair[0]), float(pair[1]))
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
+    # C-level passes over the types; the loop runs only to name the first bad entry
+    if not (set(map(type, entries)) <= _SEQUENCES and set(map(len, entries)) == {2}
+            and set(map(type, chain.from_iterable(entries))) <= _JSON_NUMBERS):
+        for k, pair in enumerate(entries):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_real, pair)):
+                raise InvalidMatrixError(f"entry {k} is not an [re, im] pair: {pair!r}")
+    try:
+        pairs = np.array(entries, dtype=float)
+    except OverflowError:
+        # an int past the float range, which load_matrix would have read as inf
+        pairs = None
+    if pairs is None or not np.isfinite(pairs).all():
         raise InvalidMatrixError("matrix entries must be finite")
-    return flat.reshape(dim, dim)
+    # a view, not re + 1j * im: the sum would turn an imaginary -0.0 into +0.0
+    return pairs.view(complex).reshape(dim, dim)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -95,6 +117,25 @@ def decomposition_to_json_dict(dec) -> dict:
     }
 
 
+def _float_rows(rows) -> str | None:
+    """``rows`` in one %-format call if it is a table of finite floats, else None.
+
+    A table is a non-empty list or tuple of exact lists and tuples of one
+    non-zero length, holding only exact, finite ``float``s. ``"%.17g" % x``
+    prints the bytes of ``format(x, ".17g")``.
+    """
+    if not rows or not set(map(type, rows)) <= _SEQUENCES:
+        return None
+    width = len(rows[0])
+    if set(map(len, rows)) != {width}:
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    row = "[" + ", ".join(("%.17g",) * width) + "]"
+    return ("[" + ", ".join((row,) * len(rows)) + "]") % flat
+
+
 def _fmt_json(obj, parts: list) -> None:
     # hand-rolled so floats always print with %.17g, independent of json's repr
     kind = type(obj)
@@ -103,6 +144,10 @@ def _fmt_json(obj, parts: list) -> None:
             raise ValueError(f"cannot serialize non-finite float {obj!r}")
         parts.append(format(obj, ".17g"))
     elif kind is list or kind is tuple:
+        table = _float_rows(obj)
+        if table is not None:
+            parts.append(table)
+            return
         parts.append("[")
         for i, item in enumerate(obj):
             if i:

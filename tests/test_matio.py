@@ -107,6 +107,112 @@ class TestMatrixJson:
         with pytest.raises(InvalidMatrixError, match="malformed matrix object"):
             matio.load_matrix(path)
 
+    def test_an_integer_past_the_float_range_is_not_finite_on_both_paths(self, tmp_path):
+        # a file's reader parses ints as floats, so the same digits read as inf
+        path = tmp_path / "m.json"
+        path.write_text('{"dim": 1, "entries": [[1' + "0" * 400 + ', 0]]}')
+        for read in (lambda: matio.matrix_from_json_dict({"dim": 1, "entries": [[10 ** 400, 0.0]]}),
+                     lambda: matio.load_matrix(path)):
+            with pytest.raises(InvalidMatrixError, match=r"^matrix entries must be finite$") as exc:
+                read()
+            assert exc.value.__context__ is None
+
+    def test_d64_file_roundtrip_keeps_every_bit(self, tmp_path):
+        rng = np.random.default_rng(64)
+        m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        extremes = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308]
+        m.real[0, :6] = extremes
+        m.imag[1, :6] = extremes
+        m[2, :6] = complex(-0.0, -0.0)
+        path = tmp_path / "m.json"
+        matio.dump_matrix(m, path)
+        loaded = matio.load_matrix(path)
+        assert np.array_equal(loaded.view(np.uint64), m.view(np.uint64))
+        again = tmp_path / "again.json"
+        matio.dump_matrix(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def reference_matrix_from_json_dict(obj) -> np.ndarray:
+    """The earlier per-entry reader, kept as the oracle for ``matrix_from_json_dict``."""
+    if not isinstance(obj, dict):
+        raise InvalidMatrixError(f"expected a matrix object, got {type(obj).__name__}")
+    dim = matio._dimension(obj, "dim", "matrix")
+    entries = obj.get("entries")
+    if not isinstance(entries, (list, tuple)):
+        raise InvalidMatrixError(f"entries must be a list, got {type(entries).__name__}")
+    if len(entries) != dim * dim:
+        raise InvalidMatrixError(
+            f"expected {dim * dim} entries for dim {dim}, got {len(entries)}"
+        )
+    flat = np.empty(dim * dim, dtype=complex)
+    for k, pair in enumerate(entries):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(matio._is_real, pair)):
+            raise InvalidMatrixError(f"entry {k} is not an [re, im] pair: {pair!r}")
+        flat[k] = complex(float(pair[0]), float(pair[1]))
+    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
+        raise InvalidMatrixError("matrix entries must be finite")
+    return flat.reshape(dim, dim)
+
+
+#: valid [re, im] pairs whose conversion the array reader must get bit for bit
+VALID_PAIRS = [[2 ** 53 + 1, -0.0], [-0.0, 2 ** 63 + 1], [2 ** 70, -(2 ** 53 + 1)],
+               [-0.0, -0.0], [5e-324, -5e-324], [0, -0.0], [0.1, 1 / 3],
+               [-1.7976931348623157e308, 2.2250738585072009e-308], [1, -1]]
+#: an entry that is not an [re, im] pair of JSON numbers
+BAD_ENTRIES = [[True, 0.0], [0.0, False], ["1", 0.0], [None, 0.0], [0.0, 1.0, 2.0],
+               [0.0], {"re": 0.0, "im": 0.0}, 1.0, None, "ab", [np.int64(1), 0.0]]
+
+
+class TestMatrixReaderParity:
+    @pytest.mark.parametrize("outer", [list, tuple])
+    @pytest.mark.parametrize("inner", [list, tuple])
+    def test_valid_entries_keep_every_bit(self, outer, inner):
+        doc = {"dim": 3, "entries": outer(inner(pair) for pair in VALID_PAIRS)}
+        got = matio.matrix_from_json_dict(doc)
+        want = reference_matrix_from_json_dict(doc)
+        assert got.dtype == want.dtype and got.shape == want.shape == (3, 3)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+    def test_entries_of_other_number_types_match_the_oracle(self):
+        # numpy floats and a float subclass are JSON numbers to the per-entry check
+        class Real(float):
+            pass
+        doc = {"dim": 2, "entries": [[np.float64(-0.0), 1.0], [Real(0.25), -0.0],
+                                     (np.float64(5e-324), 2 ** 70), [0.5, Real(-0.0)]]}
+        got = matio.matrix_from_json_dict(doc)
+        want = reference_matrix_from_json_dict(doc)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    @pytest.mark.parametrize("bad", BAD_ENTRIES, ids=repr)
+    def test_the_first_bad_entry_is_named(self, bad, position):
+        entries = [[float(k), -0.0] for k in range(9)]
+        entries[position] = bad
+        # a later bad entry and an earlier non-finite one change nothing
+        if position < 8:
+            entries[8] = None
+        if position > 0:
+            entries[0] = [float("inf"), 0.0]
+        doc = {"dim": 3, "entries": entries}
+        with pytest.raises(InvalidMatrixError) as want:
+            reference_matrix_from_json_dict(doc)
+        with pytest.raises(InvalidMatrixError) as got:
+            matio.matrix_from_json_dict(doc)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"entry {position} is not an [re, im] pair: ")
+        assert got.value.__context__ is None
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+    def test_a_non_finite_entry_matches_the_oracle(self, value):
+        doc = {"dim": 2, "entries": [[0.0, 0.0], [1, 2], [3.0, value], [0.5, -0.0]]}
+        for read in (reference_matrix_from_json_dict, matio.matrix_from_json_dict):
+            with pytest.raises(InvalidMatrixError, match=r"^matrix entries must be finite$"):
+                read(doc)
+
 
 class TestDecompositionJson:
     def test_roundtrip(self):
