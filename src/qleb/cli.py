@@ -43,24 +43,6 @@ def _parse_n_list(text: str) -> list[int]:
     return [qlan._positive_n(x) for x in _parse_float_list(text, "--n")]
 
 
-def _parse_xi(text: str) -> np.ndarray:
-    """One query vector; components comma-separated, complex as re:im."""
-    parts = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not parts:
-        raise ValueError("--xi vector is empty")
-    vals = []
-    for tok in parts:
-        if ":" in tok:
-            re_s, im_s = tok.split(":", 1)
-            vals.append(complex(float(re_s), float(im_s)))
-        else:
-            vals.append(complex(float(tok), 0.0))
-    vec = np.asarray(vals, dtype=complex)
-    if np.all(vec.imag == 0.0):
-        return vec.real
-    return vec
-
-
 def _resolve_cutoff(args) -> float | None:
     if args.cutoff is not None:
         return args.cutoff
@@ -177,10 +159,10 @@ def cmd_qlan(args) -> int:
     model = models.get_model(args.model)
     n_grid = _parse_n_list(args.n)
     if args.xi:
-        queries = [_parse_xi(tok) for tok in args.xi]
+        queries = [_parse_float_list(tok, "--xi") for tok in args.xi]
     else:
         queries = _default_queries(model.theta_dim)
-    query_grid = [q[None, :] for q in queries]
+    query_grid = [[q] for q in queries]
     h = (np.asarray(_parse_float_list(args.h, "--h"), dtype=float)
          if args.h else _default_h(model.theta_dim))
     studies = args.study or ["qclt"]
@@ -189,7 +171,7 @@ def cmd_qlan(args) -> int:
         "model": args.model,
         "n": n_grid,
         "h": [float(x) for x in h],
-        "xi": [[[float(c.real), float(c.imag)] for c in q] for q in queries],
+        "xi": [[[float(c), 0.0] for c in q] for q in queries],
         "cutoff": cutoff,
         "seed": args.seed,
         "format": args.format,
@@ -269,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated n grid")
     ql.add_argument("--h", default=None, help="local shift, comma-separated")
     ql.add_argument("--xi", action="append",
-                    help="query vector, comma-separated, complex as re:im; repeatable")
+                    help="real query vector, comma-separated; repeatable")
     ql.add_argument("--out", default=None,
                     help="report path; multiple studies write <stem>.<study><ext>")
     ql.add_argument("--format", choices=("json", "csv"), default="json")

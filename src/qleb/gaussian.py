@@ -2,7 +2,7 @@
 
 A limit law N(h, J) is described by a real mean vector h and a Hermitian PSD
 matrix J = V + iS (V real symmetric, S real skew). The quasi-characteristic
-function of an ordered tuple of (possibly complex) test vectors xi_1..xi_s is
+function of an ordered tuple of real test vectors xi_1..xi_s is
 
     exp( sum_t ( i xi_t . h - 1/2 xi_t^i xi_t^j J_ji )
          - sum_{t<u} xi_t^i xi_u^j J_ji )
@@ -10,6 +10,10 @@ function of an ordered tuple of (possibly complex) test vectors xi_1..xi_s is
 where repeated indices are summed and the later factor's index sits on J's
 first slot: xi_t^i xi_u^j J_ji = xi_u^T J xi_t. Transposing J changes the
 value whenever S is nonzero, so the contraction order is load-bearing.
+
+Test vectors are real, as in the q-LAN of Yamagata, Fujiwara and Gill (Ann.
+Statist. 41, 2013): only then is each factor exp(i xi . X) of the finite-n
+quasi-characteristic function unitary.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class GaussianSpec:
 
 
 def as_query(xis, dim: int | None = None) -> np.ndarray:
-    """Normalize a query to a complex (s, d) array of test vectors."""
+    """Normalize a query of real test vectors to a complex (s, d) array."""
     q = np.asarray(xis, dtype=complex)
     if q.ndim == 1:
         q = q[None, :]
@@ -79,15 +83,16 @@ def as_query(xis, dim: int | None = None) -> np.ndarray:
         )
     if not np.all(np.isfinite(q)):
         raise ValueError("query has non-finite entries")
+    if np.any(q.imag):
+        raise ValueError("query has entries with a nonzero imaginary part; test vectors are real")
     return q
 
 
 def qcf(spec: GaussianSpec, xis) -> complex:
     """Quasi-characteristic function of N(mean, J) at an ordered query.
 
-    The per-factor quadratic xi^T J xi equals xi^T V xi identically (the
-    non-conjugated bilinear form of the skew part cancels pairwise, for
-    complex xi too), so only the cross terms see Im J.
+    The per-factor quadratic xi^T J xi equals xi^T V xi, since xi^T S xi
+    vanishes for the skew S, so only the cross terms see Im J.
     """
     q = as_query(xis, spec.dim)
     h = spec.mean

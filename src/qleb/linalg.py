@@ -32,6 +32,13 @@ clusters is one vectorized pass with the bits of the per-slice loop: a
 screen of the eigenvalue gaps sends only the slices with a cluster to
 ``_clusters``. Shorter stacks, the single operators of the pair functions
 among them, keep the loop, which costs less there.
+
+Each matrix exponential the package forms is of a kind known where it is
+built: e^{L/2} of a log-likelihood ratio and the spin generators are
+Hermitian, the QCF factors e^{i xi . A} of real queries anti-Hermitian. So
+``_exp_hermitian`` and ``_exp_anti_hermitian`` each take a stack of one
+kind, and only the public ``expm`` tells the two apart; it rejects any
+other matrix.
 """
 
 from __future__ import annotations
@@ -478,75 +485,59 @@ def _log_stack(p: PositiveOperator) -> np.ndarray:
     return hermitian_part(_synth(p.bases(), np.log(p.values)))
 
 
-#: message of the OverflowError that ``expm`` raises
+#: message of the OverflowError that an exponential raises
 _EXPM_OVERFLOW = "matrix exponential overflowed the float range"
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential.
+    """Matrix exponential of a Hermitian or an anti-Hermitian matrix.
 
-    Hermitian and anti-Hermitian input go through the spectral decomposition;
-    everything else through scaling-and-squaring.
+    Both go through the spectral decomposition. Any other matrix raises
+    NotHermitianError: the package exponentiates only these two kinds.
     """
-    return _expm_checked(_as_square(a)[None])[0]
-
-
-def _expm_stack(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """``expm`` of each slice of a stack of finite square matrices.
-
-    Returns the exponentials and the positions of the slices that
-    overflowed; each slice takes the branch ``expm`` would take on it alone.
-    """
-    if not m.size:
-        return np.zeros(m.shape, dtype=complex), []
-    tols = [HERMITIAN_TOL * max(1.0, x) for x in np.abs(m).max(axis=(-2, -1)).tolist()]
+    m = _as_square(a)[None]
+    # the test ``hermitize`` would repeat on the operand handed to the eigensolver
+    tol = HERMITIAN_TOL * max(1.0, float(np.abs(m).max(initial=0.0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        # each branch test is the one ``hermitize`` would repeat on the
-        # operand handed to the eigensolver
-        gaps = np.abs(m - _dagger(m)).max(axis=(-2, -1)).tolist()
-        herm = [gap <= tol for gap, tol in zip(gaps, tols)]
-        if all(herm):
-            out = _exp_hermitian(m)
-        else:
-            gaps = np.abs(m + _dagger(m)).max(axis=(-2, -1)).tolist()
-            anti = [not h and gap <= tol for h, gap, tol in zip(herm, gaps, tols)]
-            if all(anti):
-                out = _exp_anti_hermitian(m)
-            else:
-                out = np.empty_like(m)
-                if any(herm):
-                    out[herm] = _exp_hermitian(m[herm])
-                if any(anti):
-                    out[anti] = _exp_anti_hermitian(m[anti])
-                for j, (h, a) in enumerate(zip(herm, anti)):
-                    if not (h or a):
-                        # imported on first use: importing scipy.linalg takes longer than most runs
-                        import scipy.linalg
-
-                        out[j] = scipy.linalg.expm(m[j])
-    if np.isfinite(out).all():
-        return out, []
-    return out, np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))).tolist()
+        hermitian = np.abs(m - _dagger(m)).max(initial=0.0) <= tol
+        gap = 0.0 if hermitian else float(np.abs(m + _dagger(m)).max(initial=0.0))
+    # a non-finite matrix is of neither kind: ``_expm_checked`` rejects it
+    if gap > tol and np.isfinite(m).all():
+        raise NotHermitianError(
+            f"expm takes a Hermitian or anti-Hermitian matrix; anti-Hermiticity "
+            f"violation {gap:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return _expm_checked(m, _exp_hermitian if hermitian else _exp_anti_hermitian)[0]
 
 
-def _expm_checked(m: np.ndarray) -> np.ndarray:
-    """``expm`` of each slice of a stack; raises at a slice that fails."""
+def _expm_checked(m: np.ndarray, kernel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``kernel(m)`` for a stack ``m``; raises at a non-finite slice or one that overflows."""
     if not np.isfinite(m).all():
         raise InvalidMatrixError("matrix has non-finite entries")
-    out, overflowed = _expm_stack(m)
-    if overflowed:
+    out = kernel(m)
+    if not np.isfinite(out).all():
         raise OverflowError(_EXPM_OVERFLOW)
     return out
 
 
 def _exp_hermitian(m: np.ndarray) -> np.ndarray:
-    w, v = _eigh(hermitian_part(m))
-    return hermitian_part(_synth(v, np.exp(w)))
+    """e^m of each slice of a stack of finite Hermitian matrices.
+
+    A slice whose exponential overflows comes back with non-finite entries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, v = _eigh(hermitian_part(m))
+        return hermitian_part(_synth(v, np.exp(w)))
 
 
 def _exp_anti_hermitian(m: np.ndarray) -> np.ndarray:
-    w, v = _eigh(hermitian_part(-1j * m))
-    return _synth(v, np.exp(1j * w))
+    """e^m of each slice of a stack of finite anti-Hermitian matrices.
+
+    A slice whose exponential overflows comes back with non-finite entries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, v = _eigh(hermitian_part(-1j * m))
+        return _synth(v, np.exp(1j * w))
 
 
 def geometric_mean(a, b, cutoff: float | None = None) -> PositiveOperator:

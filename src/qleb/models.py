@@ -26,9 +26,10 @@ from .errors import (
 )
 from .linalg import (
     PositiveOperator,
+    _exp_anti_hermitian,
+    _exp_hermitian,
     _expm_checked,
     _replay,
-    expm,
     hermitian_part,
     positive,
 )
@@ -127,7 +128,7 @@ def _spin_states(thetas, f_rule) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             gen = (th[:, 0, None, None] * SIGMA_X + th[:, 1, None, None] * SIGMA_Y
                    - psi[:, None, None] * np.eye(2)) / 2.0
-        half = _expm_checked(gen)
+        half = _expm_checked(gen, _exp_hermitian)
         pure = hermitian_part(half @ _GROUND @ half)
         if f_rule is None:
             return pure
@@ -342,14 +343,14 @@ def random_psd_pair(spec: RandomPsdPairSpec) -> tuple[PositiveOperator, Positive
 
 def _rotate_to_overlap(rho: np.ndarray, sigma: np.ndarray, gen: np.ndarray,
                        target: float) -> np.ndarray:
-    """Conjugate sigma by e^{t gen} until Tr rho sigma sits near target.
+    """Conjugate sigma by e^{t gen}, gen anti-Hermitian, until Tr rho sigma sits near target.
 
     Raises UnreachableOverlapError when no angle tried gets there, e.g. when
     the target exceeds the largest overlap the rotation attains.
     """
 
     def overlap(t: float) -> tuple[float, np.ndarray]:
-        w = expm(t * gen)
+        w = _expm_checked((t * gen)[None], _exp_anti_hermitian)[0]
         rotated = hermitian_part(w @ sigma @ w.conj().T)
         return float(np.trace(rho @ rotated).real), rotated
 

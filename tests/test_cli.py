@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -339,19 +340,23 @@ def test_lecam_study_computes_the_slds_once(monkeypatch, tmp_path):
 
 
 class TestParseXi:
-    def test_real_vector(self):
-        vec = cli._parse_xi("1,0.5")
-        assert vec.dtype == np.float64
-        np.testing.assert_array_equal(vec, [1.0, 0.5])
+    """``--xi`` takes one real query vector, its components comma-separated."""
 
-    def test_complex_components(self):
-        vec = cli._parse_xi("1:0.5,-2")
-        assert vec.dtype == np.complex128
-        np.testing.assert_array_equal(vec, [1.0 + 0.5j, -2.0 + 0.0j])
+    def test_real_vector(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run_cli("qlan", "--model", "spin-pure", "--n", "100,1000",
+                       "--xi", "1, -0.5", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"]["xi"] == [[[1.0, 0.0], [-0.5, 0.0]]]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cli._parse_xi(" , ")
+    def test_complex_components(self, capsys):
+        # queries are real: the re:im form of a complex component is gone
+        assert run_cli("qlan", "--model", "spin-pure", "--xi", "1:0.5") == 2
+        assert capsys.readouterr().err == (
+            "error: --xi expects a comma-separated number list, got '1:0.5'\n")
+
+    def test_empty_rejected(self, capsys):
+        assert run_cli("qlan", "--model", "spin-pure", "--xi", " , ") == 2
+        assert capsys.readouterr().err == "error: --xi list is empty\n"
 
 
 def test_version_flag(capsys):
@@ -391,13 +396,12 @@ def test_installed_console_script():
     assert proc.stdout == f"qleb {qleb.__version__}\n"
 
 
-#: a fresh interpreter runs the golden CLI calls, then one general-matrix
-#: expm; it prints their outputs and which scipy modules each stage loaded
-IMPORT_GUARD = """
-import contextlib, io, json, sys
+#: the library calls that must run where scipy cannot be imported, as
+#: source shared by this suite and a child interpreter; each result is text
+SCIPY_FREE_CALLS = """
+import contextlib, io
 import numpy as np
-import qleb, qleb.cli
-from qleb import cli, linalg
+from qleb import cli, linalg, matio, models, qlan
 
 def run(*argv):
     buf = io.StringIO()
@@ -405,56 +409,96 @@ def run(*argv):
         code = cli.main(list(argv))
     return f"exit {code}\\n{buf.getvalue()}"
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+def report(value):
+    return matio.dumps_json(value.to_json_dict())
 
-operands = ("--rho", "rho.json", "--sigma", "sigma.json")
-qlan = ["qlan", "--model", "spin-perturbed:quartic"]
-for study in ("qclt", "lecam", "sandwich", "oh2"):
-    qlan += ["--study", study]
-outputs = {
-    "cli.decompose.out": run("decompose", *operands, "--out", "dec.json"),
-    "cli.check.mutual.out": run("check", "mutual", *operands),
-    "cli.qlan.out": run(*qlan, "--out", "qlan.json"),
-}
-after_cli = scipy_modules()
-general = np.array([[0.3, 1.0 + 0.5j, 0.0], [-0.2j, -0.7, 0.4], [0.1, 0.0, 0.2 - 0.3j]])
-value = linalg.expm(general)
-after_expm = scipy_modules()
-import scipy.linalg
-reference = scipy.linalg.expm(general)
-gap = float(np.abs(value - reference).max() / np.abs(reference).max())
-print(json.dumps({"outputs": outputs, "after_cli": after_cli, "after_expm": after_expm,
-                  "gap": gap}))
+def scipy_free_calls():
+    operands = ("--rho", "rho.json", "--sigma", "sigma.json")
+    qlan_argv = ["qlan", "--model", "spin-perturbed:quartic"]
+    for study in ("qclt", "lecam", "sandwich", "oh2"):
+        qlan_argv += ["--study", study]
+    model = models.get_model("spin-perturbed:quartic")
+    queries = [[q] for q in cli._default_queries(2)]
+    h, ns = cli._default_h(2), (100, 1000, 10000)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    herm = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.7]])
+    return {
+        "cli.decompose.out": run("decompose", *operands, "--out", "dec.json"),
+        "cli.check.mutual.out": run("check", "mutual", *operands),
+        "cli.qlan.out": run(*qlan_argv, "--out", "qlan.json"),
+        "qclt": report(qlan.qclt_report(model, queries, ns)),
+        "lecam": report(qlan.lecam_report(model, None, h, queries, ns)),
+        "sandwich": report(qlan.sandwich_report(model, h, queries, ns)),
+        "oh2": report(qlan.oh2_report(model)),
+        "probe": report(qlan.infinitesimal_probe(qlan.iid_remainder_rule(model, h), model,
+                                                 queries, (0.5, 1.0), ns)),
+        "brute": repr(qlan.collective_qcf_brute(np.diag([0.7, 0.3]), [sx], [[0.3], [-0.2]], 3)),
+        "expm_hermitian": linalg.expm(herm).tobytes().hex(),
+        "expm_anti_hermitian": linalg.expm(1j * herm).tobytes().hex(),
+    }
+"""
+
+#: a fresh interpreter in which ``import scipy`` fails runs the calls above
+SCIPY_BLOCKED = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was imported")
+import qleb
+""" + SCIPY_FREE_CALLS + """
+print(json.dumps(scipy_free_calls()))
 """
 
 
-def test_cli_runs_without_importing_scipy(tmp_path):
-    """``import qleb`` and the golden CLI calls load no scipy module.
+def test_cli_runs_without_importing_scipy(tmp_path, monkeypatch):
+    """The library runs where scipy cannot be imported, the golden CLI calls included.
 
-    scipy is imported only by ``expm`` of a matrix that is neither Hermitian
-    nor anti-Hermitian, which still matches ``scipy.linalg.expm``. A child
-    interpreter runs this, because this suite imports scipy itself.
+    A child interpreter, whose import system refuses scipy, makes the golden
+    CLI calls, runs the five q-LAN reports, the dense QCF oracle and
+    ``expm`` of a Hermitian and an anti-Hermitian matrix. The CLI output and
+    files are the golden bytes, and every other result is the one this
+    process computes.
     """
     shutil.copy(GOLDEN / "cli.rho.json", tmp_path / "rho.json")
     shutil.copy(GOLDEN / "cli.sigma.json", tmp_path / "sigma.json")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["after_cli"] == []
-    for name, text in result["outputs"].items():
-        assert text.encode() == (GOLDEN / name).read_bytes(), name
+    for name in ("cli.decompose.out", "cli.check.mutual.out", "cli.qlan.out"):
+        assert result.pop(name).encode() == (GOLDEN / name).read_bytes(), name
     written = {"dec.json": "cli.decompose.json"}
     written.update({f"qlan.{s}.json": f"cli.qlan.{s}.json"
                     for s in ("qclt", "lecam", "sandwich", "oh2")})
     for name, fixture in written.items():
         assert (tmp_path / name).read_bytes() == (GOLDEN / fixture).read_bytes(), name
-    assert "scipy.linalg" in result["after_expm"]
-    assert result["gap"] <= 1e-12
+    here = {}
+    exec(SCIPY_FREE_CALLS, here)
+    monkeypatch.chdir(tmp_path)
+    expected = here["scipy_free_calls"]()
+    assert result == {name: expected[name] for name in result}
+
+
+def test_library_depends_on_numpy_only():
+    """The library imports numpy alone; scipy is only in the ``test`` extra."""
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_module_entrypoint():

@@ -87,10 +87,12 @@ class TestQcf:
         expected = merged * np.exp(xi @ xi - xi @ (J_SPIN @ xi))
         assert both == pytest.approx(expected, abs=1e-14)
 
-    def test_complex_test_vectors_accepted(self):
-        spec = spin_spec()
-        value = gaussian.qcf(spec, [[1.0 + 0.5j, 0.0], [0.0, 1.0 - 0.25j]])
-        assert np.isfinite(value.real) and np.isfinite(value.imag)
+    def test_complex_test_vectors_rejected(self):
+        with pytest.raises(ValueError, match="^query has entries with a nonzero imaginary part; "
+                                             "test vectors are real$"):
+            gaussian.qcf(spin_spec(), [[1.0, 0.0], [0.0, 1.0 - 0.25j]])
+        # a zero imaginary part is a real query
+        assert gaussian.qcf(spin_spec(), [[1.0 + 0j, 0.0]]) == gaussian.qcf(spin_spec(), [1.0, 0.0])
 
     def test_rejects_empty_query(self):
         with pytest.raises(DimensionMismatchError):

@@ -4,10 +4,10 @@ import copy
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qleb import linalg
 from qleb.errors import (
@@ -364,11 +364,42 @@ def test_log_pd_needs_full_rank():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_expm_matches_scipy(seed):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(seed)
     h = random_psd(rng, 4) - 0.3 * np.eye(4)
-    np.testing.assert_allclose(linalg.expm(h), scipy.linalg.expm(h), atol=1e-10)
+    np.testing.assert_allclose(linalg.expm(h), scipy_linalg.expm(h), atol=1e-10)
+    k = 2.0j * linalg.hermitian_part(rng.standard_normal((4, 4))
+                                     + 1j * rng.standard_normal((4, 4)))
+    np.testing.assert_allclose(linalg.expm(k), scipy_linalg.expm(k), atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_expm_rejects_a_matrix_of_neither_kind(seed):
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    np.testing.assert_allclose(linalg.expm(g), scipy.linalg.expm(g), atol=1e-10)
+    with pytest.raises(NotHermitianError, match="^expm takes a Hermitian or anti-Hermitian "
+                                                "matrix; anti-Hermiticity violation "):
+        linalg.expm(g)
+    # the Hermitian tolerance, relative to the largest entry, holds for both kinds
+    h = linalg.hermitian_part(g)
+    for m in (h, 1j * h):
+        off = np.zeros((4, 4), dtype=complex)
+        off[0, 1] = 5e-13 * np.abs(m).max()
+        linalg.expm(m + off)
+        off[0, 1] *= 4
+        with pytest.raises(NotHermitianError):
+            linalg.expm(m + off)
+
+
+@pytest.mark.parametrize("a", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]],
+                               [[1.0, complex(0.0, np.nan)], [0.0, 1.0]],
+                               [[np.inf, 1.0], [-1.0, -np.inf]]])
+def test_expm_of_a_non_finite_matrix_is_an_invalid_matrix(a):
+    # a non-finite matrix is of neither kind, and that is not its error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMatrixError, match="^matrix has non-finite entries$"):
+            linalg.expm(a)
 
 
 def test_expm_anti_hermitian_is_unitary():

@@ -129,7 +129,7 @@ class TestCollectiveQcf:
             psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             psi /= np.linalg.norm(psi)
             rho = np.outer(psi, psi.conj())
-            q = rng.standard_normal((2, 1)) + 1j * 0.3 * rng.standard_normal((2, 1))
+            q = rng.standard_normal((2, 1))
             a = qlan.collective_qcf_factorized(rho, [op], q, n, guard=8.0)
             b = qlan.collective_qcf_brute(rho, [op], q, n)
             assert a == pytest.approx(b, abs=1e-11)
@@ -184,8 +184,8 @@ class TestCollectiveQcf:
         def no_exponential(*args):
             raise AssertionError("exponential formed before the operands were checked")
 
-        monkeypatch.setattr(qlan, "_expm_stack", no_exponential)
-        monkeypatch.setattr(qlan, "expm", no_exponential)
+        for name in ("_exp_anti_hermitian", "_exp_hermitian", "expm"):
+            monkeypatch.setattr(qlan, name, no_exponential)
         with pytest.raises(expected[0]) as exc:
             qcf(np.eye(2) / 2, ops, query, 2)
         assert (type(exc.value), str(exc.value)) == expected
@@ -257,8 +257,8 @@ def raised_first(monkeypatch, call):
     def no_exponential(*args):
         raise AssertionError("exponential formed before the arguments were checked")
 
-    monkeypatch.setattr(qlan, "_expm_stack", no_exponential)
-    monkeypatch.setattr(qlan, "expm", no_exponential)
+    for name in ("_exp_anti_hermitian", "_exp_hermitian", "expm"):
+        monkeypatch.setattr(qlan, name, no_exponential)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Exception) as exc:
@@ -350,6 +350,8 @@ BAD_QUERIES = [
     (np.zeros((0, 2)), (DimensionMismatchError,
                         "a query is a nonempty sequence of test vectors, got shape (0, 2)")),
     (np.array([[np.nan, 0.0]]), (ValueError, "query has non-finite entries")),
+    (np.array([[1.0, 0.5j]]), (ValueError, "query has entries with a nonzero imaginary part; "
+                                           "test vectors are real")),
 ]
 
 
@@ -373,6 +375,13 @@ def test_query_grid_checked_before_any_model_evaluation(monkeypatch, entry, grid
         "probe": lambda: qlan.infinitesimal_probe(rule, m, grid, [0.5], ns),
     }
     assert raised_first(monkeypatch, calls[entry]) == expected
+
+
+@pytest.mark.parametrize("query,expected", BAD_QUERIES)
+@pytest.mark.parametrize("qcf", [qlan.collective_qcf_factorized, qlan.collective_qcf_brute])
+def test_site_query_checked_before_any_exponential(monkeypatch, qcf, query, expected):
+    call = lambda: qcf(np.eye(2) / 2, [SX, SY], query, 2)
+    assert raised_first(monkeypatch, call) == expected
 
 
 @pytest.mark.parametrize("query,expected", BAD_QUERIES)

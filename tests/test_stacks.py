@@ -1,7 +1,7 @@
 """Stacked spectral kernels against the point-by-point loops they replace.
 
 The q-LAN reports evaluate their grids through kernels that take a leading
-stack axis (``linalg._expm_stack``, ``decomp._qllr_stack``,
+stack axis (the two exponentials of ``linalg``, ``decomp._qllr_stack``,
 ``qlan._guarded_powers``, the models' ``states_at``). Each test keeps the
 per-point loop over the public single-matrix functions as the reference:
 values must be equal to the last bit (``np.array_equal``), and a failing
@@ -144,35 +144,42 @@ def test_failing_checks_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_expm_stack_is_the_per_slice_expm():
+def test_exp_kernels_are_the_per_slice_expm():
     rng = np.random.default_rng(5)
-    for d in range(2, 7):
-        generic, repeated, deficient = spectra(rng, d)
-        herms = [hermitian_with(rng, eigs) for eigs in (generic, repeated, deficient)]
+    for d in range(1, 7):
+        herms = [hermitian_with(rng, eigs) for eigs in spectra(rng, d)]
         herms += [np.zeros((d, d), dtype=complex), 2.0 * np.eye(d, dtype=complex)]
-        general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        # all three branches, interleaved in one stack
-        stack = np.array([m for h in herms for m in (h, 1j * h, general + h)])
-        out, overflowed = linalg._expm_stack(stack)
-        assert overflowed == []
-        for m, e in zip(stack, out):
-            assert np.array_equal(e, linalg.expm(m))
-        # uniform stacks take the same branch as their slices
-        for part in (stack[0::3], stack[1::3]):
-            out, _ = linalg._expm_stack(part)
-            for m, e in zip(part, out):
+        # each kernel takes a stack of its own kind; every slice is public expm's
+        for kernel, stack in ((linalg._exp_hermitian, np.array(herms)),
+                              (linalg._exp_anti_hermitian, 1j * np.array(herms))):
+            out = kernel(stack)
+            for m, e in zip(stack, out):
                 assert np.array_equal(e, linalg.expm(m))
+        # a zero slice, the factor of a zero query vector, has the same bits,
+        # sign bits included, in both
+        zero = np.zeros((1, d, d), dtype=complex)
+        bits = [kernel(zero).view(np.uint64)
+                for kernel in (linalg._exp_hermitian, linalg._exp_anti_hermitian)]
+        assert np.array_equal(*bits)
 
 
-def test_expm_stack_reports_each_overflow():
-    stack = np.array([np.eye(2), np.diag([1e4, 0.0]), -1j * np.eye(2), np.diag([1e4, 1.0])],
-                     dtype=complex)
-    out, overflowed = linalg._expm_stack(stack)
-    assert overflowed == [1, 3]
-    for j in (0, 2):
-        assert np.array_equal(out[j], linalg.expm(stack[j]))
-    with pytest.raises(OverflowError, match=linalg._EXPM_OVERFLOW):
-        linalg.expm(stack[1])
+def test_exp_kernels_report_each_overflow():
+    herm = np.array([np.eye(2), np.diag([1e4, 0.0]), -np.eye(2), np.diag([1e4, 1.0])],
+                    dtype=complex)
+    # a finite anti-Hermitian slice overflows only on the way to its spectrum
+    anti = np.array([1j * np.eye(2), np.diag([1e308j, -1e308j]), -1j * np.eye(2)])
+    for kernel, stack, overflowed in ((linalg._exp_hermitian, herm, [1, 3]),
+                                      (linalg._exp_anti_hermitian, anti, [1])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kernel(stack)
+        assert np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))).tolist() == overflowed
+        for j, m in enumerate(stack):
+            if j in overflowed:
+                with pytest.raises(OverflowError, match=linalg._EXPM_OVERFLOW):
+                    linalg.expm(m)
+            else:
+                assert np.array_equal(out[j], linalg.expm(m))
 
 
 def site_power_loop(state, ops, query, n, extra=None, eta=None, guard=qlan.QCF_GUARD):
@@ -205,7 +212,8 @@ def test_site_products_are_the_per_query_products(d):
     extras = [hermitian_with(rng, rng.uniform(-1.0, 1.0, d)) for _ in ns]
     per_n = [states, states[::-1], states]
     queries = [rng.standard_normal((t, 3)) * 0.5 for t in (1, 3, 2, 1)]
-    queries.append(rng.standard_normal((2, 3)) * 0.3 + 0.2j * rng.standard_normal((2, 3)))
+    # a zero test vector among them
+    queries.append(np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1]]))
     queries = [as_query(q, 3) for q in queries]
     slices = [(q, eta) for q in queries for eta in (None, 0.5, -1.0)]
     # the remainder is one more site observable; its column holds eta, 0 for None
@@ -225,7 +233,7 @@ def test_site_products_are_the_per_query_products(d):
 def test_site_products_fail_at_the_first_failing_factor(order):
     state = np.eye(2, dtype=complex) / 2
     ops = [np.diag([1.0, -1.0]).astype(complex), np.diag([1e300, -1e300]).astype(complex)]
-    overflow = [1000j, 0.0]  # the factor exp(-1000 sigma_z) overflows
+    overflow = [0.0, 1e8]  # 1e8 * 1e300 is finite, twice that is not
     invalid = [0.0, 1e10]  # 1e10 * 1e300 is not finite
     failing = [overflow, invalid] if order == "overflow_first" else [invalid, overflow]
     queries = [as_query([[0.1, 0.0]], 2), as_query(failing, 2)]
