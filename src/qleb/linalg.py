@@ -34,8 +34,9 @@ screen of the eigenvalue gaps sends only the slices with a cluster to
 among them, keep the loop, which costs less there.
 
 Each matrix exponential the package forms is of a kind known where it is
-built: e^{L/2} of a log-likelihood ratio and the spin generators are
-Hermitian, the QCF factors e^{i xi . A} of real queries anti-Hermitian. So
+built: e^{L/2} of a log-likelihood ratio is Hermitian, the QCF factors
+e^{i xi . A} of real queries and the rotations of ``random_psd_pair``
+anti-Hermitian. So
 ``_exp_hermitian`` and ``_exp_anti_hermitian`` each take a stack of one
 kind, and only the public ``expm`` tells the two apart; it rejects any
 other matrix.

@@ -1,14 +1,16 @@
 """Built-in parametric families and seeded random-instance generators.
 
-The spin-1/2 families live on theta in R^2. The pure family
+The spin-1/2 families live on theta in R^2. The pure family is the closed
+form of a unit Bloch vector,
 
-    rho_bar(theta) = e^{(theta.sigma - psi(theta) I)/2} |0><0| e^{(...)/2},
-    psi(theta) = log cosh ||theta||
+    rho_bar(theta) = (I + b.sigma) / 2,   b = (tanh r theta / r, sech r),   r = ||theta||,
 
-stays rank 1 with trace exactly 1; the perturbed family mixes in weight
+which is e^{theta.sigma/2} |0><0| e^{theta.sigma/2} / cosh r: rank 1 with
+trace 1 at every finite theta. The perturbed family mixes in weight
 1 - e^{-f(theta)} on the orthogonal pure state |1><1|, so its absolutely
-continuous and singular parts along rho_bar(0) have closed forms that the
-decomposition tests can check against.
+continuous and singular parts along rho_bar(0) = |0><0| are the closed
+forms e^{-f} rho_bar(theta) and (1 - e^{-f}) |1><1|, which the
+decomposition tests check against.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .errors import (
 from .linalg import (
     PositiveOperator,
     _exp_anti_hermitian,
-    _exp_hermitian,
     _expm_checked,
-    _replay,
     hermitian_part,
     positive,
 )
@@ -40,7 +40,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 #: the built-in rules f(theta) = ||theta||^k, by name
@@ -89,53 +88,52 @@ def _finite_pairs(thetas: list) -> np.ndarray | None:
 
 
 def _spin_states(thetas, f_rule) -> np.ndarray:
-    """The spin family at each theta, in array passes and one stacked exponential.
+    """The spin family at each theta, in array passes.
 
     ``f_rule`` is None for the pure family, a name of ``_F_POWERS``, or a
     callable f. Errors are those of a loop over the thetas: per theta,
-    validation and then f, then the generator's exponential. Thetas that
-    are all finite real 2-vectors are read as one array; otherwise, and for
-    a callable f, which is called once per theta in order, a loop validates
-    them. The values are those of that loop, bit for bit: ||theta|| is the
-    dot product ``np.linalg.norm`` takes, and psi and the weight e^{-f} are
-    array ufuncs of the same scalar operations. ||theta||, psi and the
-    powers may overflow, to a state or to the generator's non-finite-entry
-    error, and they do so with numpy warnings ignored or raised alike.
+    validation and then f. Thetas that are all finite real 2-vectors are
+    read as one array; otherwise, and for a callable f, which is called
+    once per theta in order, a loop validates them. The values are those of
+    that loop, bit for bit: ||theta|| is the dot product ``np.linalg.norm``
+    takes, and the Bloch vector and the weight e^{-f} are array ufuncs of
+    the same scalar operations. ||theta|| and its powers may overflow to
+    inf, which still gives a state, with numpy warnings ignored or raised
+    alike.
     """
     power = _F_POWERS.get(f_rule) if isinstance(f_rule, str) else None
     custom = f_rule is not None and power is None
-
-    def run(thetas):
-        th = None if custom else _finite_pairs(thetas)
-        weights = None
-        if th is None:
-            th, weights = [], []
-            for theta in thetas:
-                th.append(_theta2(theta))
-                if custom:
-                    weights.append(float(np.exp(-f_rule(th[-1]))))
-            th = np.array(th).reshape(-1, 2)
-        with np.errstate(over="ignore"):
-            # the vector dot of np.linalg.norm; (th * th).sum(1) rounds differently
-            r = np.sqrt((th[:, None, :] @ th[:, :, None])[:, 0, 0])
-            # psi = log cosh r, kept overflow-free
-            psi = np.logaddexp(r, -r) - np.log(2.0)
-            if power is not None:
-                # a float64 scalar power per theta: the array power r ** k
-                # runs a SIMD pow that can differ in the last bit, and a
-                # Python float power raises OverflowError where this gives inf
-                weights = np.exp(-np.array([x ** power for x in r]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            gen = (th[:, 0, None, None] * SIGMA_X + th[:, 1, None, None] * SIGMA_Y
-                   - psi[:, None, None] * np.eye(2)) / 2.0
-        half = _expm_checked(gen, _exp_hermitian)
-        pure = hermitian_part(half @ _GROUND @ half)
-        if f_rule is None:
-            return pure
-        w = np.asarray(weights, dtype=float)[:, None, None]
-        return w * pure + (1.0 - w) * _EXCITED
-
-    return _replay(run, list(thetas))
+    th = None if custom else _finite_pairs(thetas)
+    weights = None
+    if th is None:
+        th, weights = [], []
+        for theta in thetas:
+            th.append(_theta2(theta))
+            if custom:
+                weights.append(float(np.exp(-f_rule(th[-1]))))
+        th = np.array(th).reshape(-1, 2)
+    with np.errstate(over="ignore"):
+        # the vector dot of np.linalg.norm; (th * th).sum(1) rounds differently
+        r = np.sqrt((th[:, None, :] @ th[:, :, None])[:, 0, 0])
+        if power is not None:
+            # a float64 scalar power per theta: the array power r ** k
+            # runs a SIMD pow that can differ in the last bit, and a
+            # Python float power raises OverflowError where this gives inf
+            weights = np.exp(-np.array([x ** power for x in r]))
+        # theta / r from u, theta over its largest |entry|, which no finite
+        # theta overflows; u has norm 0 or at least 1
+        top = np.abs(th).max(axis=1, initial=0.0)[:, None]
+        u = th / np.where(top > 0.0, top, 1.0)
+        u_norm = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0])
+        # the unit Bloch vector (tanh r theta / r, sech r); cosh r overflows to inf
+        bx, by = (np.tanh(r)[:, None] * (u / np.maximum(u_norm, 1.0))).T
+        bz = 1.0 / np.cosh(r)
+    pure = (np.eye(2) + bx[:, None, None] * SIGMA_X + by[:, None, None] * SIGMA_Y
+            + bz[:, None, None] * SIGMA_Z) / 2.0
+    if f_rule is None:
+        return pure
+    w = np.asarray(weights, dtype=float)[:, None, None]
+    return w * pure + (1.0 - w) * _EXCITED
 
 
 def spin_pure_model() -> ParametricModel:

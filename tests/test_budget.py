@@ -15,35 +15,38 @@ import pytest
 from qleb import cli, decomp, linalg, models, qlan
 
 #: budgets of spin-perturbed:quartic studies with the CLI defaults; the
-#: reports evaluate each grid, the model's states included, in stacked
-#: eigensolves (one stacked call counts once), so these are the per-report
-#: counts of the stacked path. The probe's 10 are the remainder rule's grid
-#: (8), the QCF (1) and N(0, J), which the first report that reads it
-#: validates once per base (1; 26 when the rule ran once per n). ``qclt_report``
-#: on a new model builds the base: theta0, its validation, the SLD stencil,
-#: N(0, J) and the QCF, one eigensolve each.
-SLD_SET_BUDGET = 3
-QCLT_BUDGET = 5
-LECAM_BUDGET = 8
-SANDWICH_BUDGET = 13
-OH2_BUDGET = 11
-PROBE_BUDGET = 10
+#: reports evaluate each grid in stacked eigensolves (one stacked call counts
+#: once), and the model's states are closed forms, which need none (each
+#: state evaluation was one stacked exponential before: 3, 5, 8, 13, 11 and
+#: 10 below). The probe's 9 are the remainder rule's grid (7), the QCF (1)
+#: and N(0, J), which the first report that reads it validates once per base
+#: (1; 26 when the rule ran once per n). ``qclt_report`` on a new model
+#: builds the base: the validation of theta0's state, N(0, J) and the QCF,
+#: one eigensolve each; ``sld_set`` validates theta0's state only. Counted
+#: with the memo of ``positive`` and the q-LAN bases empty.
+SLD_SET_BUDGET = 1
+QCLT_BUDGET = 3
+LECAM_BUDGET = 5
+SANDWICH_BUDGET = 10
+OH2_BUDGET = 9
+PROBE_BUDGET = 9
 QLLR_BUDGET = 8
 
 #: one round of the five reports on one spin-perturbed:quartic model object
 #: whose q-LAN base is built: theta0, the SLD stencil and N(0, J) are not
 #: evaluated again, and each ``states_at`` call is a grid of shifted states
 #: (one each for ``lecam_report``, ``sandwich_report``, ``oh2_report`` and
-#: the probe's remainder rule); 52 eigensolves and 6 ``states_at`` calls when
-#: the rule ran once per n, 65, 7 ``state_at`` and 12 ``states_at`` when
-#: every report built its own base
-ROUND_BUDGET = 34
+#: the probe's remainder rule); 34 eigensolves while each of those calls ran
+#: a stacked exponential, 52 and 6 ``states_at`` calls when the rule ran once
+#: per n, 65, 7 ``state_at`` and 12 ``states_at`` when every report built its
+#: own base
+ROUND_BUDGET = 30
 ROUND_STATES_AT = 4
 
 #: ``linalg._clusters`` calls in that round: stacks of ``linalg._STACKED``
 #: slices or more send only the slices with a degenerate cluster to it (363
-#: when every slice of every stack went)
-ROUND_CLUSTERS = 49
+#: when every slice of every stack went, 49 while the states were exponentials)
+ROUND_CLUSTERS = 40
 
 
 @pytest.fixture
@@ -91,8 +94,10 @@ def test_qllr_budget(eigh_calls, seed):
     assert 0 < len(eigh_calls) <= QLLR_BUDGET
 
 
-def test_sld_set_budget(eigh_calls):
+def test_sld_set_budget(eigh_calls, monkeypatch):
     model = models.get_model("spin-perturbed:quartic")
+    # theta0's state is validated only where the memo of ``positive`` misses it
+    monkeypatch.setattr(linalg._memo, "entries", {})
     eigh_calls.clear()
     qlan.sld_set(model)
     assert 0 < len(eigh_calls) <= SLD_SET_BUDGET

@@ -16,7 +16,9 @@ The fixtures in ``tests/golden/`` hold the exact bytes of
 * ``qllr`` on seeded generic pairs, d = 2..6.
 
 A change that alters any of these bytes is a change of results, not a
-refactor; the fixtures are never rewritten to make this suite pass.
+refactor; the fixtures are never rewritten to make this suite pass. A
+change whose ROADMAP item reopens bytes rewrites only the fixtures it
+names, and records each of them, with its largest drift, in ``CHANGES.md``.
 """
 
 from __future__ import annotations

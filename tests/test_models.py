@@ -48,17 +48,26 @@ class TestSpinPure:
     @pytest.mark.parametrize("r,bound", [
         (1.0, 1e-13),
         (10.0, 1e-13),
-        # e^{(theta.sigma - psi I)/2} cancels to a trace that strays from 1:
-        # 1.9e-9 at r = 1e8 and 0.5 from r = 1e16 on; r = 1e40 overflows. A
-        # closed form of the pure family keeps trace 1 at every r.
-        *[pytest.param(r, 1e-12, marks=pytest.mark.xfail(
-            strict=True, reason="the Hermitian exponential loses the trace as ||theta|| grows"))
-          for r in (1e8, 1e16, 1e40, 1e80)],
+        # e^{(theta.sigma - psi I)/2} lost the trace here: 1.9e-9 off at
+        # r = 1e8 and 0.5 from r = 1e16 on, and r = 1e40 overflowed
+        *((r, 1e-12) for r in (1e8, 1e16, 1e40, 1e80)),
+        # ||theta|| overflows the float range, and the direction does not
+        *(pytest.param(theta, 1e-12, id=f"{theta}-1e-12")
+          for theta in ((1e200, 1e200), (1.5e308, -1.5e308))),
     ])
     def test_unit_trace_and_psd_along_a_ray(self, r, bound):
-        rho = models.spin_pure_states([r * np.array([0.6, -0.8])])[0]
+        theta = r * np.array([0.6, -0.8]) if np.isscalar(r) else np.array(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = models.spin_pure_states([theta])[0]
         assert abs(np.trace(rho).real - 1.0) <= bound
         assert np.linalg.eigvalsh(rho)[0] >= -bound
+        # the Bloch vector's first two entries, tanh r theta / r
+        direction = theta / np.abs(theta).max()
+        with np.errstate(over="ignore"):
+            direction *= np.tanh(np.hypot(*theta)) / np.linalg.norm(direction)
+        np.testing.assert_allclose([2 * rho[1, 0].real, 2 * rho[1, 0].imag], direction,
+                                   rtol=0, atol=bound)
 
     def test_direction_symmetry(self):
         # rotating theta by phi in the plane conjugates the state by
@@ -128,17 +137,28 @@ class TestSpinPerturbed:
         assert exc.value.__context__ is None
 
     def test_lebesgue_parts_have_closed_form(self):
-        # along rho(0) = |0><0| the a.c. part is the reweighted pure state and
-        # the singular part is the excited-state remainder, exactly
-        theta = (0.3, 0.1)
-        rho0 = spin_pure_state((0.0, 0.0))
-        sigma = spin_perturbed_state(theta)
-        dec = decomp.lebesgue_decompose(sigma, rho0)
-        weight = np.exp(-np.linalg.norm(theta) ** 4)
-        np.testing.assert_allclose(dec.sigma_ac.matrix,
-                                   weight * spin_pure_state(theta), atol=1e-12)
-        np.testing.assert_allclose(dec.sigma_sing.matrix,
-                                   (1 - weight) * np.diag([0.0, 1.0]), atol=1e-12)
+        # along rho_bar(0) = |0><0| both routes give sigma_ac = e^{-f} rho_bar(theta)
+        # and sigma_sing = (1 - e^{-f}) |1><1|, and the sandwich of the
+        # log-likelihood ratio, e^{L/2} rho_bar(0) e^{L/2}, is sigma_ac;
+        # rho_bar(theta) = (I + b.sigma) / 2, theta = r (cos phi, sin phi)
+        rng = np.random.default_rng(4)
+        rho0 = np.diag([1.0, 0.0])
+        cases = [(rule, power, r, phi) for rule, power in (("quartic", 4), ("cubic", 3),
+                                                           ("squared", 2))
+                 for r, phi in zip(rng.uniform(0.0, 1.0, 100), rng.uniform(-np.pi, np.pi, 100))]
+        for rule, power, r, phi in cases:
+            bloch = (np.tanh(r) * np.cos(phi), np.tanh(r) * np.sin(phi), 1.0 / np.cosh(r))
+            pure = (np.eye(2) + sum(b * s for b, s in zip(
+                bloch, (models.SIGMA_X, models.SIGMA_Y, models.SIGMA_Z)))) / 2.0
+            weight = np.exp(-r ** power)
+            ac, sing = weight * pure, (1.0 - weight) * np.diag([0.0, 1.0])
+            sigma = spin_perturbed_state(r * np.array([np.cos(phi), np.sin(phi)]), rule)
+            for route in (decomp.lebesgue_decompose, decomp.lebesgue_decompose_direct):
+                dec = route(sigma, rho0)
+                assert np.abs(dec.sigma_ac.matrix - ac).max() <= 1e-14
+                assert np.abs(dec.sigma_sing.matrix - sing).max() <= 1e-14
+            half = linalg.expm(decomp.qllr(sigma, rho0).l_matrix / 2.0)
+            assert np.abs(half @ rho0 @ half - ac).max() <= 1e-14
 
     def test_llr_shift_under_perturbation(self):
         # the pure family's log-likelihood ratio minus f(theta) I is a valid
@@ -178,37 +198,51 @@ ORACLE_RULES = {
 }
 
 
-def oracle_spin_states(thetas, f_rule):
-    """The spin family as a loop over the thetas builds it, in scalars: the reference.
+def oracle_spin_state(theta, f_rule):
+    """The spin family at one theta, in scalars: the reference of the array pass.
 
-    Per theta: validation, the weight e^{-f}, then ||theta|| and psi; then
-    one stacked exponential. A failing list raises the loop's first error.
+    Validation, the weight e^{-f}, then the unit Bloch vector
+    b = (tanh r theta / r, sech r) and (I + b.sigma) / 2, with theta / r read
+    from theta over its largest |entry|.
     """
+    theta = oracle_theta2(theta)
     f = ORACLE_RULES[f_rule] if isinstance(f_rule, str) else f_rule
-
-    def point(theta):
-        theta = oracle_theta2(theta)
-        w = None if f_rule is None else float(np.exp(-f(theta)))
-        r = float(np.linalg.norm(theta))
-        return theta, float(np.logaddexp(r, -r) - np.log(2.0)), w
-
-    def run(thetas):
-        points = [point(theta) for theta in thetas]
-        th = np.array([p[0] for p in points]).reshape(-1, 2)
-        psi = np.array([p[1] for p in points])
-        with np.errstate(over="ignore", invalid="ignore"):
-            gen = (th[:, 0, None, None] * models.SIGMA_X + th[:, 1, None, None] * models.SIGMA_Y
-                   - psi[:, None, None] * np.eye(2)) / 2.0
-        half = linalg._expm_checked(gen, linalg._exp_hermitian)
-        pure = linalg.hermitian_part(half @ np.diag([1.0, 0.0]) @ half)
-        if f_rule is None:
-            return pure
-        w = np.array([p[2] for p in points])[:, None, None]
-        return w * pure + (1.0 - w) * np.diag([0.0, 1.0])
-
     # the scalar power overflows at ||theta|| = 1e80, to the excited state
     with np.errstate(over="ignore"):
-        return linalg._replay(run, list(thetas))
+        w = None if f_rule is None else float(np.exp(-f(theta)))
+        r = np.linalg.norm(theta)
+        top = np.abs(theta).max()
+        unit = theta / top if top > 0.0 else theta
+        bx, by = np.tanh(r) * (unit / max(np.linalg.norm(unit), 1.0))
+        bz = 1.0 / np.cosh(r)
+    pure = np.array([[1.0 + bz, bx - 1j * by], [bx + 1j * by, 1.0 - bz]]) / 2.0
+    if f_rule is None:
+        return pure
+    return w * pure + (1.0 - w) * np.diag([0.0, 1.0])
+
+
+def oracle_spin_states(thetas, f_rule):
+    """``oracle_spin_state`` at each theta; a failing list raises the loop's first error."""
+    return np.array([oracle_spin_state(theta, f_rule) for theta in thetas]).reshape(-1, 2, 2)
+
+
+def expm_spin_states(thetas, f_rule):
+    """e^{(theta.sigma - psi I)/2} |0><0| e^{(theta.sigma - psi I)/2}, psi = log cosh r, mixed.
+
+    The construction the families used before their closed form, through the
+    public ``expm``: an independent oracle for moderate ||theta||.
+    """
+    f = ORACLE_RULES[f_rule] if isinstance(f_rule, str) else f_rule
+    states = []
+    for theta in thetas:
+        r = np.linalg.norm(theta)
+        psi = np.logaddexp(r, -r) - np.log(2.0)
+        half = linalg.expm((theta[0] * models.SIGMA_X + theta[1] * models.SIGMA_Y
+                            - psi * np.eye(2)) / 2.0)
+        pure = half @ np.diag([1.0, 0.0]) @ half
+        w = 1.0 if f_rule is None else np.exp(-f(theta))
+        states.append(w * pure + (1.0 - w) * np.diag([0.0, 1.0]))
+    return np.array(states)
 
 
 def family_states(thetas, f_rule):
@@ -239,14 +273,38 @@ def oracle_thetas():
     return thetas
 
 
-@pytest.mark.parametrize("f_rule", ORACLE_FAMILIES, ids=["pure", "quartic", "cubic", "squared",
-                                                         "custom"])
+FAMILY_IDS = ["pure", "quartic", "cubic", "squared", "custom"]
+
+#: theta = r (0.6, -0.8) out to r = 1e80, and two thetas whose norm overflows
+RAYS = [r * np.array([0.6, -0.8]) for r in (1.0, 10.0, 1e8, 1e16, 1e40, 1e80)] + [
+    np.array([1e200, 1e200]), np.array([1.5e308, -1.5e308])]
+
+
+@pytest.mark.parametrize("f_rule", ORACLE_FAMILIES, ids=FAMILY_IDS)
 def test_spin_states_are_the_per_theta_loops_bit_for_bit(f_rule):
     thetas = oracle_thetas()
     states = family_states(thetas, f_rule)
     assert np.array_equal(states, oracle_spin_states(thetas, f_rule))
     if f_rule is not None:
         assert np.array_equal(states[-1], np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("f_rule", ORACLE_FAMILIES, ids=FAMILY_IDS)
+def test_spin_states_are_the_exponential_construction(f_rule):
+    thetas = [theta for theta in oracle_thetas() if np.linalg.norm(theta) <= 10.0]
+    gap = np.abs(family_states(thetas, f_rule) - expm_spin_states(thetas, f_rule)).max()
+    assert gap <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("f_rule", ORACLE_FAMILIES, ids=FAMILY_IDS)
+def test_spin_states_are_hermitian_unit_trace_and_psd(f_rule):
+    eps = np.finfo(float).eps
+    # the custom rule's own theta ** 2 overflows on the last rays
+    with np.errstate(over="ignore" if f_rule is ORACLE_FAMILIES[-1] else "warn"):
+        states = family_states(oracle_thetas() + RAYS, f_rule)
+    assert np.array_equal(states, states.conj().swapaxes(1, 2))
+    assert np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0).max() <= 4 * eps
+    assert np.linalg.eigvalsh(states)[:, 0].min() >= -4 * eps
 
 
 def raising_rule(bad):

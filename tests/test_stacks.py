@@ -129,10 +129,9 @@ def test_failing_checks_leave_no_reference_cycles():
                # failing grids, replayed one point at a time; the toy model's
                # own error at point 3 is a plain ValueError
                (lambda: qlan.oh2_report(oh2_toy), ValueError),
-               # the norm of (1e200, 1e200) overflows, to the typed error
-               # whether numpy warnings are raised or not
+               # a failing spin grid: its 3-vector raises in the per-theta loop
                (lambda: models.spin_pure_states([np.zeros(2), [1e200, 1e200], np.zeros(3)]),
-                InvalidMatrixError)]
+                DimensionMismatchError)]
     gc.collect()
     gc.disable()
     try:
@@ -371,21 +370,21 @@ def test_model_states_are_the_per_point_states(model, count):
 @pytest.mark.parametrize("model", SPIN, ids=lambda m: m.name)
 @pytest.mark.parametrize("bad", [
     {4: "shape"},
-    {4: "overflow"},
-    {2: "overflow", 5: "shape"},
-    {2: "shape", 5: "overflow"},
-    {0: "overflow", 1: "shape"},
+    {4: "non-finite"},
+    {2: "non-finite", 5: "shape"},
+    {2: "shape", 5: "non-finite"},
+    {0: "non-finite", 1: "shape"},
     {1: "far", 4: "shape"},
-    {3: "far", 5: "overflow"},
+    {3: "far", 5: "non-finite"},
 ])
 @pytest.mark.parametrize("numpy_warnings", ["ignored", "errors"])
 def test_states_at_raises_the_loops_first_error(model, bad, numpy_warnings):
     rng = np.random.default_rng(3)
     thetas = list(rng.uniform(-0.9, 0.9, (7, 2)))
     for j, kind in bad.items():
-        # a 3-vector, a theta whose squared norm and generator overflow, or
-        # one whose norm 1e80 overflows only its fourth or third power
-        thetas[j] = {"shape": np.array([0.1, 0.2, 0.3]), "overflow": np.array([1e200, 1e200]),
+        # a 3-vector, a non-finite theta, or one whose norm 1e80 overflows
+        # only its fourth or third power
+        thetas[j] = {"shape": np.array([0.1, 0.2, 0.3]), "non-finite": np.array([np.inf, 0.1]),
                      "far": np.array([0.0, -1e80])}[kind]
     with warnings.catch_warnings():
         if numpy_warnings == "errors":
@@ -398,15 +397,22 @@ def test_states_at_raises_the_loops_first_error(model, bad, numpy_warnings):
             got = raised(lambda: model.states_at(thetas))
     assert expected is not None
     assert got == expected
-    if model.name == "spin-perturbed:custom":
-        # its f, theta ** 2 summed, is the caller's code and warns at 1e200
-        return
-    # the family's own overflows meet no numpy warning: raised or ignored,
-    # the error is the same
+    # raised or ignored, numpy warnings leave the error the same
     with np.errstate(all="ignore"):
         assert raised(lambda: model.states_at(thetas)) == got
     first = min(j for j, kind in bad.items() if kind != "far")
-    assert got[0] is (InvalidMatrixError if bad[first] == "overflow" else DimensionMismatchError)
+    assert got[0] is (ValueError if bad[first] == "non-finite" else DimensionMismatchError)
+
+
+@pytest.mark.parametrize("model", SPIN, ids=lambda m: m.name)
+def test_a_theta_whose_norm_overflows_is_the_closed_form_state(model):
+    # ||(1e200, 1e200)|| overflows to inf: tanh r theta / r = (1, 1) / sqrt 2, sech r = 0
+    with np.errstate(all="ignore"):
+        rho = model.states_at([np.array([0.3, -0.2]), np.array([1e200, 1e200])])[1]
+    pure = (np.eye(2) + (models.SIGMA_X + models.SIGMA_Y) / np.sqrt(2.0)) / 2.0
+    # e^{-f} is 0 there: the perturbed families give the excited state
+    expected = pure if model.name == "spin-pure" else np.diag([0.0, 1.0])
+    np.testing.assert_allclose(rho, expected, rtol=0, atol=np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("model", SPIN, ids=lambda m: m.name)
