@@ -7,12 +7,15 @@
 Exit codes: 0 pass / verdict true, 1 fail / verdict false, 2 invalid input,
 3 route disagreement beyond tolerance, 4 support violation. Reports embed
 the resolved configuration and library version; identical configurations
-produce byte-identical JSON.
+produce byte-identical JSON. The parser is built once per process, on the
+first ``main`` call, and later in-process calls reuse it; a one-shot
+``qleb`` process builds it once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -206,6 +209,7 @@ def cmd_qlan(args) -> int:
     return 0 if all_pass else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qleb",
@@ -214,11 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qleb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--cutoff", type=float, default=None,
-                       help="rank cutoff (default: QLEB_CUTOFF or "
-                            f"{DEFAULT_CUTOFF})")
 
     dec = sub.add_parser("decompose", help="split sigma along rho by both routes")
     dec.add_argument("--rho", required=True, help="reference operator (matrix JSON)")
@@ -229,16 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="max allowed non-Hermitian part in inputs")
     dec.add_argument("--route-tol", type=float, default=ROUTE_TOL,
                      help="max allowed disagreement between the two routes")
-    common(dec)
-    dec.set_defaults(func=cmd_decompose)
 
     chk = sub.add_parser("check", help="evaluate a relation between two operators")
     chk.add_argument("predicate", choices=("singular", "ac", "mutual"))
     chk.add_argument("--rho", required=True)
     chk.add_argument("--sigma", required=True)
     chk.add_argument("--hermitian-tol", type=float, default=HERMITIAN_TOL)
-    common(chk)
-    chk.set_defaults(func=cmd_check)
 
     ql = sub.add_parser("qlan", help="run convergence studies on a model")
     ql.add_argument("--model", required=True,
@@ -256,15 +251,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="report path; multiple studies write <stem>.<study><ext>")
     ql.add_argument("--format", choices=("json", "csv"), default="json")
     ql.add_argument("--seed", type=int, default=0)
-    common(ql)
-    ql.set_defaults(func=cmd_qlan)
+    for p in (dec, chk, ql):
+        p.add_argument("--cutoff", type=float, default=None,
+                       help=f"rank cutoff (default: QLEB_CUTOFF or {DEFAULT_CUTOFF})")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call: the cached parser binds no cmd_* function
+        command = {"decompose": cmd_decompose, "check": cmd_check, "qlan": cmd_qlan}
+        return command[args.command](args)
     except SupportViolationError as exc:
         detail = ""
         if exc.n is not None:

@@ -97,22 +97,22 @@ def _spin_states(thetas, f_rule) -> np.ndarray:
     once per theta in order, a loop validates them. The values are those of
     that loop, bit for bit: ||theta|| is the dot product ``np.linalg.norm``
     takes, and the Bloch vector and the weight e^{-f} are array ufuncs of
-    the same scalar operations. ||theta|| and its powers may overflow to
-    inf, which still gives a state, with numpy warnings ignored or raised
-    alike.
+    the same scalar operations. Overflow (||theta|| and its powers to inf)
+    and underflow (e^{-f}, the norm, the mix) still give the state, so both
+    are ignored throughout, a callable f included, whatever the caller set.
     """
     power = _F_POWERS.get(f_rule) if isinstance(f_rule, str) else None
     custom = f_rule is not None and power is None
-    th = None if custom else _finite_pairs(thetas)
-    weights = None
-    if th is None:
-        th, weights = [], []
-        for theta in thetas:
-            th.append(_theta2(theta))
-            if custom:
-                weights.append(float(np.exp(-f_rule(th[-1]))))
-        th = np.array(th).reshape(-1, 2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
+        th = None if custom else _finite_pairs(thetas)
+        weights = None
+        if th is None:
+            th, weights = [], []
+            for theta in thetas:
+                th.append(_theta2(theta))
+                if custom:
+                    weights.append(float(np.exp(-f_rule(th[-1]))))
+            th = np.array(th).reshape(-1, 2)
         # the vector dot of np.linalg.norm; (th * th).sum(1) rounds differently
         r = np.sqrt((th[:, None, :] @ th[:, :, None])[:, 0, 0])
         if power is not None:
@@ -128,12 +128,12 @@ def _spin_states(thetas, f_rule) -> np.ndarray:
         # the unit Bloch vector (tanh r theta / r, sech r); cosh r overflows to inf
         bx, by = (np.tanh(r)[:, None] * (u / np.maximum(u_norm, 1.0))).T
         bz = 1.0 / np.cosh(r)
-    pure = (np.eye(2) + bx[:, None, None] * SIGMA_X + by[:, None, None] * SIGMA_Y
-            + bz[:, None, None] * SIGMA_Z) / 2.0
-    if f_rule is None:
-        return pure
-    w = np.asarray(weights, dtype=float)[:, None, None]
-    return w * pure + (1.0 - w) * _EXCITED
+        pure = (np.eye(2) + bx[:, None, None] * SIGMA_X + by[:, None, None] * SIGMA_Y
+                + bz[:, None, None] * SIGMA_Z) / 2.0
+        if f_rule is None:
+            return pure
+        w = np.asarray(weights, dtype=float)[:, None, None]
+        return w * pure + (1.0 - w) * _EXCITED
 
 
 def spin_pure_model() -> ParametricModel:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (exit codes and files)."""
 
+import argparse
 import json
 import os
 import re
@@ -16,6 +17,8 @@ from qleb import cli, matio, models, qlan
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+#: the model of the golden ``qleb qlan`` reports
+CLI_MODEL = "spin-perturbed:quartic"
 #: the ``src`` directory holding the ``qleb`` package this suite imported
 SRC_DIR = str(Path(qleb.__file__).resolve().parent.parent)
 #: seconds a child interpreter may take before the test fails instead of hanging
@@ -364,6 +367,77 @@ def test_version_flag(capsys):
         run_cli("--version")
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("qleb ")
+
+
+class TestOneParserPerProcess:
+    """In-process ``main`` calls share one parser, and no call leaves state in it."""
+
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert run_cli("qlan", "--model", "spin-pure", "--xi", " , ") == 2
+        # the top-level parser and one per subcommand, all from the first call
+        assert built == ["qleb", "qleb decompose", "qleb check", "qleb qlan"]
+
+    def test_qlan_options_do_not_carry_over(self, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        assert run_cli("qlan", "--model", CLI_MODEL, "--study", "lecam", "--study", "qclt",
+                       "--xi", "1,0", "--n", "100,1000", "--out", str(first)) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {"first.lecam.json", "first.qclt.json"}
+        plain = tmp_path / "plain.json"
+        capsys.readouterr()
+        assert run_cli("qlan", "--model", CLI_MODEL, "--out", str(plain)) == 0
+        # the default queries and the single default study, qclt, as in the
+        # golden run of all four studies (whose qclt config is the same)
+        assert capsys.readouterr().out.splitlines()[-1].startswith("study qclt: pass")
+        assert plain.read_bytes() == (GOLDEN / "cli.qlan.qclt.json").read_bytes()
+
+    def test_check_options_do_not_carry_over(self, tmp_path, monkeypatch, capsys):
+        ok = write_matrix(tmp_path, "ok.json", np.eye(2))
+        lopsided = write_matrix(tmp_path, "lopsided.json", [[1.0, 0.1], [0.1001, 1.0]])
+        seen = []
+        real = cli.cmd_check
+
+        def recording(args):
+            seen.append((args.hermitian_tol, cli._resolve_cutoff(args)))
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_check", recording)
+        monkeypatch.delenv("QLEB_CUTOFF", raising=False)
+        operands = ("--rho", ok, "--sigma", lopsided)
+        assert run_cli("check", "ac", *operands, "--hermitian-tol", "1e-3",
+                       "--cutoff", "1e-9") == 0
+        assert run_cli("check", "ac", *operands) == 2
+        assert "Hermiticity violation" in capsys.readouterr().err
+        monkeypatch.setenv("QLEB_CUTOFF", "1e-7")
+        assert run_cli("check", "ac", *operands) == 2
+        assert seen == [(1e-3, 1e-9), (cli.HERMITIAN_TOL, None), (cli.HERMITIAN_TOL, 1e-7)]
+
+    @pytest.mark.parametrize("argv", [("--version",), ("check", "nonsense")],
+                             ids=["version", "usage-error"])
+    def test_exits_repeat_byte_for_byte(self, argv, capsys):
+        runs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            runs.append((exc.value.code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (0 if argv == ("--version",) else 2)
+
+    def test_a_rebound_command_is_the_one_that_runs(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("--version")
+        # the parser now exists; the command is looked up when main runs
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+        assert run_cli("check", "singular", "--rho", "r.json", "--sigma", "s.json") == 7
 
 
 def test_console_script_is_wired():

@@ -85,8 +85,12 @@ def _pair(spec):
     return models.random_psd_pair(models.RandomPsdPairSpec(d, kr, ks, seed=seed, mode=mode))
 
 
-def cli_outputs(workdir: Path) -> dict[str, bytes]:
-    """Every CLI fixture, produced by runs inside ``workdir`` (the cwd)."""
+def cli_outputs(workdir: Path, reverse: bool = False) -> dict[str, bytes]:
+    """Every CLI fixture, produced by runs inside ``workdir`` (the cwd).
+
+    ``reverse`` runs the CLI commands in the opposite order; the bytes may
+    not depend on which call came first in the process.
+    """
     out: dict[str, bytes] = {}
     rho, sigma = _pair(CLI_PAIR)
     matio.dump_matrix(rho.matrix, "rho.json")
@@ -94,14 +98,16 @@ def cli_outputs(workdir: Path) -> dict[str, bytes]:
     out["cli.rho.json"] = (workdir / "rho.json").read_bytes()
     out["cli.sigma.json"] = (workdir / "sigma.json").read_bytes()
     operands = ("--rho", "rho.json", "--sigma", "sigma.json")
-    out["cli.decompose.out"] = _run_cli(("decompose", *operands, "--out", "dec.json"))
-    out["cli.decompose.json"] = (workdir / "dec.json").read_bytes()
-    for predicate in CHECKS:
-        out[f"cli.check.{predicate}.out"] = _run_cli(("check", predicate, *operands))
+    runs = [("cli.decompose.out", ("decompose", *operands, "--out", "dec.json"))]
+    runs += [(f"cli.check.{predicate}.out", ("check", predicate, *operands))
+             for predicate in CHECKS]
     argv = ["qlan", "--model", CLI_MODEL]
     for study in CLI_STUDIES:
         argv += ["--study", study]
-    out["cli.qlan.out"] = _run_cli((*argv, "--out", "qlan.json"))
+    runs.append(("cli.qlan.out", (*argv, "--out", "qlan.json")))
+    for name, command in reversed(runs) if reverse else runs:
+        out[name] = _run_cli(command)
+    out["cli.decompose.json"] = (workdir / "dec.json").read_bytes()
     for study in CLI_STUDIES:
         out[f"cli.qlan.{study}.json"] = (workdir / f"qlan.{study}.json").read_bytes()
     return out
@@ -143,6 +149,19 @@ def test_cli_bytes(tmp_path, monkeypatch):
     assert set(produced) == {p.name for p in GOLDEN.glob("cli.*")}
     for name, data in produced.items():
         assert data == _golden(name), name
+
+
+def test_cli_bytes_in_either_order_from_one_process(tmp_path, monkeypatch):
+    # in-process calls share one parser: neither the first call nor the
+    # order of the rest may leave a trace in any byte
+    for order in ("forward", "reverse"):
+        workdir = tmp_path / order
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        produced = cli_outputs(workdir, reverse=order == "reverse")
+        assert set(produced) == {p.name for p in GOLDEN.glob("cli.*")}
+        for name, data in produced.items():
+            assert data == _golden(name), (order, name)
 
 
 def test_generated_pair_bytes():

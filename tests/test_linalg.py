@@ -64,6 +64,18 @@ def test_hermitize_accepts_a_zero_tolerance():
         linalg.hermitize(np.array([[0.0, 1e-300], [0.0, 0.0]]), tol=0.0)
 
 
+def test_hermitize_scales_its_bound_by_the_largest_entry():
+    # max|A| = 3e3, so the bound is HERMITIAN_TOL * 3e3 = 3e-9, not 1e-12
+    def lopsided(gap):
+        return np.array([[3e3, gap], [0.0, 1.0]])
+
+    assert linalg.HERMITIAN_TOL == 1e-12
+    np.testing.assert_allclose(linalg.hermitize(lopsided(1e-10)),
+                               np.array([[3e3, 5e-11], [5e-11, 1.0]]), rtol=0, atol=0)
+    with pytest.raises(NotHermitianError, match="exceeds tolerance 3.000e-09"):
+        linalg.hermitize(lopsided(4e-9))
+
+
 def eig(a):
     """The canonical spectral decomposition of a Hermitian matrix."""
     return linalg._eigh(linalg.hermitize(a))

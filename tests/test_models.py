@@ -307,6 +307,18 @@ def test_spin_states_are_hermitian_unit_trace_and_psd(f_rule):
     assert np.linalg.eigvalsh(states)[:, 0].min() >= -4 * eps
 
 
+@pytest.mark.parametrize("f_rule", ORACLE_FAMILIES, ids=FAMILY_IDS)
+@pytest.mark.parametrize("theta", [(30.0, 0.0), (1e-320, 0.0), (5.18, 0.0)],
+                         ids=["30", "1e-320", "5.18"])
+def test_spin_states_are_the_same_bytes_when_the_caller_raises_on_underflow(f_rule, theta):
+    # e^{-f} underflows at (30, 0), ||theta||^2 at (1e-320, 0), and at (5.18, 0)
+    # the quartic weight is subnormal and so is its share of the mix
+    expected = family_states([theta], f_rule)
+    with np.errstate(all="raise"):
+        got = family_states([theta], f_rule)
+    assert got.tobytes() == expected.tobytes()
+
+
 def raising_rule(bad):
     def f(theta):
         if np.array_equal(theta, bad):
