@@ -120,7 +120,7 @@ class _Parts:
     s is a stack of r's dimension, and a part is read only for a nonzero r.
     Each part is built on first read and kept only if it built without an
     error. ``_shared`` keeps the parts of this thread's recent public pairs;
-    a q-LAN grid builds its own from a fresh stack that no later call reuses.
+    a q-LAN base keeps those of its recent grids.
     """
 
     def __init__(self, r: PositiveOperator, s: PositiveOperator):
@@ -180,6 +180,13 @@ class _Parts:
             witness=witness,
             witness_residual=residual,
         )
+
+    @cached_property
+    def l_stack(self) -> np.ndarray:
+        """``qllr`` of each slice of s along r, frozen; ``qllr`` builds its own copy."""
+        l_stack = _qllr_stack(self)
+        l_stack.flags.writeable = False
+        return l_stack
 
 
 #: (id(r), id(s)) -> _Parts

@@ -30,14 +30,17 @@ point's error. A grid that passes is evaluated once.
 
 Every report reads one q-LAN base per model from ``_base``: theta0's
 validated state and, built on first use, the SLD set and its limit law
-N(0, J). It is kept per thread, keyed on the model object's identity and the
-resolved cutoff; a failure is not kept, so it is raised again on every call.
+N(0, J). The base also holds the states, parts and L_n of its last
+``_MEMO_SIZE`` theta grids, so the reports at one h and n grid evaluate its
+local shifts once. The base is kept per thread, keyed on the model object's
+identity and the resolved cutoff; a failure is not kept, so it is raised
+again on every call.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -120,8 +123,9 @@ class ParametricModel:
     ``state_at``.
 
     The family must be pure, ``state_at`` returning the same bytes for the
-    same theta: theta0 and the SLD stencil are evaluated once per model
-    object, cutoff and thread (see ``_base``).
+    same theta: theta0, the SLD stencil and each recent theta grid a report
+    evaluated (local shifts, ``oh2_report`` points) are evaluated once per
+    model object, cutoff and thread (see ``_base``).
 
     The reports query the family with real test vectors of dimension
     ``theta_dim`` (see ``gaussian.as_query``); a query with a nonzero
@@ -148,17 +152,27 @@ def _model_states(model: ParametricModel, thetas) -> Sequence:
 
 @dataclass
 class _Base:
-    """A model's validated theta0 state at one cutoff, and its SLD set once built."""
+    """A model's validated theta0 state at one cutoff, its SLD set once built, and its grids."""
 
     model: ParametricModel  # held, so the id keying this entry is not reused
     rho0: PositiveOperator
     slds: SldSet | None = None
     degenerate: bool = False
+    grids: _Memo = field(default_factory=_Memo)
 
     @cached_property
     def limit(self) -> GaussianSpec:
         """N(0, J) of the SLD set, validated on its first read; a failure is not kept."""
         return GaussianSpec(np.zeros(self.model.theta_dim), self.slds.j_matrix)
+
+    def grid(self, thetas: Sequence[np.ndarray]) -> decomp._Parts:
+        """The validated states at ``thetas`` and their parts along rho0, kept by exact bytes.
+
+        A build that raises keeps nothing.
+        """
+        stack = np.asarray(thetas, dtype=float)
+        build = lambda: decomp._Parts(self.rho0, _shifted_states(self.model, thetas, self.rho0))
+        return self.grids.get((stack.shape, stack.tobytes()), build)
 
 
 #: (id(model), cutoff) -> _Base
@@ -566,8 +580,8 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
 
     def run(ns):
         thetas = _local_shifts(model, h, ns)
-        rho_n = _shifted_states(model, thetas, base.rho0)
-        eig, floors = decomp._Parts(base.rho0, rho_n).verdicts
+        grid = base.grid(thetas)
+        eig, floors = grid.verdicts
         for n, theta, min_eig, floor in zip(ns, thetas, eig.eigenvalues[:, -1].tolist(), floors):
             if not min_eig > floor:
                 raise SupportViolationError(
@@ -575,7 +589,7 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
                     n=n,
                     theta=theta,
                 )
-        return _guarded_powers([[m] for m in rho_n.stack], [ops] * len(ns), queries, ns)
+        return _guarded_powers([[m] for m in grid.s.stack], [ops] * len(ns), queries, ns)
 
     powers = _replay(run, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
@@ -595,15 +609,14 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int,
     n = _positive_n(n)
     q = as_query(query, model.theta_dim)
     base = _sld_set(model, cutoff)
-    rho0, slds = base.rho0, base.slds
-    rho_n = _shifted_states(model, _local_shifts(model, h, [n]), rho0)
-    return _guarded_powers([_sandwiches(rho0, rho_n)], [list(slds.l_ops)], [q], [n])[0][0][0]
+    grid = base.grid(_local_shifts(model, h, [n]))
+    return _guarded_powers([_sandwiches(grid)], [list(base.slds.l_ops)], [q], [n])[0][0][0]
 
 
-def _sandwiches(rho0: PositiveOperator, rho_n: PositiveOperator) -> np.ndarray:
-    """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of each slice along rho0."""
-    halves = _expm_checked(decomp._qllr_stack(decomp._Parts(rho0, rho_n)) / 2.0, _exp_hermitian)
-    return hermitian_part(halves @ rho0.matrix @ halves)
+def _sandwiches(grid: decomp._Parts) -> np.ndarray:
+    """exp(L/2) rho0 exp(L/2) for the log-likelihood ratio L of each state of ``grid``."""
+    halves = _expm_checked(grid.l_stack / 2.0, _exp_hermitian)
+    return hermitian_part(halves @ grid.r.matrix @ halves)
 
 
 def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
@@ -613,12 +626,12 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     h = _shift(model, h)
     queries = _normalize_queries(query_grid, model.theta_dim)
     base = _sld_set(model, cutoff)
-    rho0, ops = base.rho0, list(base.slds.l_ops)
+    ops = list(base.slds.l_ops)
 
     def run(ns):
-        rho_n = _shifted_states(model, _local_shifts(model, h, ns), rho0)
+        grid = base.grid(_local_shifts(model, h, ns))
         # one product per query, traced against both states
-        return _guarded_powers(list(zip(_sandwiches(rho0, rho_n), rho_n.stack)),
+        return _guarded_powers(list(zip(_sandwiches(grid), grid.s.stack)),
                                [ops] * len(ns), queries, ns)
 
     powers = _replay(run, ns)
@@ -672,13 +685,12 @@ def oh2_report(model: ParametricModel, seed: int = 0,
     """
     radii = np.asarray(OH2_RADII)
     dirs = _sphere_directions(model.theta_dim, OH2_DIRECTIONS, seed)
-    rho0 = _base(model, cutoff).rho0
+    base = _base(model, cutoff)
     t0 = np.asarray(model.theta0, dtype=float)
 
     def run(points):
-        rho_n = _shifted_states(model, points, rho0)
-        exps = _expm_checked(decomp._qllr_stack(decomp._Parts(rho0, rho_n)), _exp_hermitian)
-        return np.trace(rho0.matrix @ exps, axis1=-2, axis2=-1).real.tolist()
+        exps = _expm_checked(base.grid(points).l_stack, _exp_hermitian)
+        return np.trace(base.rho0.matrix @ exps, axis1=-2, axis2=-1).real.tolist()
 
     # every (radius, direction) point t0 + r * u in one stack, radius-major
     # as a loop over radii and then directions would visit them
@@ -800,7 +812,7 @@ class _IidRemainder:
     """The rule of ``iid_remainder_rule``, called at one n or evaluated over an n grid."""
 
     def __init__(self, model: ParametricModel, h: np.ndarray, base: _Base):
-        self.model, self.h, self.rho0 = model, h, base.rho0
+        self.model, self.h, self.base = model, h, base
         self.lin = _combination(base.slds.l_ops, h)
         self.jquad = float((h @ (base.slds.j_matrix @ h)).real)
 
@@ -815,8 +827,7 @@ class _IidRemainder:
         error of the loop over ``__call__``.
         """
         ns = [_positive_n(n) for n in ns]
-        rho_n = _shifted_states(self.model, _local_shifts(self.model, self.h, ns), self.rho0)
-        l_stack = decomp._qllr_stack(decomp._Parts(self.rho0, rho_n))
+        l_stack = self.base.grid(_local_shifts(self.model, self.h, ns)).l_stack
         eye = np.eye(self.model.dim, dtype=complex)
         return [rn * (l_matrix - self.lin / rn + (self.jquad / (2.0 * n)) * eye)
                 for n, rn, l_matrix in zip(ns, np.sqrt(np.array(ns, dtype=float)), l_stack)]

@@ -33,20 +33,25 @@ PROBE_BUDGET = 9
 QLLR_BUDGET = 8
 
 #: one round of the five reports on one spin-perturbed:quartic model object
-#: whose q-LAN base is built: theta0, the SLD stencil and N(0, J) are not
-#: evaluated again, and each ``states_at`` call is a grid of shifted states
-#: (one each for ``lecam_report``, ``sandwich_report``, ``oh2_report`` and
-#: the probe's remainder rule); 34 eigensolves while each of those calls ran
-#: a stacked exponential, 52 and 6 ``states_at`` calls when the rule ran once
+#: whose q-LAN base is built: theta0, the SLD stencil, N(0, J) and the two
+#: theta grids the round reads (the local shifts and oh2's sphere) are not
+#: evaluated again, nor are the grids' states, parts and L_n, which the base
+#: holds. What is left are the exponentials of the QCFs, of the sandwiches
+#: and of oh2's L_n, and the validation of lecam's limit law. 30 eigensolves
+#: and 4 ``states_at`` calls (one each for ``lecam_report``,
+#: ``sandwich_report``, ``oh2_report`` and the probe's remainder rule) while
+#: every report built its own grid, 34 while each of those calls ran a
+#: stacked exponential, 52 and 6 ``states_at`` calls when the rule ran once
 #: per n, 65, 7 ``state_at`` and 12 ``states_at`` when every report built its
 #: own base
-ROUND_BUDGET = 30
-ROUND_STATES_AT = 4
+ROUND_BUDGET = 7
+ROUND_STATES_AT = 0
 
 #: ``linalg._clusters`` calls in that round: stacks of ``linalg._STACKED``
-#: slices or more send only the slices with a degenerate cluster to it (363
-#: when every slice of every stack went, 49 while the states were exponentials)
-ROUND_CLUSTERS = 40
+#: slices or more send only the slices with a degenerate cluster to it (40
+#: while every report built its own grid, 363 when every slice of every
+#: stack went, 49 while the states were exponentials)
+ROUND_CLUSTERS = 4
 
 
 @pytest.fixture

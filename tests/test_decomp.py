@@ -300,6 +300,13 @@ class TestQllr:
         np.testing.assert_allclose(ver.l_matrix,
                                    np.diag([np.log(0.5), 0.0]), atol=1e-12)
 
+    def test_r_plus_rank_is_anchored_at_unit_scale(self):
+        # R+ = 1e-10 I: its rank_tol is d * max(||R+||, 1) * cutoff = 2e-11, so
+        # R+ is full rank and L = 2 log(1e-10) I exactly; a floor of 10 would
+        # raise the rank_tol to 2e-10 and reject R+ as singular
+        ver = decomp.qllr(1e-20 * np.eye(2), np.eye(2))
+        np.testing.assert_array_equal(ver.l_matrix, np.log(1e-20) * np.eye(2))
+
     def test_requires_domination(self):
         with pytest.raises(NotAbsolutelyContinuousError):
             decomp.qllr(np.diag([1.0, 0.0]), np.eye(2) / 2)

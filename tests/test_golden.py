@@ -54,8 +54,9 @@ def _fixture_name(family: str, report: str) -> str:
     return f"study.{family.replace(':', '-')}.{report}.json"
 
 
-def study_report_bytes(family: str, report: str) -> bytes:
-    model = models.get_model(family)
+def study_report_bytes(family: str, report: str, model=None) -> bytes:
+    """The fixture's bytes, from a fresh model object of ``family`` unless ``model`` is given."""
+    model = models.get_model(family) if model is None else model
     n_grid = cli._parse_n_list(cli._build_parser().parse_args(["qlan", "--model", family]).n)
     h = cli._default_h(model.theta_dim)
     queries = [q[None, :] for q in cli._default_queries(model.theta_dim)]
@@ -141,6 +142,17 @@ def _golden(name: str) -> bytes:
 @pytest.mark.parametrize("family", FAMILIES)
 def test_study_report_bytes(family, report):
     assert study_report_bytes(family, report) == _golden(_fixture_name(family, report))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_study_report_bytes_from_one_model_in_either_order(family):
+    # the q-LAN base holds the grids of each model object: a report may not
+    # depend on which report built them, nor on whether they were built
+    for model, reports in ((models.get_model(family), REPORTS * 2),
+                           (models.get_model(family), REPORTS[::-1])):
+        for report in reports:
+            assert (study_report_bytes(family, report, model)
+                    == _golden(_fixture_name(family, report))), report
 
 
 def test_cli_bytes(tmp_path, monkeypatch):

@@ -10,14 +10,16 @@ import weakref
 import numpy as np
 import pytest
 
-from qleb import cli, matio, models, qlan
+from qleb import cli, decomp, linalg, matio, models, qlan
 from qleb.errors import (
     DerivativeLeavesSupportError,
     DerivativeUnstableError,
     DimensionMismatchError,
     DimensionTooLargeError,
     InvalidMatrixError,
+    NotAbsolutelyContinuousError,
     NotCenteredError,
+    NotPositiveError,
     QueryOutOfSafeRangeError,
     SupportViolationError,
 )
@@ -579,6 +581,121 @@ class TestBase:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert got == [[want] * 3] * 4
+
+
+class TestGrid:
+    """The local experiments a q-LAN base holds: states, parts and L_n of its recent grids."""
+
+    H, QUERIES, NS = (0.3, 0.1), [E1[None], E2[None]], (10, 100, 1000)
+
+    @pytest.fixture(autouse=True)
+    def own_memo(self, monkeypatch):
+        monkeypatch.setattr(qlan._bases, "entries", {})
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """A spin-perturbed model recording each theta stack it evaluates, and the L_n builds."""
+        quartic = models.spin_perturbed_model()
+        stacks, builds = [], []
+
+        def states_at(thetas):
+            stacks.append(np.asarray(thetas, dtype=float).tobytes())
+            return quartic.states_at(thetas)
+
+        real = decomp._qllr_stack
+
+        def qllr_stack(parts):
+            builds.append(1)
+            return real(parts)
+
+        monkeypatch.setattr(decomp, "_qllr_stack", qllr_stack)
+        return dataclasses.replace(quartic, states_at=states_at), stacks, builds
+
+    def test_lecam_sandwich_and_the_probe_evaluate_the_local_shifts_once(self, counted):
+        m, stacks, builds = counted
+        h = np.array(self.H)
+        qlan.sld_set(m)
+        stacks.clear()
+        qlan.lecam_report(m, None, h, self.QUERIES, self.NS)
+        qlan.sandwich_report(m, h, self.QUERIES, self.NS)
+        qlan.infinitesimal_probe(qlan.iid_remainder_rule(m, h), m, self.QUERIES, (0.5, 1.0),
+                                 self.NS)
+        shifts = np.array([m.theta0 + h / np.sqrt(n) for n in self.NS])
+        assert stacks == [shifts.tobytes()]
+        assert len(builds) == 1
+
+    def test_two_oh2_reports_evaluate_the_sphere_once(self, counted):
+        m, stacks, builds = counted
+        first = qlan.oh2_report(m)
+        assert qlan.oh2_report(m) == first
+        assert (len(stacks), len(builds)) == (1, 1)
+
+    @staticmethod
+    def banded(inside):
+        """A pure spin model whose state is ``inside`` for 1e-3 < ||theta|| < 0.02.
+
+        With h = (0.3, 0.1) the local shifts leave the band at n = 100 and
+        enter it at n = 1000 and 10000.
+        """
+        def state(t):
+            return inside if 1e-3 < np.linalg.norm(t) < 0.02 else spin_pure_state(t)
+
+        return toy_model(state, theta_dim=2)
+
+    def test_a_failing_grid_raises_the_same_error_on_every_call(self):
+        m = self.banded(np.diag([0.0, 1.0]))
+        ns = (100, 1000, 10000)
+        calls = {
+            SupportViolationError: lambda m: qlan.lecam_report(m, None, self.H, [E1[None]], ns),
+            NotAbsolutelyContinuousError:
+                lambda m: qlan.sandwich_report(m, self.H, [E1[None]], ns),
+        }
+        for error, call in calls.items():
+            raised = []
+            for model in (m, m, dataclasses.replace(m)):
+                with pytest.raises(error) as exc:
+                    call(model)
+                raised.append((str(exc.value), getattr(exc.value, "n", None)))
+            assert raised == [raised[0]] * 3
+            if error is SupportViolationError:
+                # the first n that fails, though n = 10000 fails too
+                assert raised[0] == ("shifted state at n = 1000 does not dominate the base "
+                                     "state", 1000)
+        # m keeps the whole grid and the replay's points n = 100 and 1000, but
+        # no L_n whose build raised: the whole grid's, and that at n = 1000
+        kept = qlan._base(m, None).grids.entries.values()
+        assert ([(len(g.s.stack), "l_stack" in vars(g)) for g in kept]
+                == [(3, False), (1, True), (1, False)])
+
+    def test_a_grid_whose_states_fail_is_not_kept(self):
+        m = self.banded(np.diag([1.5, -0.5]))
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NotPositiveError) as exc:
+                qlan.lecam_report(m, None, self.H, [E1[None]], (100, 1000, 10000))
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
+        # only the replay's passing point n = 100 is kept
+        kept = qlan._base(m, None).grids.entries.values()
+        assert [len(g.s.stack) for g in kept] == [1]
+
+    def test_handed_out_arrays_are_read_only_and_a_full_memo_evicts_the_oldest(self, counted):
+        m, stacks, _ = counted
+        base = qlan._base(m, None)
+        size = linalg._MEMO_SIZE
+        thetas = [[np.array([0.01 * k, 0.02])] for k in range(1, size + 2)]
+        first = base.grid(thetas[0])
+        for array in (first.s.stack, first.l_stack):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        for t in thetas[1:size]:
+            base.grid(t)
+        assert base.grid(thetas[0]) is first
+        # thetas[1] is now the least recently used
+        base.grid(thetas[size])
+        assert base.grid(thetas[0]) is first and len(stacks) == size + 1
+        base.grid(thetas[1])
+        assert len(stacks) == size + 2
 
 
 class TestQcltReport:
