@@ -34,8 +34,6 @@ from .errors import (
 from .linalg import (
     PositiveOperator,
     _Spectrum,
-    _canonicalize,
-    _clusters,
     _dagger,
     _eigh_raw,
     _excision,
@@ -136,8 +134,9 @@ class _Parts:
         """The excision's eigenpairs and each slice's positivity floor, frozen.
 
         r << s iff the smallest eigenvalue exceeds the floor; the eigenvectors
-        of the eigenvalues above it span H2 of ``_support_split``. They are the
-        solver's, so a caller that reads them canonicalizes a copy.
+        of the eigenvalues above it span H2 of ``_support_split``, and those
+        below it H1. They are the solver's: the split's blocks are spectral
+        functions of the pair, blind to the basis inside an eigenspace.
         """
         exc = self.excision
         eig = _eigh_raw(exc)
@@ -313,8 +312,6 @@ def _support_split(r: PositiveOperator, s: PositiveOperator) -> _SupportSplit:
     v_supp = r.support_basis()
     v_ker = r.kernel_basis()
     ((w,), (u,)), (pos_tol,) = _shared(r, s).verdicts
-    u = u.copy()
-    _canonicalize(u[None], [_clusters(w.tolist())], len(w))
     m = int(np.count_nonzero(w > pos_tol))
     if m == 0:
         raise MutuallySingularError(
@@ -443,8 +440,6 @@ def lebesgue_decompose_direct(sigma, rho, cutoff: float | None = None) -> Lebesg
     kept = w > cut
     if not np.any(kept):
         return _zero_decomposition(s, c, "direct")
-    # only the kept columns, a prefix, are read: the rest keep the solver's basis
-    _canonicalize(u[None], [_clusters(w.tolist())], int(np.count_nonzero(kept)))
     uk = u[:, kept]
     inv_root = (uk * (1.0 / np.sqrt(w[kept]))) @ uk.conj().T
     witness = hermitian_part(root @ inv_root @ root)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotPositiveError
-from .linalg import _eigh, hermitize
+from .linalg import _eigh_raw, hermitize
 
 #: tolerance for the PSD validation of J
 _PSD_TOL = 1e-12
@@ -45,7 +45,7 @@ class GaussianSpec:
             )
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean has non-finite entries")
-        w, _ = _eigh(j)
+        w = _eigh_raw(j).eigenvalues
         if len(w) and w[-1] < -_PSD_TOL * max(1.0, float(w[0]), abs(float(w[-1]))):
             raise NotPositiveError(f"J has eigenvalue {w[-1]:.3e} below the PSD tolerance")
         mean.flags.writeable = False

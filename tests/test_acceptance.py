@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qleb import decomp, gaussian, linalg, models, qlan
+from sym_power import sym_power
 
 J_SPIN = np.array([[1.0, -1.0j], [1.0j, 1.0]])
 
@@ -327,3 +328,43 @@ def test_criterion_9_tensor_power_continuity(capsys):
     report(capsys, 9, failures,
            "tensor powers of the shifted perturbed state dominate the "
            "matching powers of the base state at n = 2, 3")
+
+
+def test_criterion_10_singular_mass_of_the_n_fold_spin_families(capsys):
+    # rho0 = |0><0| is pure, so of the blocks (det)^j Sym^{n-2j} of the n-fold
+    # pair only Sym^n(sigma) along Sym^n(rho0) can carry an absolutely
+    # continuous part; the singular mass of sigma^(x)n is 1 minus its trace.
+    # The closed form is 1 - (Tr sigma_ac)^n with Tr sigma_ac =
+    # <0|sigma^2|0> / <0|sigma|0>, and the mass vanishes as n grows iff the
+    # family is second-order normalized, which is what oh2_report decides
+    t0 = time.perf_counter()
+    failures = []
+    h = np.array([0.3, 0.1])
+    ns = (4, 8, 16, 32, 63)
+    for rule in ("quartic", "cubic", "squared"):
+        model = models.spin_perturbed_model(rule)
+        rho0 = model.state0()
+        assert np.array_equal(rho0, np.diag([1.0, 0.0]))
+        masses = []
+        for n in ns:
+            sigma = model.state_at(h / np.sqrt(n))
+            tr_ac = (sigma @ sigma)[0, 0].real / sigma[0, 0].real
+            closed = -np.expm1(n * np.log1p(tr_ac - 1.0))
+            r0, s0 = sym_power(rho0, n), sym_power(sigma, n)
+            for route in (decomp.lebesgue_decompose, decomp.lebesgue_decompose_direct):
+                dec = route(s0, r0)
+                mass = 1.0 - np.trace(dec.sigma_ac.matrix).real
+                if not abs(mass - closed) <= 1e-9 * closed:
+                    failures.append(f"{rule} n={n} {dec.route}: mass {mass:.10e}, "
+                                    f"closed form {closed:.10e}")
+            masses.append(closed)
+        vanishes = masses[-1] <= masses[0] / 2
+        if qlan.oh2_report(model).passed() != vanishes:
+            failures.append(f"{rule}: oh2 verdict disagrees with the mass "
+                            f"({masses[0]:.3e} at n=4, {masses[-1]:.3e} at n=63)")
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 5.0:
+        failures.append(f"runtime {elapsed:.2f}s >= 5s")
+    report(capsys, 10, failures,
+           "both routes on Sym^n blocks give the spin families' n-fold singular mass "
+           "1 - (Tr sigma_ac)^n within 1e-9 relative, n = 4..63; it vanishes iff oh2 passes")

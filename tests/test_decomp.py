@@ -400,6 +400,49 @@ class TestOracles:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("route", ["lebesgue_decompose", "lebesgue_decompose_direct"])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_rank_one_reference_at_a_small_scale(self, route, d):
+        # rank-1/1 near_deficient pairs have norm 1e-8, so the absolute
+        # ROUTE_TOL cannot see an error there; the bound is relative: sigma_ac
+        # = sigma |psi><psi| sigma / <psi|sigma|psi> within 1e-13 ||sigma||
+        for seed in range(4):
+            spec = models.RandomPsdPairSpec(d, 1, 1, seed=seed, mode="near_deficient")
+            rho, sigma = (p.matrix for p in models.random_psd_pair(spec))
+            psi = np.linalg.eigh(rho)[1][:, -1]
+            col = sigma @ psi
+            expected = np.outer(col, col.conj()) / (psi.conj() @ col).real
+            got = getattr(decomp, route)(sigma, rho).sigma_ac.matrix
+            gap = np.max(np.abs(got - expected))
+            assert gap <= 1e-13 * np.linalg.norm(sigma, 2), (spec, gap)
+
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_degenerate_compression(self, d):
+        # the compression of sigma onto supp rho is c I_k, so the excision's
+        # eigenbasis is any basis of supp rho; in an orthonormal basis V of it,
+        # sigma_ac = sigma V (V* sigma V)^-1 V* sigma, and R rho R = sigma_ac,
+        # both within 1e-13 ||sigma||
+        rng = np.random.default_rng(40 + d)
+        for k in range(2, d):
+            u = models.haar_unitary(d, rng)
+            c = rng.uniform(0.5, 2.0)
+            # sigma = u b b* u* with b's first k rows [sqrt(c) I_k, 0]
+            b = np.zeros((d, d), dtype=complex)
+            b[:k, :k] = np.sqrt(c) * np.eye(k)
+            b[k:] = rng.standard_normal((d - k, d)) + 1j * rng.standard_normal((d - k, d))
+            b[k:, k + 1:] = 0.0
+            sigma = linalg.hermitian_part(u @ b @ b.conj().T @ u.conj().T)
+            v = u[:, :k]
+            rho = linalg.hermitian_part((v * rng.uniform(0.5, 1.5, k)) @ v.conj().T)
+            sv = sigma @ v
+            expected = sv @ np.linalg.inv(v.conj().T @ sv) @ sv.conj().T
+            bound = 1e-13 * np.linalg.norm(sigma, 2)
+            for route in (decomp.lebesgue_decompose, decomp.lebesgue_decompose_direct):
+                dec = route(sigma, rho)
+                r = dec.witness_r.matrix
+                assert np.max(np.abs(dec.sigma_ac.matrix - expected)) <= bound, (k, dec.route)
+                assert np.max(np.abs(r @ rho @ r - expected)) <= bound, (k, dec.route)
+
     @pytest.mark.parametrize("d", range(2, 7))
     def test_qllr_sandwich_identity_every_rank_mix(self, d):
         # exp(L/2) rho exp(L/2) = sigma_ac whenever rho << sigma: supp rho is
@@ -532,7 +575,8 @@ class TestPairMemo:
         assert exact(decomp.is_mutually_ac(rho, sigma).forward) == forward
 
     def test_the_split_canonicalizes_its_own_copy(self, pair_memo):
-        # a degenerate excision spectrum: the solver's basis is canonicalized
+        # a degenerate excision spectrum: the split reads the solver's basis
+        # of the shared verdicts and leaves it as it is
         rho, sigma = np.eye(3) / 3, np.diag([1.0, 1.0, 2.0])
         cold = exact(decomp.lebesgue_decompose(sigma, rho))
         (entry,) = pair_memo.values()

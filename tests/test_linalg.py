@@ -270,6 +270,12 @@ def test_canonical_basis_is_built_on_first_read(monkeypatch):
     [0.3, 0.2, 0.12, 0.12, 0.1, 0.08, 0.05, 0.03] + [0.0] * 56,
 ])
 def test_support_basis_canonicalizes_only_the_support(monkeypatch, eigs):
+    """``support_basis()`` returns the support part of a basis canonicalized whole.
+
+    Whichever basis accessor is read first, that read sweeps each degenerate
+    cluster, support and kernel alike, once, and later reads sweep none.
+    Every accessor equals its part of the eager canonical basis, read-only.
+    """
     rng = np.random.default_rng(len(eigs))
     dim = len(eigs)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -283,25 +289,24 @@ def test_support_basis_canonicalizes_only_the_support(monkeypatch, eigs):
         return real(cols)
 
     monkeypatch.setattr(linalg, "_standard_basis_section", counting)
-    monkeypatch.setattr(linalg._memo, "entries", {})
-    p = linalg.positive(a)
     rank = int(np.count_nonzero(np.array(eigs) > 0))
-
-    def cluster_widths(vals):
-        return sorted(c for c in np.unique(vals, return_counts=True)[1].tolist() if c > 1)
-
-    support = p.support_basis()
-    # only the degenerate support clusters were canonicalized
-    assert sorted(calls) == cluster_widths(eigs[:rank])
-    assert not support.flags.writeable
-    np.testing.assert_array_equal(support, eager[:, :rank])
-    np.testing.assert_array_equal(p.support_basis(), eager[:, :rank])
-    assert sorted(calls) == cluster_widths(eigs[:rank])
-    # the kernel cluster is swept once, on the first read of the whole basis
-    np.testing.assert_array_equal(p.eigenvectors, eager)
-    np.testing.assert_array_equal(p.kernel_basis(), eager[:, rank:])
-    assert sorted(calls) == cluster_widths(eigs)
-    assert not p.eigenvectors.flags.writeable
+    widths = sorted(c for c in np.unique(eigs, return_counts=True)[1].tolist() if c > 1)
+    reads = [(lambda p: p.support_basis(), eager[:, :rank]),
+             (lambda p: p.kernel_basis(), eager[:, rank:]),
+             (lambda p: p.eigenvectors, eager),
+             (lambda p: p.bases()[0], eager)]
+    for first, _ in reads:
+        monkeypatch.setattr(linalg._memo, "entries", {})
+        calls.clear()
+        p = linalg.positive(a)
+        assert calls == []
+        first(p)
+        assert sorted(calls) == widths
+        for read, want in reads:
+            got = read(p)
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+        assert sorted(calls) == widths
 
 
 def test_positive_accepts_positive_operator_passthrough():
@@ -515,8 +520,8 @@ def unmemoized(a, cutoff=linalg.DEFAULT_CUTOFF):
     return linalg._positive(linalg.hermitize(a)[None], cutoff)
 
 
-#: degenerate clusters in the support and in the kernel, so part of the
-#: basis is still the solver's after ``support_basis()``
+#: degenerate clusters in the support and in the kernel, each canonicalized
+#: on the first read of a basis accessor
 DEGENERATE = np.diag([2.0, 1.0, 1.0, 0.0, 0.0])
 
 
@@ -552,8 +557,9 @@ def test_a_copy_canonicalizes_its_own_basis():
     p = unmemoized(DEGENERATE)
     q = copy.copy(p)
     q.support_basis()
-    assert p._pending == [[(1, 3), (3, 5)]]
-    assert q._pending == [[(3, 5)]]
+    # the copy's first read canonicalized its whole basis, and only the copy's
+    assert q._pending == [] and not q._vectors.flags.writeable
+    assert p._pending == [[(1, 3), (3, 5)]] and p._vectors.flags.writeable
     assert public_view(q, support_first=False) == public_view(p)
 
 
