@@ -9,7 +9,9 @@ Exit codes: 0 pass / verdict true, 1 fail / verdict false, 2 invalid input,
 the resolved configuration and library version; identical configurations
 produce byte-identical JSON. The parser is built once per process, on the
 first ``main`` call, and later in-process calls reuse it; a one-shot
-``qleb`` process builds it once, as before.
+``qleb`` process builds it once, as before. So is each built-in model, whose
+q-LAN base later ``qlan`` calls then share; a ``table:<path>`` model is read
+afresh on every call, as its file may change.
 """
 
 from __future__ import annotations
@@ -157,9 +159,19 @@ def _study_out(out: str | None, study: str, many: bool) -> str | None:
     return f"{stem}.{study}{ext or '.json'}"
 
 
+@functools.cache
+def _builtin_model(name: str) -> qlan.ParametricModel:
+    """``models.get_model(name)`` for a built-in name, kept for the process.
+
+    Only the few built-in names resolve; any other raises, which is not kept.
+    """
+    return models.get_model(name)
+
+
 def cmd_qlan(args) -> int:
     cutoff = _resolve_cutoff(args)
-    model = models.get_model(args.model)
+    # a table's file may change between calls, so it is read on each
+    model = (models.get_model if args.model.startswith("table:") else _builtin_model)(args.model)
     n_grid = _parse_n_list(args.n)
     if args.xi:
         queries = [_parse_float_list(tok, "--xi") for tok in args.xi]

@@ -73,46 +73,28 @@ def _f_rule(f_rule):
     return f_rule
 
 
-def _finite_pairs(thetas: list) -> np.ndarray | None:
-    """``thetas`` as one (N, 2) float array when each is a finite real 2-vector, else None."""
-    try:
-        th = np.asarray(thetas)
-    except Exception:
-        # what numpy cannot stack goes through the per-theta loop, which
-        # raises the error of the first theta that fails
-        return None
-    if th.dtype.kind not in "biuf" or th.size != 2 * len(thetas):
-        return None
-    th = th.reshape(-1, 2).astype(float)
-    return th if np.isfinite(th).all() else None
-
-
 def _spin_states(thetas, f_rule) -> np.ndarray:
     """The spin family at each theta, in array passes.
 
     ``f_rule`` is None for the pure family, a name of ``_F_POWERS``, or a
     callable f. Errors are those of a loop over the thetas: per theta,
-    validation and then f. Thetas that are all finite real 2-vectors are
-    read as one array; otherwise, and for a callable f, which is called
-    once per theta in order, a loop validates them. The values are those of
-    that loop, bit for bit: ||theta|| is the dot product ``np.linalg.norm``
-    takes, and the Bloch vector and the weight e^{-f} are array ufuncs of
-    the same scalar operations. Overflow (||theta|| and its powers to inf)
-    and underflow (e^{-f}, the norm, the mix) still give the state, so both
-    are ignored throughout, a callable f included, whatever the caller set.
+    validation and then a callable f, which is called once per theta in
+    order. The values are those of a call per theta, bit for bit: ||theta||
+    is the dot product ``np.linalg.norm`` takes, and the Bloch vector and the
+    weight e^{-f} are array ufuncs of the same scalar operations. Overflow
+    (||theta|| and its powers to inf) and underflow (e^{-f}, the norm, the
+    mix) still give the state, so both are ignored throughout, a callable f
+    included, whatever the caller set.
     """
     power = _F_POWERS.get(f_rule) if isinstance(f_rule, str) else None
     custom = f_rule is not None and power is None
     with np.errstate(over="ignore", under="ignore"):
-        th = None if custom else _finite_pairs(thetas)
-        weights = None
-        if th is None:
-            th, weights = [], []
-            for theta in thetas:
-                th.append(_theta2(theta))
-                if custom:
-                    weights.append(float(np.exp(-f_rule(th[-1]))))
-            th = np.array(th).reshape(-1, 2)
+        th, weights = [], []
+        for theta in thetas:
+            th.append(_theta2(theta))
+            if custom:
+                weights.append(float(np.exp(-f_rule(th[-1]))))
+        th = np.array(th).reshape(-1, 2)
         # the vector dot of np.linalg.norm; (th * th).sum(1) rounds differently
         r = np.sqrt((th[:, None, :] @ th[:, :, None])[:, 0, 0])
         if power is not None:
@@ -143,7 +125,6 @@ def spin_pure_model() -> ParametricModel:
         theta_dim=2,
         theta0=np.zeros(2),
         state_at=lambda theta: spin_pure_states([theta])[0],
-        states_at=spin_pure_states,
     )
 
 
@@ -155,7 +136,6 @@ def spin_perturbed_model(f_rule="quartic") -> ParametricModel:
         theta_dim=2,
         theta0=np.zeros(2),
         state_at=lambda theta: spin_perturbed_states([theta], f_rule)[0],
-        states_at=lambda thetas: spin_perturbed_states(thetas, f_rule),
     )
 
 

@@ -10,23 +10,22 @@ kept around for small n to check the factorization itself. The reports
 compare finite-n values against the Gaussian limit laws from ``gaussian``
 and fit the decay rate of the error.
 
-Each report evaluates its grid in stacked passes through the ``(N, d, d)``
-kernels of ``linalg``: the model's states (one ``states_at`` call where the
-model has one) at the Richardson stencil of every SLD direction, at the
-local shifts theta0 + h / sqrt(n) of the n grid and at the ``oh2_report``
-points; their positivity, AC and ``qllr`` checks; and the site factors of
-every (n, query) pair. The probe evaluates the rule of ``iid_remainder_rule``
-the same way, over its whole n grid; a remainder rule that a caller supplies
-is called once per n. The QCF kernel ``_guarded_powers`` takes the site
-observables of each n, so the probe's remainder R(n) enters as one more
-observable beside the SLDs, with eta as its query column. Errors stay those
-of the point-by-point loop: the earliest point fails first, and within a
-point the earlier stage.
-``_guarded_powers`` checks its (n, query) slices in that order. The other
-kernels raise at a slice that fails, which on a failing grid need not be
-the earliest; ``linalg._replay`` then reruns the grid one point at a time
-(one SLD direction, one n, one ``oh2_report`` point) and raises the first
-point's error. A grid that passes is evaluated once.
+The model is evaluated one ``state_at`` call per theta. Each report
+evaluates the states of its grid (the local shifts theta0 + h / sqrt(n) of
+the n grid, or the ``oh2_report`` points) in stacked passes through the
+``(N, d, d)`` kernels of ``linalg``: their positivity, domination and
+``qllr`` checks, and the site factors of every (n, query) pair. The probe
+evaluates the rule of ``iid_remainder_rule`` the same way, over its whole n
+grid; a remainder rule that a caller supplies is called once per n. The QCF
+kernel ``_guarded_powers`` takes the site observables of each n, so the
+probe's remainder R(n) enters as one more observable beside the SLDs, with
+eta as its query column. Errors stay those of the point-by-point loop: the
+earliest point fails first, and within a point the earlier stage.
+``_guarded_powers`` and the domination check, whose ``SupportViolationError``
+names theta (and n), check their slices in that order. The other kernels
+raise at a slice that fails, which need not be the earliest;
+``linalg._replay`` then reruns the grid one point at a time and raises the
+first point's error. A grid that passes is evaluated once.
 
 Every report reads one q-LAN base per model from ``_base``: theta0's
 validated state and, built on first use, the SLD set and its limit law
@@ -114,16 +113,9 @@ PROBE_CEILING = 0.05
 class ParametricModel:
     """A parametric family of density operators theta -> rho_theta.
 
-    ``states_at``, when given, evaluates a sequence of thetas as one
-    ``(N, dim, dim)`` stack. Its slice j must equal ``state_at(thetas[j])``
-    byte for byte, and it must raise the error a loop over ``state_at`` meets
-    first. The harness does not check this: an error that ``states_at``
-    raises reaches the caller as it is, even where a loop over ``state_at``
-    would have met another one first. Without it the harness loops over
-    ``state_at``.
-
-    The family must be pure, ``state_at`` returning the same bytes for the
-    same theta: theta0, the SLD stencil and each recent theta grid a report
+    The harness evaluates it one theta at a time through ``state_at``. The
+    family must be pure, ``state_at`` returning the same bytes for the same
+    theta: theta0, the SLD stencil and each recent theta grid a report
     evaluated (local shifts, ``oh2_report`` points) are evaluated once per
     model object, cutoff and thread (see ``_base``).
 
@@ -137,17 +129,9 @@ class ParametricModel:
     theta_dim: int
     theta0: np.ndarray
     state_at: Callable[[np.ndarray], np.ndarray]
-    states_at: Callable[[Sequence[np.ndarray]], np.ndarray] | None = None
 
     def state0(self) -> np.ndarray:
         return self.state_at(np.asarray(self.theta0, dtype=float))
-
-
-def _model_states(model: ParametricModel, thetas) -> Sequence:
-    """The model's states at ``thetas``: one ``states_at`` call when the model has it."""
-    if model.states_at is not None:
-        return model.states_at(thetas)
-    return [model.state_at(theta) for theta in thetas]
 
 
 @dataclass
@@ -156,23 +140,47 @@ class _Base:
 
     model: ParametricModel  # held, so the id keying this entry is not reused
     rho0: PositiveOperator
-    slds: SldSet | None = None
-    degenerate: bool = False
     grids: _Memo = field(default_factory=_Memo)
+
+    @cached_property
+    def slds(self) -> SldSet:
+        """The SLDs at theta0 and J, built on their first read; a failure is not kept."""
+        ls = tuple(_slds(self.model, self.rho0))
+        return SldSet(l_ops=ls, j_matrix=hermitize(_gram(self.rho0.matrix, ls, ls), tol=1e-8))
+
+    @cached_property
+    def degenerate(self) -> bool:
+        """Whether Re J is singular; J, a Gram matrix, may be (pure models saturate the bound)."""
+        j = self.slds.j_matrix
+        v = np.linalg.eigvalsh(j.real + j.real.T) / 2.0
+        return bool(v[0] < 1e-12 * max(1.0, float(v[-1])))
 
     @cached_property
     def limit(self) -> GaussianSpec:
         """N(0, J) of the SLD set, validated on its first read; a failure is not kept."""
         return GaussianSpec(np.zeros(self.model.theta_dim), self.slds.j_matrix)
 
-    def grid(self, thetas: Sequence[np.ndarray]) -> decomp._Parts:
+    def grid(self, thetas: Sequence[np.ndarray], ns: Sequence[int] | None = None) -> decomp._Parts:
         """The validated states at ``thetas`` and their parts along rho0, kept by exact bytes.
 
-        A build that raises keeps nothing.
+        The first state that does not dominate rho0 raises
+        ``SupportViolationError`` with its theta and, where ``ns`` labels the
+        grid, its n. A build that raises keeps nothing.
         """
         stack = np.asarray(thetas, dtype=float)
         build = lambda: decomp._Parts(self.rho0, _shifted_states(self.model, thetas, self.rho0))
-        return self.grids.get((stack.shape, stack.tobytes()), build)
+        parts = self.grids.get((stack.shape, stack.tobytes()), build)
+        # a zero rho0 has an empty support, which every state dominates
+        if self.rho0.rank:
+            eig, floors = parts.verdicts
+            for j, (min_eig, floor) in enumerate(zip(eig.eigenvalues[:, -1].tolist(), floors)):
+                if not min_eig > floor:
+                    n = None if ns is None else ns[j]
+                    where = f"theta = {stack[j].tolist()}" if n is None else f"n = {n}"
+                    raise SupportViolationError(
+                        f"shifted state at {where} does not dominate the base state",
+                        n=n, theta=thetas[j])
+        return parts
 
 
 #: (id(model), cutoff) -> _Base
@@ -185,34 +193,24 @@ def _base(model: ParametricModel, cutoff: float | None) -> _Base:
     return _bases.get((id(model), c), lambda: _Base(model, positive(model.state0(), c)))
 
 
-def _slds(model: ParametricModel, rho0: PositiveOperator,
-          directions: Sequence[int]) -> list[np.ndarray]:
+def _slds(model: ParametricModel, rho0: PositiveOperator) -> list[np.ndarray]:
     """The SLD along each direction at the already validated base state ``rho0``.
 
-    The Richardson stencils of all directions are evaluated in one pass, in
-    the order a loop over the directions visits them; a failing pass is
-    replayed one direction at a time.
+    Each direction evaluates its Richardson stencil, four states, and then
+    its SLD, before the next direction starts.
     """
     t0 = np.asarray(model.theta0, dtype=float)
-
-    def run(directions):
-        thetas = []
-        for direction in directions:
-            e = np.zeros_like(t0)
-            e[direction] = 1.0
-            for s in (FD_STEP, FD_STEP / 2):
-                thetas += [t0 + s * e, t0 - s * e]
-        states = _model_states(model, thetas)
-        ls = []
-        for i in range(len(directions)):
-            plus, minus, half_plus, half_minus = states[4 * i:4 * (i + 1)]
-            # Richardson-extrapolated central differences at FD_STEP and FD_STEP / 2
-            d1 = (plus - minus) / (2 * FD_STEP)
-            d2 = (half_plus - half_minus) / (2 * (FD_STEP / 2))
-            ls.append(_sld(rho0, (4.0 * d2 - d1) / 3.0))
-        return ls
-
-    return _replay(run, directions)
+    ls = []
+    for direction in range(model.theta_dim):
+        e = np.zeros_like(t0)
+        e[direction] = 1.0
+        plus, minus, half_plus, half_minus = [model.state_at(t) for s in (FD_STEP, FD_STEP / 2)
+                                              for t in (t0 + s * e, t0 - s * e)]
+        # Richardson-extrapolated central differences at FD_STEP and FD_STEP / 2
+        d1 = (plus - minus) / (2 * FD_STEP)
+        d2 = (half_plus - half_minus) / (2 * (FD_STEP / 2))
+        ls.append(_sld(rho0, (4.0 * d2 - d1) / 3.0))
+    return ls
 
 
 def _sld(rho0: PositiveOperator, drho: np.ndarray) -> np.ndarray:
@@ -261,20 +259,11 @@ def sld_set(model: ParametricModel, cutoff: float | None = None) -> SldSet:
 
 
 def _sld_set(model: ParametricModel, cutoff: float | None) -> _Base:
-    """The ``_base`` of ``model`` with its SLD set, built on first use; a failure is not kept.
+    """The ``_base`` of ``model`` with its SLD set read.
 
     A degenerate covariance warns on every call, at the public entry's caller.
     """
     base = _base(model, cutoff)
-    if base.slds is None:
-        ls = tuple(_slds(model, base.rho0, range(model.theta_dim)))
-        j = hermitize(_gram(base.rho0.matrix, ls, ls), tol=1e-8)
-        # J itself is a Gram matrix and may be singular (pure models saturate
-        # the uncertainty bound); only a singular covariance Re J degenerates
-        # the limit law
-        v = np.linalg.eigvalsh(j.real + j.real.T) / 2.0
-        base.degenerate = bool(v[0] < 1e-12 * max(1.0, float(v[-1])))
-        base.slds = SldSet(l_ops=ls, j_matrix=j)
     if base.degenerate:
         warnings.warn(
             "covariance Re J is not strictly positive definite; "
@@ -548,7 +537,7 @@ def _shifted_states(model: ParametricModel, thetas, rho0: PositiveOperator) -> P
     A state whose shape differs from rho0's raises the error of
     ``linalg._pair``.
     """
-    states = _model_states(model, thetas)
+    states = [model.state_at(theta) for theta in thetas]
     shape = rho0.matrix.shape
     for state in states:
         if np.shape(state) != shape:
@@ -562,8 +551,9 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     """Third-lemma check: shifted collective observables against N((Re tau) h, Sigma).
 
     Sigma_ij = Tr rho0 B_j B_i and tau_ij = Tr rho0 L_j B_i. Each n is
-    evaluated under the local shift theta0 + h / sqrt(n); shifts that break
-    absolute continuity of the base state raise SupportViolationError.
+    evaluated under the local shift theta0 + h / sqrt(n); a shifted state
+    that does not dominate the base state raises SupportViolationError, as
+    in every report that evaluates shifted states.
     ``b_ops=None`` takes the SLDs at theta0 as the observables B.
     """
     ns = _normalize_n_grid(n_grid)
@@ -579,16 +569,7 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
     limits = [qcf(limit, q) for q in queries]
 
     def run(ns):
-        thetas = _local_shifts(model, h, ns)
-        grid = base.grid(thetas)
-        eig, floors = grid.verdicts
-        for n, theta, min_eig, floor in zip(ns, thetas, eig.eigenvalues[:, -1].tolist(), floors):
-            if not min_eig > floor:
-                raise SupportViolationError(
-                    f"shifted state at n = {n} does not dominate the base state",
-                    n=n,
-                    theta=theta,
-                )
+        grid = base.grid(_local_shifts(model, h, ns), ns)
         return _guarded_powers([[m] for m in grid.s.stack], [ops] * len(ns), queries, ns)
 
     powers = _replay(run, ns)
@@ -609,7 +590,7 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int,
     n = _positive_n(n)
     q = as_query(query, model.theta_dim)
     base = _sld_set(model, cutoff)
-    grid = base.grid(_local_shifts(model, h, [n]))
+    grid = base.grid(_local_shifts(model, h, [n]), [n])
     return _guarded_powers([_sandwiches(grid)], [list(base.slds.l_ops)], [q], [n])[0][0][0]
 
 
@@ -629,7 +610,7 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     ops = list(base.slds.l_ops)
 
     def run(ns):
-        grid = base.grid(_local_shifts(model, h, ns))
+        grid = base.grid(_local_shifts(model, h, ns), ns)
         # one product per query, traced against both states
         return _guarded_powers(list(zip(_sandwiches(grid), grid.s.stack)),
                                [ops] * len(ns), queries, ns)
@@ -827,7 +808,7 @@ class _IidRemainder:
         error of the loop over ``__call__``.
         """
         ns = [_positive_n(n) for n in ns]
-        l_stack = self.base.grid(_local_shifts(self.model, self.h, ns)).l_stack
+        l_stack = self.base.grid(_local_shifts(self.model, self.h, ns), ns).l_stack
         eye = np.eye(self.model.dim, dtype=complex)
         return [rn * (l_matrix - self.lin / rn + (self.jquad / (2.0 * n)) * eye)
                 for n, rn, l_matrix in zip(ns, np.sqrt(np.array(ns, dtype=float)), l_stack)]

@@ -26,7 +26,7 @@ SIGNATURES = {
     "GaussianSpec": "(mean, j_matrix)",
     "LebesgueDecomposition": "(sigma_ac, sigma_sing, witness_r, route)",
     "Oh2Report": "(radii, g_values, slope, g_at_smallest_radius, slope_threshold, verdict)",
-    "ParametricModel": "(name, dim, theta_dim, theta0, state_at, states_at=None)",
+    "ParametricModel": "(name, dim, theta_dim, theta0, state_at)",
     "PositiveOperator": "(stack, values, vectors, tols, cutoff, pending)",
     "ProbeReport": "(n_values, deviation, excess, ceiling, verdict)",
     "QllrVersion": "(l_matrix, gamma_choice)",

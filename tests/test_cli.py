@@ -320,11 +320,13 @@ class TestQlan:
         }
         path = tmp_path / "table.json"
         path.write_text(json.dumps(doc))
-        rc = run_cli("qlan", "--model", f"table:{path}", "--study", "lecam",
-                     "--h", "0.3,0.1", "--n", "100,1000", "--xi", "1,0")
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "support violation" in err and "n = 100" in err
+        # every study of the shifted states checks domination the same way
+        for study in ("lecam", "sandwich"):
+            rc = run_cli("qlan", "--model", f"table:{path}", "--study", study,
+                         "--h", "0.3,0.1", "--n", "100,1000", "--xi", "1,0")
+            assert rc == 4
+            err = capsys.readouterr().err
+            assert "support violation" in err and "n = 100" in err
 
 
 def test_lecam_study_computes_the_slds_once(monkeypatch, tmp_path):
@@ -438,6 +440,55 @@ class TestOneParserPerProcess:
         # the parser now exists; the command is looked up when main runs
         monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
         assert run_cli("check", "singular", "--rho", "r.json", "--sigma", "s.json") == 7
+
+
+class TestOneModelPerProcess:
+    """In-process ``qlan`` calls share each built-in model; a table is read on every call."""
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        """The names ``models.get_model`` resolves, with no built-in model kept yet."""
+        names = []
+        real = models.get_model
+
+        def counting(name):
+            names.append(name)
+            return real(name)
+
+        monkeypatch.setattr(models, "get_model", counting)
+        cli._builtin_model.cache_clear()
+        yield names
+        cli._builtin_model.cache_clear()
+
+    def test_two_calls_resolve_a_builtin_model_once(self, resolved, tmp_path):
+        for study in ("qclt", "lecam"):
+            out = tmp_path / f"{study}.json"
+            assert run_cli("qlan", "--model", CLI_MODEL, "--study", study, "--out", str(out)) == 0
+            # the report of a fresh process, whose config is the golden run's
+            assert out.read_bytes() == (GOLDEN / f"cli.qlan.{study}.json").read_bytes()
+        assert resolved == [CLI_MODEL]
+        # the library's resolver still builds a new model, with a cold q-LAN base
+        assert models.get_model(CLI_MODEL) is not models.get_model(CLI_MODEL)
+
+    def test_a_rewritten_table_gives_the_new_report(self, resolved, tmp_path):
+        path = tmp_path / "table.json"
+
+        def table(slope):
+            """The states (I + slope theta sigma_z) / 2 at theta0 = 0 and its SLD stencil."""
+            thetas = [0.0] + [t for s in (qlan.FD_STEP, qlan.FD_STEP / 2) for t in (s, -s)]
+            path.write_text(json.dumps({"dim": 2, "theta_dim": 1, "theta0": [0.0], "states": [
+                {"theta": [t], "matrix": matio.matrix_to_json_dict(
+                    np.diag([1.0 + slope * t, 1.0 - slope * t]) / 2.0)} for t in thetas]}))
+
+        reports = []
+        for slope in (1.0, 0.5, 1.0):
+            table(slope)
+            out = tmp_path / "qclt.json"
+            assert run_cli("qlan", "--model", f"table:{path}", "--xi", "1", "--n", "100,1000",
+                           "--out", str(out)) in (0, 1)
+            reports.append(out.read_bytes())
+        assert reports[0] != reports[1] and reports[2] == reports[0]
+        assert resolved == [f"table:{path}"] * 3
 
 
 def test_console_script_is_wired():

@@ -17,7 +17,6 @@ from qleb.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     InvalidMatrixError,
-    NotAbsolutelyContinuousError,
     NotCenteredError,
     NotPositiveError,
     QueryOutOfSafeRangeError,
@@ -251,7 +250,7 @@ def unevaluated_model():
     def fail(*args):
         raise AssertionError("model evaluated before the arguments were checked")
 
-    return qlan.ParametricModel("toy", 2, 2, np.zeros(2), fail, fail)
+    return qlan.ParametricModel("toy", 2, 2, np.zeros(2), fail)
 
 
 def raised_first(monkeypatch, call):
@@ -302,7 +301,7 @@ def test_remainder_rule_reads_n_as_a_positive_integer(monkeypatch, entry, n, sho
     def unevaluated(*args):
         raise AssertionError("model evaluated before n was checked")
 
-    monkeypatch.setattr(qlan, "_model_states", unevaluated)
+    monkeypatch.setattr(qlan, "_shifted_states", unevaluated)
     call = (lambda: rule(n)) if entry == "call" else (lambda: rule.grid([10, n, 100]))
     assert raised_first(monkeypatch, call) == (
         ValueError, f"n must be a positive integer, got {shown}")
@@ -594,13 +593,13 @@ class TestGrid:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """A spin-perturbed model recording each theta stack it evaluates, and the L_n builds."""
+        """A spin-perturbed model recording each theta it evaluates, and the L_n builds."""
         quartic = models.spin_perturbed_model()
-        stacks, builds = [], []
+        evaluated, builds = [], []
 
-        def states_at(thetas):
-            stacks.append(np.asarray(thetas, dtype=float).tobytes())
-            return quartic.states_at(thetas)
+        def state_at(theta):
+            evaluated.append(np.asarray(theta, dtype=float).tobytes())
+            return quartic.state_at(theta)
 
         real = decomp._qllr_stack
 
@@ -609,26 +608,29 @@ class TestGrid:
             return real(parts)
 
         monkeypatch.setattr(decomp, "_qllr_stack", qllr_stack)
-        return dataclasses.replace(quartic, states_at=states_at), stacks, builds
+        return dataclasses.replace(quartic, state_at=state_at), evaluated, builds
 
     def test_lecam_sandwich_and_the_probe_evaluate_the_local_shifts_once(self, counted):
-        m, stacks, builds = counted
+        m, evaluated, builds = counted
         h = np.array(self.H)
         qlan.sld_set(m)
-        stacks.clear()
+        evaluated.clear()
         qlan.lecam_report(m, None, h, self.QUERIES, self.NS)
         qlan.sandwich_report(m, h, self.QUERIES, self.NS)
         qlan.infinitesimal_probe(qlan.iid_remainder_rule(m, h), m, self.QUERIES, (0.5, 1.0),
                                  self.NS)
-        shifts = np.array([m.theta0 + h / np.sqrt(n) for n in self.NS])
-        assert stacks == [shifts.tobytes()]
+        # one state_at call per theta of the grid, all in the first report
+        assert evaluated == [(m.theta0 + h / np.sqrt(n)).tobytes() for n in self.NS]
         assert len(builds) == 1
 
     def test_two_oh2_reports_evaluate_the_sphere_once(self, counted):
-        m, stacks, builds = counted
+        m, evaluated, builds = counted
         first = qlan.oh2_report(m)
+        # theta0, then one call per point of the sphere
+        assert len(evaluated) == 1 + len(qlan.OH2_RADII) * qlan.OH2_DIRECTIONS
+        evaluated.clear()
         assert qlan.oh2_report(m) == first
-        assert (len(stacks), len(builds)) == (1, 1)
+        assert (len(evaluated), len(builds)) == (0, 1)
 
     @staticmethod
     def banded(inside):
@@ -645,24 +647,19 @@ class TestGrid:
     def test_a_failing_grid_raises_the_same_error_on_every_call(self):
         m = self.banded(np.diag([0.0, 1.0]))
         ns = (100, 1000, 10000)
-        calls = {
-            SupportViolationError: lambda m: qlan.lecam_report(m, None, self.H, [E1[None]], ns),
-            NotAbsolutelyContinuousError:
-                lambda m: qlan.sandwich_report(m, self.H, [E1[None]], ns),
-        }
-        for error, call in calls.items():
+        calls = [lambda m: qlan.lecam_report(m, None, self.H, [E1[None]], ns),
+                 lambda m: qlan.sandwich_report(m, self.H, [E1[None]], ns)]
+        for call in calls:
             raised = []
             for model in (m, m, dataclasses.replace(m)):
-                with pytest.raises(error) as exc:
+                with pytest.raises(SupportViolationError) as exc:
                     call(model)
-                raised.append((str(exc.value), getattr(exc.value, "n", None)))
-            assert raised == [raised[0]] * 3
-            if error is SupportViolationError:
-                # the first n that fails, though n = 10000 fails too
-                assert raised[0] == ("shifted state at n = 1000 does not dominate the base "
-                                     "state", 1000)
+                raised.append((str(exc.value), exc.value.n))
+            # the first n that fails, though n = 10000 fails too
+            assert raised == [("shifted state at n = 1000 does not dominate the base state",
+                               1000)] * 3
         # m keeps the whole grid and the replay's points n = 100 and 1000, but
-        # no L_n whose build raised: the whole grid's, and that at n = 1000
+        # an L_n only where every state dominates: at n = 100
         kept = qlan._base(m, None).grids.entries.values()
         assert ([(len(g.s.stack), "l_stack" in vars(g)) for g in kept]
                 == [(3, False), (1, True), (1, False)])
@@ -680,8 +677,9 @@ class TestGrid:
         assert [len(g.s.stack) for g in kept] == [1]
 
     def test_handed_out_arrays_are_read_only_and_a_full_memo_evicts_the_oldest(self, counted):
-        m, stacks, _ = counted
+        m, evaluated, _ = counted
         base = qlan._base(m, None)
+        evaluated.clear()
         size = linalg._MEMO_SIZE
         thetas = [[np.array([0.01 * k, 0.02])] for k in range(1, size + 2)]
         first = base.grid(thetas[0])
@@ -693,9 +691,9 @@ class TestGrid:
         assert base.grid(thetas[0]) is first
         # thetas[1] is now the least recently used
         base.grid(thetas[size])
-        assert base.grid(thetas[0]) is first and len(stacks) == size + 1
+        assert base.grid(thetas[0]) is first and len(evaluated) == size + 1
         base.grid(thetas[1])
-        assert len(stacks) == size + 2
+        assert len(evaluated) == size + 2
 
 
 class TestQcltReport:

@@ -2,14 +2,14 @@
 
 The q-LAN reports evaluate their grids through kernels that take a leading
 stack axis (the two exponentials of ``linalg``, ``decomp._qllr_stack``,
-``qlan._guarded_powers``, the models' ``states_at``). Each test keeps the
+``qlan._guarded_powers``, the spin families' multi-theta ``spin_pure_states``
+and ``spin_perturbed_states``). Each test keeps the
 per-point loop over the public single-matrix functions as the reference:
 values must be equal to the last bit (``np.array_equal``), and a failing
 grid must raise the error, type and text, that the loop meets first, with no
 other error chained to it.
 """
 
-import dataclasses
 import gc
 import warnings
 
@@ -303,6 +303,15 @@ def oh2_model(bad: dict[int, str]):
     return model, radii, points
 
 
+def oh2_point(model, rho0, point):
+    """One point of ``oh2_report`` over public calls: its state, domination, then ``qllr``."""
+    state = model.state_at(point)
+    if not decomp.is_absolutely_continuous(rho0.matrix, state):
+        raise SupportViolationError(
+            f"shifted state at theta = {point.tolist()} does not dominate the base state")
+    return decomp.qllr(state, rho0)
+
+
 @pytest.mark.parametrize("bad", [
     {13: "not_ac"},
     {20: "not_ac", 7: "indefinite"},
@@ -315,22 +324,9 @@ def oh2_model(bad: dict[int, str]):
 def test_oh2_report_raises_the_first_failing_point(bad):
     model, radii, points = oh2_model(bad)
     rho0 = linalg.positive(model.state0())
-    expected = first_error([lambda p=p: decomp.qllr(model.state_at(p), rho0) for p in points])
+    expected = first_error([lambda p=p: oh2_point(model, rho0, p) for p in points])
     assert expected is not None
     assert raised(lambda: qlan.oh2_report(model)) == expected
-
-
-def test_a_states_at_error_reaches_the_caller_as_it_is():
-    # states_at must raise what a loop over state_at raises first; an error
-    # that breaks that contract is not corrected by the harness
-    toy, radii, _ = oh2_model({3: "raise"})
-
-    def states_at(thetas):
-        raise RuntimeError("stacked states failed")
-
-    model = dataclasses.replace(toy, states_at=states_at)
-    assert raised(lambda: qlan.oh2_report(model)) == (
-        RuntimeError, "stacked states failed")
 
 
 def test_oh2_report_of_a_good_custom_model_matches_the_loop():
@@ -348,23 +344,39 @@ def test_oh2_report_of_a_good_custom_model_matches_the_loop():
 
 FAMILIES = ("spin-pure", "spin-perturbed:quartic", "spin-perturbed:cubic",
             "spin-perturbed:squared", "qubit-fullrank")
+def custom_f(theta):
+    return float(np.sum(theta ** 2)) / 3.0
+
+
 SPIN = [models.get_model(name) for name in FAMILIES[:4]]
-SPIN.append(models.spin_perturbed_model(lambda theta: float(np.sum(theta ** 2)) / 3.0))
+SPIN.append(models.spin_perturbed_model(custom_f))
+
+
+def spin_states(model, thetas):
+    """The states of the spin family ``model`` at ``thetas``, from its multi-theta function."""
+    if model.name == "spin-pure":
+        return models.spin_pure_states(thetas)
+    rule = model.name.split(":", 1)[1]
+    return models.spin_perturbed_states(thetas, custom_f if rule == "custom" else rule)
 
 
 @pytest.mark.parametrize("model", SPIN + [models.get_model(FAMILIES[4])], ids=lambda m: m.name)
 @pytest.mark.parametrize("count", [0, 1, 9])
 def test_model_states_are_the_per_point_states(model, count):
-    # qubit-fullrank has no states_at and goes through the state_at loop
-    assert (model.states_at is None) == (model.name == "qubit-fullrank")
     rng = np.random.default_rng(count)
     thetas = list(rng.uniform(-0.9, 0.9, (count, model.theta_dim)))
-    states = qlan._model_states(model, thetas)
-    assert len(states) == count
-    if model.states_at is not None:
-        assert model.states_at(thetas).shape == (count, model.dim, model.dim)
-    for theta, state in zip(thetas, states):
-        assert np.array_equal(state, model.state_at(theta))
+    if model.name != "qubit-fullrank":
+        # a spin family's multi-theta function has each theta's state_at bytes
+        states = spin_states(model, thetas)
+        assert states.shape == (count, model.dim, model.dim)
+        for theta, state in zip(thetas, states):
+            assert np.array_equal(state, model.state_at(theta))
+    if count:
+        # the states a grid validates are each theta's state_at, hermitized
+        rho0 = linalg.positive(model.state0())
+        stack = qlan._shifted_states(model, thetas, rho0).stack
+        for theta, state in zip(thetas, stack, strict=True):
+            assert np.array_equal(state, linalg.hermitize(model.state_at(theta)))
 
 
 @pytest.mark.parametrize("model", SPIN, ids=lambda m: m.name)
@@ -379,6 +391,7 @@ def test_model_states_are_the_per_point_states(model, count):
 ])
 @pytest.mark.parametrize("numpy_warnings", ["ignored", "errors"])
 def test_states_at_raises_the_loops_first_error(model, bad, numpy_warnings):
+    # the multi-theta function raises what a loop over state_at meets first
     rng = np.random.default_rng(3)
     thetas = list(rng.uniform(-0.9, 0.9, (7, 2)))
     for j, kind in bad.items():
@@ -394,12 +407,12 @@ def test_states_at_raises_the_loops_first_error(model, bad, numpy_warnings):
             ctx = np.errstate(all="ignore")
         with ctx:
             expected = first_error([lambda t=t: model.state_at(t) for t in thetas])
-            got = raised(lambda: model.states_at(thetas))
+            got = raised(lambda: spin_states(model, thetas))
     assert expected is not None
     assert got == expected
     # raised or ignored, numpy warnings leave the error the same
     with np.errstate(all="ignore"):
-        assert raised(lambda: model.states_at(thetas)) == got
+        assert raised(lambda: spin_states(model, thetas)) == got
     first = min(j for j, kind in bad.items() if kind != "far")
     assert got[0] is (ValueError if bad[first] == "non-finite" else DimensionMismatchError)
 
@@ -407,8 +420,10 @@ def test_states_at_raises_the_loops_first_error(model, bad, numpy_warnings):
 @pytest.mark.parametrize("model", SPIN, ids=lambda m: m.name)
 def test_a_theta_whose_norm_overflows_is_the_closed_form_state(model):
     # ||(1e200, 1e200)|| overflows to inf: tanh r theta / r = (1, 1) / sqrt 2, sech r = 0
+    far = np.array([1e200, 1e200])
     with np.errstate(all="ignore"):
-        rho = model.states_at([np.array([0.3, -0.2]), np.array([1e200, 1e200])])[1]
+        rho = model.state_at(far)
+        assert np.array_equal(spin_states(model, [np.array([0.3, -0.2]), far])[1], rho)
     pure = (np.eye(2) + (models.SIGMA_X + models.SIGMA_Y) / np.sqrt(2.0)) / 2.0
     # e^{-f} is 0 there: the perturbed families give the excited state
     expected = pure if model.name == "spin-pure" else np.diag([0.0, 1.0])
@@ -419,11 +434,12 @@ def test_a_theta_whose_norm_overflows_is_the_closed_form_state(model):
 def test_a_far_theta_is_one_state_with_numpy_warnings_raised_or_ignored(model):
     thetas = [np.array([0.3, -0.2]), np.array([0.0, -1e80]), np.array([1e80, 0.0])]
     with np.errstate(all="ignore"):
-        ignored = model.states_at(thetas)
+        ignored = np.array([model.state_at(theta) for theta in thetas])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate():
-            raised_ = model.states_at(thetas)
+            raised_ = np.array([model.state_at(theta) for theta in thetas])
+            assert np.array_equal(spin_states(model, thetas), raised_)
     assert np.array_equal(raised_, ignored)
     if model.name != "spin-pure":
         # e^{-f} underflows to 0: the excited state
@@ -491,8 +507,7 @@ def test_shifted_reports_raise_the_loops_first_error(report, queries):
     expected = first_error(loop(model, queries))
     assert expected is not None
     assert expected[0] is (QueryOutOfSafeRangeError if len(queries) > 1
-                           else SupportViolationError if report == "lecam"
-                           else NotAbsolutelyContinuousError)
+                           else SupportViolationError)
     if report == "lecam":
         call = lambda: qlan.lecam_report(model, None, H, queries, NS)
     else:
@@ -549,7 +564,7 @@ def failing_rule(n_bad, kind):
     (NS[1], "raise", [BENIGN, WILD], QueryOutOfSafeRangeError),
     (NS[0], "raise", [BENIGN], ValueError),
     (NS[1], "shape", [BENIGN], DimensionMismatchError),
-    (NS[1], "iid", [BENIGN], NotAbsolutelyContinuousError),
+    (NS[1], "iid", [BENIGN], SupportViolationError),
     (NS[1], "iid", [BENIGN, WILD], QueryOutOfSafeRangeError),
 ], ids=["guard", "rule", "shape", "iid", "iid-guard"])
 def test_probe_raises_the_loops_first_error(n_bad, kind, queries, error):
@@ -569,7 +584,6 @@ def test_probe_raises_the_loops_first_error(n_bad, kind, queries, error):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_remainder_grid_is_the_per_n_rule(family):
-    # qubit-fullrank has no states_at, so its grid goes through the state_at loop
     model = models.get_model(family)
     h = cli._default_h(model.theta_dim)
     queries = [q[None] for q in cli._default_queries(model.theta_dim)]
