@@ -10,7 +10,8 @@ trace 1 at every finite theta. The perturbed family mixes in weight
 1 - e^{-f(theta)} on the orthogonal pure state |1><1|, so its absolutely
 continuous and singular parts along rho_bar(0) = |0><0| are the closed
 forms e^{-f} rho_bar(theta) and (1 - e^{-f}) |1><1|, which the
-decomposition tests check against.
+decomposition tests check against. Every family, like every model, is
+evaluated one theta per ``state_at`` call.
 """
 
 from __future__ import annotations
@@ -46,23 +47,14 @@ _EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 _F_POWERS = {"quartic": 4, "cubic": 3, "squared": 2}
 
 
-def _theta2(theta) -> np.ndarray:
+def _theta(theta, dim: int) -> np.ndarray:
+    """``theta`` as a finite real ``dim``-vector; anything else raises."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != 2:
-        raise DimensionMismatchError(f"theta must be a real 2-vector, got {theta}")
+    if theta.shape[0] != dim:
+        raise DimensionMismatchError(f"theta must be a real {dim}-vector, got {theta}")
     if not np.isfinite(theta).all():
         raise ValueError(f"theta has non-finite entries: {theta.tolist()}")
     return theta
-
-
-def spin_pure_states(thetas) -> np.ndarray:
-    """The pure family rho_bar at each theta of a sequence, as one (N, 2, 2) stack."""
-    return _spin_states(thetas, None)
-
-
-def spin_perturbed_states(thetas, f_rule="quartic") -> np.ndarray:
-    """The perturbed family at each theta of a sequence, as one (N, 2, 2) stack."""
-    return _spin_states(thetas, _f_rule(f_rule))
 
 
 def _f_rule(f_rule):
@@ -73,48 +65,32 @@ def _f_rule(f_rule):
     return f_rule
 
 
-def _spin_states(thetas, f_rule) -> np.ndarray:
-    """The spin family at each theta, in array passes.
+def _spin_state(theta, f_rule) -> np.ndarray:
+    """The spin family at one theta: the pure family where ``f_rule`` is None.
 
-    ``f_rule`` is None for the pure family, a name of ``_F_POWERS``, or a
-    callable f. Errors are those of a loop over the thetas: per theta,
-    validation and then a callable f, which is called once per theta in
-    order. The values are those of a call per theta, bit for bit: ||theta||
-    is the dot product ``np.linalg.norm`` takes, and the Bloch vector and the
-    weight e^{-f} are array ufuncs of the same scalar operations. Overflow
-    (||theta|| and its powers to inf) and underflow (e^{-f}, the norm, the
-    mix) still give the state, so both are ignored throughout, a callable f
-    included, whatever the caller set.
+    Otherwise ``f_rule`` is a name of ``_F_POWERS`` or a callable f, called
+    after theta is validated. Overflow (||theta|| and its powers to inf) and
+    underflow (e^{-f}, the norm, the mix) still give the state, so both are
+    ignored throughout, a callable f included, whatever the caller set.
     """
-    power = _F_POWERS.get(f_rule) if isinstance(f_rule, str) else None
-    custom = f_rule is not None and power is None
+    theta = _theta(theta, 2)
     with np.errstate(over="ignore", under="ignore"):
-        th, weights = [], []
-        for theta in thetas:
-            th.append(_theta2(theta))
-            if custom:
-                weights.append(float(np.exp(-f_rule(th[-1]))))
-        th = np.array(th).reshape(-1, 2)
-        # the vector dot of np.linalg.norm; (th * th).sum(1) rounds differently
-        r = np.sqrt((th[:, None, :] @ th[:, :, None])[:, 0, 0])
-        if power is not None:
-            # a float64 scalar power per theta: the array power r ** k
-            # runs a SIMD pow that can differ in the last bit, and a
-            # Python float power raises OverflowError where this gives inf
-            weights = np.exp(-np.array([x ** power for x in r]))
+        r = np.linalg.norm(theta)
+        if f_rule is not None:
+            # r is a float64, whose power overflows to inf where a Python
+            # float's raises OverflowError
+            f = r ** _F_POWERS[f_rule] if isinstance(f_rule, str) else f_rule(theta)
+            w = float(np.exp(-f))
         # theta / r from u, theta over its largest |entry|, which no finite
         # theta overflows; u has norm 0 or at least 1
-        top = np.abs(th).max(axis=1, initial=0.0)[:, None]
-        u = th / np.where(top > 0.0, top, 1.0)
-        u_norm = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0])
+        top = np.abs(theta).max()
+        u = theta / top if top > 0.0 else theta
         # the unit Bloch vector (tanh r theta / r, sech r); cosh r overflows to inf
-        bx, by = (np.tanh(r)[:, None] * (u / np.maximum(u_norm, 1.0))).T
+        bx, by = np.tanh(r) * (u / max(np.linalg.norm(u), 1.0))
         bz = 1.0 / np.cosh(r)
-        pure = (np.eye(2) + bx[:, None, None] * SIGMA_X + by[:, None, None] * SIGMA_Y
-                + bz[:, None, None] * SIGMA_Z) / 2.0
+        pure = (np.eye(2) + bx * SIGMA_X + by * SIGMA_Y + bz * SIGMA_Z) / 2.0
         if f_rule is None:
             return pure
-        w = np.asarray(weights, dtype=float)[:, None, None]
         return w * pure + (1.0 - w) * _EXCITED
 
 
@@ -124,7 +100,7 @@ def spin_pure_model() -> ParametricModel:
         dim=2,
         theta_dim=2,
         theta0=np.zeros(2),
-        state_at=lambda theta: spin_pure_states([theta])[0],
+        state_at=lambda theta: _spin_state(theta, None),
     )
 
 
@@ -135,15 +111,13 @@ def spin_perturbed_model(f_rule="quartic") -> ParametricModel:
         dim=2,
         theta_dim=2,
         theta0=np.zeros(2),
-        state_at=lambda theta: spin_perturbed_states([theta], f_rule)[0],
+        state_at=lambda theta: _spin_state(theta, f_rule),
     )
 
 
 def qubit_fullrank_model() -> ParametricModel:
     def state(theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.shape[0] != 1:
-            raise DimensionMismatchError(f"theta must be a real 1-vector, got {theta}")
+        theta = _theta(theta, 1)
         if abs(theta[0]) >= 1.0:
             raise ValueError(f"|theta| must be < 1 for a full-rank state, got {theta[0]}")
         return 0.5 * (np.eye(2, dtype=complex) + theta[0] * SIGMA_Z)
@@ -253,12 +227,6 @@ NEAR_SINGULAR_OVERLAP = 1e-9
 #: smallest kept eigenvalue in the near-rank-deficient mode
 NEAR_DEFICIENT_EIG = 1e-8
 
-#: doublings of the rotation angle tried before a target overlap is declared
-#: unreachable; 2^64 times the starting angle is far past the period of any
-#: rotation the generators here produce
-_MAX_DOUBLINGS = 64
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
@@ -323,47 +291,22 @@ def _rotate_to_overlap(rho: np.ndarray, sigma: np.ndarray, gen: np.ndarray,
                        target: float) -> np.ndarray:
     """Conjugate sigma by e^{t gen}, gen anti-Hermitian, until Tr rho sigma sits near target.
 
-    Raises UnreachableOverlapError when no angle tried gets there, e.g. when
-    the target exceeds the largest overlap the rotation attains.
+    The overlap grows like t^2 from exact zero, so a square-root update of t
+    lands in a handful of steps; on the near-singular geometry the overlap is
+    p s sin^2 t for an eigenvalue p of rho and s of sigma, and the first
+    update lands. Raises UnreachableOverlapError when eight updates do not,
+    e.g. when the target exceeds the largest overlap the rotation attains.
     """
-
-    def overlap(t: float) -> tuple[float, np.ndarray]:
+    t = 1e-4
+    for _ in range(9):
         w = _expm_checked((t * gen)[None], _exp_anti_hermitian)[0]
         rotated = hermitian_part(w @ sigma @ w.conj().T)
-        return float(np.trace(rho @ rotated).real), rotated
-
-    # overlap grows like t^2 from exact zero, so a square-root update
-    # followed by bisection converges in a handful of steps
-    t = 1e-4
-    value, rotated = overlap(t)
-    for _ in range(8):
+        value = float(np.trace(rho @ rotated).real)
         if 0.8 * target <= value <= 1.25 * target:
             return rotated
         if value <= 0.0:
             break
         t *= np.sqrt(target / value)
-        value, rotated = overlap(t)
-    lo, hi = 0.0, t
-    val_hi = value
-    doublings = 0
-    while val_hi < target:
-        if doublings == _MAX_DOUBLINGS:
-            raise UnreachableOverlapError(
-                f"no rotation angle up to {hi:.3e} reaches overlap {target:.3e} "
-                f"(overlap there {val_hi:.3e})"
-            )
-        hi *= 2.0
-        val_hi, rotated = overlap(hi)
-        doublings += 1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value, rotated = overlap(mid)
-        if 0.8 * target <= value <= 1.25 * target:
-            return rotated
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
     raise UnreachableOverlapError(
-        f"bisection did not reach overlap {target:.3e}; stuck at {value:.3e}"
+        f"no rotation angle tried reaches overlap {target:.3e} (the last gives {value:.3e})"
     )

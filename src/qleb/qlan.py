@@ -55,6 +55,7 @@ from .errors import (
     NotCenteredError,
     QueryOutOfSafeRangeError,
     SupportViolationError,
+    ZeroOperatorError,
 )
 from .gaussian import GaussianSpec, as_query, lecam_limit_spec, qcf
 from .linalg import (
@@ -170,16 +171,14 @@ class _Base:
         stack = np.asarray(thetas, dtype=float)
         build = lambda: decomp._Parts(self.rho0, _shifted_states(self.model, thetas, self.rho0))
         parts = self.grids.get((stack.shape, stack.tobytes()), build)
-        # a zero rho0 has an empty support, which every state dominates
-        if self.rho0.rank:
-            eig, floors = parts.verdicts
-            for j, (min_eig, floor) in enumerate(zip(eig.eigenvalues[:, -1].tolist(), floors)):
-                if not min_eig > floor:
-                    n = None if ns is None else ns[j]
-                    where = f"theta = {stack[j].tolist()}" if n is None else f"n = {n}"
-                    raise SupportViolationError(
-                        f"shifted state at {where} does not dominate the base state",
-                        n=n, theta=thetas[j])
+        eig, floors = parts.verdicts
+        for j, (min_eig, floor) in enumerate(zip(eig.eigenvalues[:, -1].tolist(), floors)):
+            if not min_eig > floor:
+                n = None if ns is None else ns[j]
+                where = f"theta = {stack[j].tolist()}" if n is None else f"n = {n}"
+                raise SupportViolationError(
+                    f"shifted state at {where} does not dominate the base state",
+                    n=n, theta=thetas[j])
         return parts
 
 
@@ -188,9 +187,19 @@ _bases = _Memo()
 
 
 def _base(model: ParametricModel, cutoff: float | None) -> _Base:
-    """The q-LAN base of ``model`` at ``cutoff``; this thread's last ``_MEMO_SIZE`` are kept."""
+    """The q-LAN base of ``model`` at ``cutoff``; this thread's last ``_MEMO_SIZE`` are kept.
+
+    A zero theta0 state raises ``ZeroOperatorError``: every base has a nonzero rho0.
+    """
     c = _resolve_cutoff(cutoff)
-    return _bases.get((id(model), c), lambda: _Base(model, positive(model.state0(), c)))
+
+    def build() -> _Base:
+        rho0 = positive(model.state0(), c)
+        if not rho0.rank:
+            raise ZeroOperatorError(f"model {model.name!r} has a zero state at theta0")
+        return _Base(model, rho0)
+
+    return _bases.get((id(model), c), build)
 
 
 def _slds(model: ParametricModel, rho0: PositiveOperator) -> list[np.ndarray]:

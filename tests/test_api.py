@@ -76,7 +76,9 @@ REMOVED = {
     "pure_pair": models,
     "sld": qlan,
     "spin_perturbed_state": models,
+    "spin_perturbed_states": models,
     "spin_pure_state": models,
+    "spin_pure_states": models,
     "support_projector": linalg,
     "support_split": decomp,
 }

@@ -303,7 +303,8 @@ class TestQlan:
             for s in (1e-5, 5e-6):
                 grid.append(t0 + s * e)
                 grid.append(t0 - s * e)
-        states = list(models.spin_pure_states(grid))
+        pure = models.spin_pure_model()
+        states = [pure.state_at(t) for t in grid]
         for n in (100, 1000):
             grid.append(t0 + h / np.sqrt(n))
             states.append(np.diag([0.0, 1.0]))
@@ -327,6 +328,16 @@ class TestQlan:
             assert rc == 4
             err = capsys.readouterr().err
             assert "support violation" in err and "n = 100" in err
+
+    def test_zero_theta0_state_exit_code(self, tmp_path, capsys):
+        zero = matio.matrix_to_json_dict(np.zeros((2, 2)))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"name": "zero", "dim": 2, "theta_dim": 1, "theta0": [0.0],
+                                    "states": [{"theta": [0.0], "matrix": zero}]}))
+        for study in ("qclt", "oh2"):
+            rc = run_cli("qlan", "--model", f"table:{path}", "--study", study)
+            assert rc == 2
+            assert capsys.readouterr().err == "error: model 'zero' has a zero state at theta0\n"
 
 
 def test_lecam_study_computes_the_slds_once(monkeypatch, tmp_path):

@@ -59,7 +59,7 @@ class TestSpinPure:
         theta = r * np.array([0.6, -0.8]) if np.isscalar(r) else np.array(r)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho = models.spin_pure_states([theta])[0]
+            rho = spin_pure_state(theta)
         assert abs(np.trace(rho).real - 1.0) <= bound
         assert np.linalg.eigvalsh(rho)[0] >= -bound
         # the Bloch vector's first two entries, tanh r theta / r
@@ -86,10 +86,6 @@ class TestSpinPure:
                 family(theta)
         assert str(info.value) == f"theta has non-finite entries: {list(theta)}"
         assert info.value.__context__ is None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="theta has non-finite entries"):
-                models.spin_pure_states([(0.1, 0.2), theta])
 
     def test_theta_must_be_a_2_vector(self):
         with pytest.raises(DimensionMismatchError):
@@ -122,13 +118,13 @@ class TestSpinPerturbed:
     @pytest.mark.parametrize("call", [
         lambda: models.spin_perturbed_model("quintic"),
         lambda: spin_perturbed_state((0.1, 0.2), "quintic"),
-        lambda: models.spin_perturbed_states([(0.1, 0.2)], "quintic"),
+        lambda: models.get_model("spin-perturbed:quintic"),
     ])
     def test_unknown_rule_name_is_rejected_before_any_state(self, monkeypatch, call):
-        def no_states(*args):
-            raise AssertionError("states built before the rule was checked")
+        def no_state(*args):
+            raise AssertionError("state built before the rule was checked")
 
-        monkeypatch.setattr(models, "_spin_states", no_states)
+        monkeypatch.setattr(models, "_spin_state", no_state)
         with pytest.raises(ValueError) as exc:
             call()
         assert type(exc.value) is ValueError
@@ -199,7 +195,7 @@ ORACLE_RULES = {
 
 
 def oracle_spin_state(theta, f_rule):
-    """The spin family at one theta, in scalars: the reference of the array pass.
+    """The spin family at one theta, in scalars: the reference of ``state_at``.
 
     Validation, the weight e^{-f}, then the unit Bloch vector
     b = (tanh r theta / r, sech r) and (I + b.sigma) / 2, with theta / r read
@@ -222,7 +218,7 @@ def oracle_spin_state(theta, f_rule):
 
 
 def oracle_spin_states(thetas, f_rule):
-    """``oracle_spin_state`` at each theta; a failing list raises the loop's first error."""
+    """``oracle_spin_state`` at each theta."""
     return np.array([oracle_spin_state(theta, f_rule) for theta in thetas]).reshape(-1, 2, 2)
 
 
@@ -245,10 +241,15 @@ def expm_spin_states(thetas, f_rule):
     return np.array(states)
 
 
+def family_model(f_rule):
+    """The spin family's model: the pure one where ``f_rule`` is None."""
+    return models.spin_pure_model() if f_rule is None else models.spin_perturbed_model(f_rule)
+
+
 def family_states(thetas, f_rule):
-    if f_rule is None:
-        return models.spin_pure_states(thetas)
-    return models.spin_perturbed_states(thetas, f_rule)
+    """The spin family's ``state_at`` at each theta, as one (N, 2, 2) stack."""
+    model = family_model(f_rule)
+    return np.array([model.state_at(theta) for theta in thetas]).reshape(-1, 2, 2)
 
 
 ORACLE_FAMILIES = [None, "quartic", "cubic", "squared",
@@ -343,6 +344,7 @@ def error_of(call):
     (ORACLE_FAMILIES[-1], "f raises"),
 ])
 def test_spin_states_raise_the_per_theta_loops_error(f_rule, kind, at):
+    # state_at at each theta in turn raises what the oracle meets first
     rng = np.random.default_rng(at)
     thetas = list(rng.uniform(-0.9, 0.9, (7, 2)))
     # a later bad theta, which the loop does not reach
@@ -359,6 +361,32 @@ def test_spin_states_raise_the_per_theta_loops_error(f_rule, kind, at):
     assert error_of(lambda: family_states(thetas, f_rule)) == expected
 
 
+BAD_THETAS = [np.array([0.1, 0.2, 0.3]), np.array([np.inf, 0.1]), np.array([0.1, np.nan])]
+
+
+def outcome(call):
+    """The bytes ``call`` returns, or the type and text of what it raises."""
+    try:
+        return call().tobytes()
+    except Exception as exc:  # the outcome is compared, whatever it is
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("f_rule", ORACLE_FAMILIES, ids=FAMILY_IDS)
+def test_state_at_is_the_same_when_the_caller_raises_on_every_numpy_error(f_rule):
+    model = family_model(f_rule)
+    thetas = oracle_thetas() + RAYS + BAD_THETAS
+    # the custom rule's own theta ** 2 overflows on the last rays
+    with np.errstate(over="ignore" if f_rule is ORACLE_FAMILIES[-1] else "warn"):
+        expected = [outcome(lambda t=theta: model.state_at(t)) for theta in thetas]
+    with np.errstate(all="raise"):
+        got = [outcome(lambda t=theta: model.state_at(t)) for theta in thetas]
+    assert got == expected
+    # a state at every good theta, an error at every bad one
+    bad = len(BAD_THETAS)
+    assert [isinstance(x, tuple) for x in got] == [False] * (len(thetas) - bad) + [True] * bad
+
+
 class TestQubitFullrank:
     def test_state_and_derivative_direction(self):
         m = models.qubit_fullrank_model()
@@ -370,6 +398,20 @@ class TestQubitFullrank:
         m = models.qubit_fullrank_model()
         with pytest.raises(ValueError):
             m.state_at([1.0])
+
+    @pytest.mark.parametrize("theta", [[np.nan], [np.inf], [-np.inf]])
+    def test_theta_must_be_finite(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                models.qubit_fullrank_model().state_at(theta)
+        assert str(info.value) == f"theta has non-finite entries: {theta}"
+        assert info.value.__context__ is None
+
+    def test_theta_must_be_a_1_vector(self):
+        with pytest.raises(DimensionMismatchError) as info:
+            models.qubit_fullrank_model().state_at([0.1, 0.2])
+        assert str(info.value) == "theta must be a real 1-vector, got [0.1 0.2]"
 
 
 class TestModelRegistry:
@@ -544,6 +586,14 @@ class TestRandomPsdPair:
             models.random_psd_pair(
                 models.RandomPsdPairSpec(3, 2, 2, 0, mode="orthogonal"))
 
+    @pytest.mark.parametrize("mode", ["generic", "near_deficient"])
+    def test_dimension_one(self, mode):
+        rho, sigma = models.random_psd_pair(models.RandomPsdPairSpec(1, 1, 1, 5, mode=mode))
+        assert rho.matrix.shape == sigma.matrix.shape == (1, 1)
+        assert rho.rank == sigma.rank == 1
+        with pytest.raises(InvalidRanksError, match=r"^dim must be >= 1, got 0$"):
+            models.random_psd_pair(models.RandomPsdPairSpec(0, 1, 1, 5, mode=mode))
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             models.random_psd_pair(
@@ -574,8 +624,22 @@ class TestRotateToOverlap:
             with pytest.raises(UnreachableOverlapError, match="reaches overlap"):
                 models._rotate_to_overlap(rho.astype(complex), sigma.astype(complex),
                                           gen.astype(complex), target)
-        # the start, at most 8 square-root updates and the bounded doublings
-        assert len(calls) <= 1 + 8 + models._MAX_DOUBLINGS
+        # the start and at most 8 square-root updates
+        assert len(calls) <= 1 + 8
+
+    def test_every_near_singular_pair_lands_within_one_update(self, monkeypatch):
+        # the overlap is p s sin^2 t, so the first square-root update lands
+        calls = self._count_rotations(monkeypatch)
+        for d in range(2, 7):
+            for kr in range(1, d):
+                for ks in range(1, d - kr + 1):
+                    for seed in range(3):
+                        del calls[:]
+                        spec = models.RandomPsdPairSpec(d, kr, ks, seed, mode="near_singular")
+                        rho, sigma = models.random_psd_pair(spec)
+                        assert len(calls) <= 2, spec
+                        tr = float(np.trace(rho.matrix @ sigma.matrix).real)
+                        assert 0.8e-9 <= tr <= 1.25e-9, spec
 
     def test_reachable_target_is_hit(self):
         rho = np.diag([1.0, 0.0]).astype(complex)

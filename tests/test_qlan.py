@@ -21,6 +21,7 @@ from qleb.errors import (
     NotPositiveError,
     QueryOutOfSafeRangeError,
     SupportViolationError,
+    ZeroOperatorError,
 )
 
 SX = models.SIGMA_X
@@ -34,7 +35,7 @@ E2 = np.array([0.0, 1.0])
 
 
 def spin_pure_state(theta):
-    return models.spin_pure_states([theta])[0]
+    return models.spin_pure_model().state_at(theta)
 
 
 def toy_model(state_fn, theta_dim=1, dim=2, theta0=None):
@@ -481,6 +482,20 @@ class TestBase:
             with pytest.warns(UserWarning, match="degenerate") as record:
                 call()
             assert [w.filename for w in record] == [blamed]
+
+    @pytest.mark.parametrize("entry", list(BASE_READERS))
+    def test_a_zero_theta0_state_is_rejected_at_the_base(self, entry):
+        calls = []
+        m = toy_model(self.counted(lambda t: np.zeros((2, 2)), calls), theta_dim=2)
+        for i in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ZeroOperatorError) as exc:
+                    BASE_READERS[entry](m, (0.3, 0.1), [E1[None]], (10, 100))
+            assert str(exc.value) == "model 'toy' has a zero state at theta0"
+            assert exc.value.__context__ is None
+            # theta0 only, on every call: the failure is not kept
+            assert len(calls) == i + 1
 
     def test_a_failing_sld_set_is_rebuilt_and_raised_on_every_call(self):
         def state(t):

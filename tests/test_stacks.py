@@ -2,8 +2,7 @@
 
 The q-LAN reports evaluate their grids through kernels that take a leading
 stack axis (the two exponentials of ``linalg``, ``decomp._qllr_stack``,
-``qlan._guarded_powers``, the spin families' multi-theta ``spin_pure_states``
-and ``spin_perturbed_states``). Each test keeps the
+``qlan._guarded_powers``, the checks of a q-LAN grid). Each test keeps the
 per-point loop over the public single-matrix functions as the reference:
 values must be equal to the last bit (``np.array_equal``), and a failing
 grid must raise the error, type and text, that the loop meets first, with no
@@ -129,9 +128,8 @@ def test_failing_checks_leave_no_reference_cycles():
                # failing grids, replayed one point at a time; the toy model's
                # own error at point 3 is a plain ValueError
                (lambda: qlan.oh2_report(oh2_toy), ValueError),
-               # a failing spin grid: its 3-vector raises in the per-theta loop
-               (lambda: models.spin_pure_states([np.zeros(2), [1e200, 1e200], np.zeros(3)]),
-                DimensionMismatchError)]
+               # a spin state at a 3-vector
+               (lambda: models.spin_pure_model().state_at(np.zeros(3)), DimensionMismatchError)]
     gc.collect()
     gc.disable()
     try:
@@ -352,31 +350,17 @@ SPIN = [models.get_model(name) for name in FAMILIES[:4]]
 SPIN.append(models.spin_perturbed_model(custom_f))
 
 
-def spin_states(model, thetas):
-    """The states of the spin family ``model`` at ``thetas``, from its multi-theta function."""
-    if model.name == "spin-pure":
-        return models.spin_pure_states(thetas)
-    rule = model.name.split(":", 1)[1]
-    return models.spin_perturbed_states(thetas, custom_f if rule == "custom" else rule)
-
-
 @pytest.mark.parametrize("model", SPIN + [models.get_model(FAMILIES[4])], ids=lambda m: m.name)
 @pytest.mark.parametrize("count", [0, 1, 9])
 def test_model_states_are_the_per_point_states(model, count):
     rng = np.random.default_rng(count)
     thetas = list(rng.uniform(-0.9, 0.9, (count, model.theta_dim)))
-    if model.name != "qubit-fullrank":
-        # a spin family's multi-theta function has each theta's state_at bytes
-        states = spin_states(model, thetas)
-        assert states.shape == (count, model.dim, model.dim)
-        for theta, state in zip(thetas, states):
-            assert np.array_equal(state, model.state_at(theta))
-    if count:
-        # the states a grid validates are each theta's state_at, hermitized
-        rho0 = linalg.positive(model.state0())
-        stack = qlan._shifted_states(model, thetas, rho0).stack
-        for theta, state in zip(thetas, stack, strict=True):
-            assert np.array_equal(state, linalg.hermitize(model.state_at(theta)))
+    # the states a grid validates are each theta's state_at, hermitized
+    rho0 = linalg.positive(model.state0())
+    stack = qlan._shifted_states(model, thetas, rho0).stack
+    assert stack.shape == (count, model.dim, model.dim)
+    for theta, state in zip(thetas, stack, strict=True):
+        assert np.array_equal(state, linalg.hermitize(model.state_at(theta)))
 
 
 @pytest.mark.parametrize("model", SPIN, ids=lambda m: m.name)
@@ -391,7 +375,9 @@ def test_model_states_are_the_per_point_states(model, count):
 ])
 @pytest.mark.parametrize("numpy_warnings", ["ignored", "errors"])
 def test_states_at_raises_the_loops_first_error(model, bad, numpy_warnings):
-    # the multi-theta function raises what a loop over state_at meets first
+    # a loop over state_at stops at the first bad theta with that theta's own
+    # error; a far theta before it gives a state, whether numpy warnings are
+    # raised or ignored
     rng = np.random.default_rng(3)
     thetas = list(rng.uniform(-0.9, 0.9, (7, 2)))
     for j, kind in bad.items():
@@ -406,14 +392,12 @@ def test_states_at_raises_the_loops_first_error(model, bad, numpy_warnings):
         else:
             ctx = np.errstate(all="ignore")
         with ctx:
-            expected = first_error([lambda t=t: model.state_at(t) for t in thetas])
-            got = raised(lambda: spin_states(model, thetas))
-    assert expected is not None
-    assert got == expected
+            got = first_error([lambda t=t: model.state_at(t) for t in thetas])
     # raised or ignored, numpy warnings leave the error the same
     with np.errstate(all="ignore"):
-        assert raised(lambda: spin_states(model, thetas)) == got
+        assert first_error([lambda t=t: model.state_at(t) for t in thetas]) == got
     first = min(j for j, kind in bad.items() if kind != "far")
+    assert got == raised(lambda: model.state_at(thetas[first]))
     assert got[0] is (ValueError if bad[first] == "non-finite" else DimensionMismatchError)
 
 
@@ -423,7 +407,6 @@ def test_a_theta_whose_norm_overflows_is_the_closed_form_state(model):
     far = np.array([1e200, 1e200])
     with np.errstate(all="ignore"):
         rho = model.state_at(far)
-        assert np.array_equal(spin_states(model, [np.array([0.3, -0.2]), far])[1], rho)
     pure = (np.eye(2) + (models.SIGMA_X + models.SIGMA_Y) / np.sqrt(2.0)) / 2.0
     # e^{-f} is 0 there: the perturbed families give the excited state
     expected = pure if model.name == "spin-pure" else np.diag([0.0, 1.0])
@@ -439,7 +422,6 @@ def test_a_far_theta_is_one_state_with_numpy_warnings_raised_or_ignored(model):
         warnings.simplefilter("error")
         with np.errstate():
             raised_ = np.array([model.state_at(theta) for theta in thetas])
-            assert np.array_equal(spin_states(model, thetas), raised_)
     assert np.array_equal(raised_, ignored)
     if model.name != "spin-pure":
         # e^{-f} underflows to 0: the excited state
