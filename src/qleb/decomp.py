@@ -93,8 +93,9 @@ def is_singular(rho, sigma, cutoff: float | None = None) -> SingularityCheck:
     if r.rank == 0 or s.rank == 0:
         raise ZeroOperatorError("singularity test needs two nonzero operators")
     # both operands are nonzero, so neither matrix is empty
-    exc_norm = float(np.linalg.norm(_shared(r, s).excision[0], 2))
-    proj = float(np.linalg.norm(_support_projector(r) @ _support_projector(s), 2))
+    exc_norm = float(np.linalg.svd(_shared(r, s).excision[0], compute_uv=False)[0])
+    proj = float(np.linalg.svd(_support_projector(r) @ _support_projector(s),
+                               compute_uv=False)[0])
     by_trace, tr, trace_bound = _trace_singular(r, s)
     exc_bound = SINGULARITY_TOL * s.norm2
     proj_bound = float(np.sqrt(SINGULARITY_TOL))

@@ -326,9 +326,13 @@ class PositiveOperator:
         stack.flags.writeable = values.flags.writeable = False
         if not any(pending):
             vectors.flags.writeable = False
-        fields = (stack, values, vectors, tols, cutoff, pending, None)
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "tols", tols)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "_pending", pending)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to attribute {name!r} of a PositiveOperator")

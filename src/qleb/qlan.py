@@ -17,23 +17,27 @@ the n grid, or the ``oh2_report`` points) in stacked passes through the
 ``qllr`` checks, and the site factors of every (n, query) pair. The probe
 evaluates the rule of ``iid_remainder_rule`` the same way, over its whole n
 grid; a remainder rule that a caller supplies is called once per n. The QCF
-kernel ``_guarded_powers`` takes the site observables of each n, so the
-probe's remainder R(n) enters as one more observable beside the SLDs, with
-eta as its query column. Errors stay those of the point-by-point loop: the
-earliest point fails first, and within a point the earlier stage.
-``_guarded_powers`` and the domination check, whose ``SupportViolationError``
-names theta (and n), check their slices in that order. The other kernels
-raise at a slice that fails, which need not be the earliest;
-``linalg._replay`` then reruns the grid one point at a time and raises the
-first point's error. A grid that passes is evaluated once.
+kernel has two halves: ``_factor_products`` builds the products of every
+(n, query) from the site observables of each n, and ``_traced_powers``
+traces the states against them. The probe's remainder R(n) enters as one
+more observable beside the SLDs, with eta as its query column. Errors stay those of the point-by-point loop: the earliest point
+fails first, and within a point the earlier stage. ``_traced_powers`` and
+the domination check, whose ``SupportViolationError`` names theta (and n),
+check their slices in that order; a failing factor's error is raised after
+the guard of every state at its n. The other kernels raise at a slice that
+fails, which need not be the earliest; ``linalg._replay`` then reruns the
+grid one point at a time and raises the first point's error. A grid that
+passes is evaluated once.
 
 Every report reads one q-LAN base per model from ``_base``: theta0's
 validated state and, built on first use, the SLD set and its limit law
 N(0, J). The base also holds the states, parts and L_n of its last
 ``_MEMO_SIZE`` theta grids, so the reports at one h and n grid evaluate its
-local shifts once. The base is kept per thread, keyed on the model object's
-identity and the resolved cutoff; a failure is not kept, so it is raised
-again on every call.
+local shifts once, and the factor products of its last ``_MEMO_SIZE``
+(observables, queries, n grid), keyed on their exact bytes, so ``qclt``,
+``lecam``, ``sandwich`` and the probe exponentiate each set of factors once.
+The base is kept per thread, keyed on the model object's identity and the
+resolved cutoff; a failure is not kept, so it is raised again on every call.
 """
 
 from __future__ import annotations
@@ -137,11 +141,12 @@ class ParametricModel:
 
 @dataclass
 class _Base:
-    """A model's validated theta0 state at one cutoff, its SLD set once built, and its grids."""
+    """A model's validated theta0 state at one cutoff, its SLD set, its grids and QCF products."""
 
     model: ParametricModel  # held, so the id keying this entry is not reused
     rho0: PositiveOperator
     grids: _Memo = field(default_factory=_Memo)
+    products: _Memo = field(default_factory=_Memo)
 
     @cached_property
     def slds(self) -> SldSet:
@@ -180,6 +185,22 @@ class _Base:
                     f"shifted state at {where} does not dominate the base state",
                     n=n, theta=thetas[j])
         return parts
+
+    def powers(self, states: Sequence[Sequence[np.ndarray]], ops: Sequence[Sequence[np.ndarray]],
+               queries: Sequence[np.ndarray], ns: Sequence[int]) -> list[list[list[complex]]]:
+        """``_traced_powers`` of ``states`` against ``_factor_products(ops, queries, ns)``.
+
+        The products are kept frozen, by the exact bytes of the observables,
+        queries and n grid; a build with a failing factor is not kept.
+        """
+        stack = np.asarray(ops)
+        key = (tuple(ns), stack.shape, stack.tobytes(),
+               tuple((q.shape, q.tobytes()) for q in queries))
+        products = self.products.get(key, lambda: _factor_products(ops, queries, ns))
+        products[0].flags.writeable = False
+        if products[1] is not None:
+            del self.products.entries[key]
+        return _traced_powers(states, products, len(queries), ns)
 
 
 #: (id(model), cutoff) -> _Base
@@ -310,7 +331,7 @@ def collective_qcf_factorized(site_state, site_ops, query, n: int,
     queries violating it are rejected.
     """
     state, ops, q, n = _site_operands(site_state, site_ops, query, n)
-    return _guarded_powers([[state]], [ops], [q], [n], guard)[0][0][0]
+    return _traced_powers([[state]], _factor_products([ops], [q], [n]), 1, [n], guard)[0][0][0]
 
 
 def _site_operands(site_state, site_ops, query, n) -> tuple[np.ndarray, list, np.ndarray, int]:
@@ -340,21 +361,19 @@ def _site_ops(site_ops, shape: tuple[int, int]) -> list[np.ndarray]:
     return ops
 
 
-def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[Sequence[np.ndarray]],
-                    queries: Sequence[np.ndarray], ns: Sequence[int],
-                    guard: float = QCF_GUARD) -> list[list[list[complex]]]:
-    """z^n = exp(n log z) for z = Tr rho prod_t exp(i xi_t . A / sqrt(n)).
+def _factor_products(ops: Sequence[Sequence[np.ndarray]], queries: Sequence[np.ndarray],
+                     ns: Sequence[int]) -> tuple[np.ndarray, Exception | None]:
+    """The products prod_t exp(i xi_t . A / sqrt(n)) of every (n, query), n-major.
 
-    ``ns`` is an n grid. At ``ns[i]`` the site observables A are ``ops[i]``,
-    and each state of ``states[i]`` is traced against one product per query
-    of ``queries``. The factors of every (n, query) are exponentiated in one
-    stacked pass. Errors are those of a loop over the n and then the
-    queries: each factor's exponential, then |z - 1| < ``guard`` for each
-    state in turn. Returns per n one list per state of one value per query.
+    ``ns`` is an n grid; at ``ns[i]`` the site observables A are ``ops[i]``.
+    The factors of every (n, query) are exponentiated in one stacked pass.
+    Returns the products of the slices before the first one with a failing
+    factor, and that factor's error (None when no factor fails); the states
+    are traced against them by ``_traced_powers``.
 
-    Operands are trusted: states and observables hermitized, queries
-    normalized by ``as_query`` with one column per observable, each n a
-    positive int. The queries are real, so every factor is anti-Hermitian.
+    Operands are trusted: observables hermitized, queries normalized by
+    ``as_query`` with one column per observable, each n a positive int. The
+    queries are real, so every factor is anti-Hermitian.
     """
     count = len(queries)
     d = ops[0][0].shape[0]
@@ -384,12 +403,29 @@ def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[Sequen
     mats.reshape(-1, d, d)[at[finite]] = exps
     invalid = at[~finite].tolist()
     bad = min(invalid + at[finite][overflowed].tolist(), default=total * t_max)
-    # the first slice with a failing factor fails with that factor's error;
-    # no later slice can fail first, so none of them is traced
-    first = bad // t_max
+    # no slice after the first one with a failing factor is ever traced
     prod = np.eye(d, dtype=complex)
     for t in range(t_max):
-        prod = prod @ mats[:first, t]
+        prod = prod @ mats[:bad // t_max, t]
+    if bad == total * t_max:
+        return prod, None
+    return prod, (InvalidMatrixError("matrix has non-finite entries") if bad in invalid
+                  else OverflowError(_EXPM_OVERFLOW))
+
+
+def _traced_powers(states: Sequence[Sequence[np.ndarray]],
+                   products: tuple[np.ndarray, Exception | None], count: int,
+                   ns: Sequence[int], guard: float = QCF_GUARD) -> list[list[list[complex]]]:
+    """z^n = exp(n log z) for z = Tr rho prod_t exp(i xi_t . A / sqrt(n)).
+
+    ``products`` are ``_factor_products`` of ``count`` queries over the n
+    grid ``ns``; each state of ``states[i]`` is traced against the products
+    of ``ns[i]``. Errors are those of a loop over the n and then the
+    queries: each factor's exponential, then |z - 1| < ``guard`` for each
+    state in turn. Returns per n one list per state of one value per query.
+    States are trusted: hermitized, of the observables' shape.
+    """
+    prod, error = products
     traces = []
     for i in range(len(ns)):
         zs = [np.trace(state @ prod[i * count:(i + 1) * count], axis1=-2, axis2=-1).tolist()
@@ -403,10 +439,9 @@ def _guarded_powers(states: Sequence[Sequence[np.ndarray]], ops: Sequence[Sequen
                     f"per-site trace {z:.6f} strays {abs(z - 1.0):.3f} from 1 "
                     f"(guard {guard}); shrink ||xi|| / sqrt(n)"
                 )
-        if first < (i + 1) * count:
-            if bad in invalid:
-                raise InvalidMatrixError("matrix has non-finite entries")
-            raise OverflowError(_EXPM_OVERFLOW)
+        # the first slice with a failing factor fails with that factor's error
+        if len(prod) < (i + 1) * count:
+            raise error
         traces.append(zs)
     # one array pass per n has the bits of the scalar exp(n log z) of each z
     return [np.exp(n * np.log(zs)).tolist() for n, zs in zip(ns, traces)]
@@ -507,8 +542,7 @@ def qclt_report(model: ParametricModel, query_grid, n_grid,
     queries = _normalize_queries(query_grid, model.theta_dim)
     base = _sld_set(model, cutoff)
     limits = [qcf(base.limit, q) for q in queries]
-    powers = _guarded_powers([[base.rho0.matrix]] * len(ns), [base.slds.l_ops] * len(ns), queries,
-                             ns)
+    powers = base.powers([[base.rho0.matrix]] * len(ns), [base.slds.l_ops] * len(ns), queries, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
     return _rate_report("qclt", ns, errors)
 
@@ -579,7 +613,7 @@ def lecam_report(model: ParametricModel, b_ops, h, query_grid, n_grid,
 
     def run(ns):
         grid = base.grid(_local_shifts(model, h, ns), ns)
-        return _guarded_powers([[m] for m in grid.s.stack], [ops] * len(ns), queries, ns)
+        return base.powers([[m] for m in grid.s.stack], [ops] * len(ns), queries, ns)
 
     powers = _replay(run, ns)
     errors = [max(abs(z - lim) for z, lim in zip(zs[0], limits)) for zs in powers]
@@ -600,7 +634,7 @@ def sandwich_qcf(model: ParametricModel, h, query, n: int,
     q = as_query(query, model.theta_dim)
     base = _sld_set(model, cutoff)
     grid = base.grid(_local_shifts(model, h, [n]), [n])
-    return _guarded_powers([_sandwiches(grid)], [list(base.slds.l_ops)], [q], [n])[0][0][0]
+    return base.powers([_sandwiches(grid)], [base.slds.l_ops], [q], [n])[0][0][0]
 
 
 def _sandwiches(grid: decomp._Parts) -> np.ndarray:
@@ -616,13 +650,12 @@ def sandwich_report(model: ParametricModel, h, query_grid, n_grid,
     h = _shift(model, h)
     queries = _normalize_queries(query_grid, model.theta_dim)
     base = _sld_set(model, cutoff)
-    ops = list(base.slds.l_ops)
 
     def run(ns):
         grid = base.grid(_local_shifts(model, h, ns), ns)
         # one product per query, traced against both states
-        return _guarded_powers(list(zip(_sandwiches(grid), grid.s.stack)),
-                               [ops] * len(ns), queries, ns)
+        return base.powers(list(zip(_sandwiches(grid), grid.s.stack)),
+                           [base.slds.l_ops] * len(ns), queries, ns)
 
     powers = _replay(run, ns)
     errors = [max(abs(a - b) for a, b in zip(shifted, unshifted))
@@ -761,8 +794,7 @@ def infinitesimal_probe(remainder_rule: Callable[[int], np.ndarray],
                     f"remainder at n = {n} has dimension {extra.shape[0]}, "
                     f"expected {model.dim}"
                 )
-        return _guarded_powers([[rho0]] * len(ns), [ops + [extra] for extra in extras], slices,
-                               ns)
+        return base.powers([[rho0]] * len(ns), [ops + [extra] for extra in extras], slices, ns)
 
     grid = _replay(run, ns)
     deviations = []

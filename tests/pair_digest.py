@@ -1,4 +1,4 @@
-"""Digests of the pair functions on the benchmark's pairs and of the built-in families' states.
+"""Digests of the pair functions on the benchmark's pairs and of the built-in families.
 
     python tests/pair_digest.py > digest.txt
 
@@ -10,10 +10,14 @@ eigenvalues and rank thresholds, every verdict field, and for a call that
 raised, the error's type and message. Then, for each built-in model family,
 it prints one sha256 over the bytes ``state_at`` returns at a fixed seeded
 set of theta (``model_thetas``), an error's type and message where it
-raises. The digests of two trees compare with ``diff``. It runs the library
-in the ``src/`` beside it and reads ``bench/workloads.py`` without changing
-it; it needs only numpy and the standard library, and pytest does not
-collect it.
+raises. Last, for each family, it prints the sha256 of the five q-LAN
+reports of the ``qlan-studies`` workload (seed 1), called as that workload
+calls them, in three settings: on a fresh model object, again on the same
+object, and in reverse order on another fresh object (``qlan_digests``).
+The three must agree, whatever the q-LAN base keeps between calls. The
+digests of two trees compare with ``diff``. It runs the library in the
+``src/`` beside it and reads ``bench/workloads.py`` without changing it; it
+needs only numpy and the standard library, and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from qleb.linalg import PositiveOperator  # noqa: E402
 from qleb.models import get_model  # noqa: E402
-from workloads import DECOMP_FNS, PairsWorkload  # noqa: E402
+from qleb.matio import dumps_json  # noqa: E402
+from workloads import DECOMP_FNS, STUDY_REPORTS, PairsWorkload, StudiesWorkload, Study  # noqa: E402
 
 WORKLOADS = ("pairs-small", "pairs-large")
 SEEDS = (1, 7)
@@ -101,6 +106,26 @@ def model_digest(name: str) -> str:
     return h.hexdigest()
 
 
+def qlan_digests(name: str) -> list[tuple[str, str]]:
+    """(setting, sha256) of family ``name``'s five q-LAN reports, hashed in the workload's order.
+
+    A report is hashed as its ``to_json_dict`` JSON, an error as its type and
+    message.
+    """
+    def digest(call, reports) -> str:
+        out = {}
+        for report in reports:
+            raw = call(Study(name, report))
+            out[report] = (f"{type(raw).__name__}: {raw}" if isinstance(raw, Exception)
+                           else dumps_json(raw.to_json_dict()))
+        return hashlib.sha256("\0".join(out[r] for r in STUDY_REPORTS).encode()).hexdigest()
+
+    fresh = StudiesWorkload("qlan-studies", 1).caller(None)
+    return [("fresh", digest(fresh, STUDY_REPORTS)), ("again", digest(fresh, STUDY_REPORTS)),
+            ("reverse", digest(StudiesWorkload("qlan-studies", 1).caller(None),
+                               STUDY_REPORTS[::-1]))]
+
+
 def main() -> None:
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -108,6 +133,9 @@ def main() -> None:
                 print(workload, seed, index, pair.label, item_digest(PairsWorkload.call(pair)))
     for name in FAMILIES:
         print("state_at", name, model_digest(name))
+    for name in FAMILIES:
+        for setting, digest in qlan_digests(name):
+            print("qlan", name, setting, digest)
 
 
 if __name__ == "__main__":

@@ -35,18 +35,26 @@ QLLR_BUDGET = 8
 #: one round of the five reports on one spin-perturbed:quartic model object
 #: whose q-LAN base is built: theta0, the SLD stencil, N(0, J) and the two
 #: theta grids the round reads (the local shifts and oh2's sphere) are not
-#: evaluated again, nor are the grids' states, parts and L_n, which the base
-#: holds. What is left are the exponentials of the QCFs, of the sandwiches
-#: and of oh2's L_n, and the validation of lecam's limit law. 30 eigensolves
-#: and 4 stacked model evaluations (one each for ``lecam_report``,
-#: ``sandwich_report``, ``oh2_report`` and the probe's remainder rule) while
-#: every report built its own grid, 34 while each of those calls ran a
-#: stacked exponential, 52 and 6 stacked evaluations when the rule ran once
-#: per n, 65, 7 ``state_at`` calls and 12 stacked evaluations when every
-#: report built its own base. ``ROUND_STATES_AT`` is an exact count of
-#: ``state_at`` calls, the one way the harness evaluates a model
-ROUND_BUDGET = 7
+#: evaluated again, nor are the grids' states, parts and L_n, nor the QCF
+#: factor products of ``qclt_report``, ``lecam_report`` and
+#: ``sandwich_report`` (one set) and of the probe, all of which the base
+#: holds. What is left are the exponentials of the sandwiches and of oh2's
+#: L_n, and the validation of lecam's limit law. 7 eigensolves while every
+#: report exponentiated its own QCF factors, 30 and 4 stacked model
+#: evaluations (one each for ``lecam_report``, ``sandwich_report``,
+#: ``oh2_report`` and the probe's remainder rule) while every report built
+#: its own grid, 34 while each of those calls ran a stacked exponential, 52
+#: and 6 stacked evaluations when the rule ran once per n, 65, 7
+#: ``state_at`` calls and 12 stacked evaluations when every report built its
+#: own base. ``ROUND_STATES_AT`` is an exact count of ``state_at`` calls,
+#: the one way the harness evaluates a model
+ROUND_BUDGET = 3
 ROUND_STATES_AT = 0
+
+#: ``linalg._exp_anti_hermitian`` calls of ``qclt_report``, ``lecam_report``
+#: and ``sandwich_report`` on a new model object, an exact count: the three
+#: share one set of factor products (three while each built its own)
+COLD_QCF_EXPONENTIALS = 1
 
 #: ``linalg._clusters`` calls in that round, an exact count: the Hermitian
 #: exponentials of the sandwiches and of oh2's L_n keep the solver's basis,
@@ -188,6 +196,25 @@ def test_round_of_reports_on_one_model_budget(eigh_calls, cluster_calls):
     assert 0 < len(eigh_calls) <= ROUND_BUDGET
     assert len(cluster_calls) == ROUND_CLUSTERS
     assert len(evaluations) == ROUND_STATES_AT
+
+
+def test_qclt_lecam_and_sandwich_share_their_factor_exponentials(monkeypatch):
+    calls = []
+    real = linalg._exp_anti_hermitian
+
+    def counting(m):
+        calls.append(1)
+        return real(m)
+
+    for module in (linalg, models, qlan):
+        monkeypatch.setattr(module, "_exp_anti_hermitian", counting)
+    model = models.get_model("spin-perturbed:quartic")
+    h, queries, n_grid = _cli_defaults(model)
+    reports = [qlan.qclt_report(model, queries, n_grid),
+               qlan.lecam_report(model, qlan.sld_set(model).l_ops, h, queries, n_grid),
+               qlan.sandwich_report(model, h, queries, n_grid)]
+    assert all(rep.passed() for rep in reports)
+    assert len(calls) == COLD_QCF_EXPONENTIALS
 
 
 #: the decomposition pipeline; each validates its two raw operands once

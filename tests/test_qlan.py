@@ -711,6 +711,87 @@ class TestGrid:
         assert len(evaluated) == size + 2
 
 
+class TestProducts:
+    """The QCF factor products a q-LAN base holds, keyed on the bytes of observables, queries, n."""
+
+    FAMILIES = ("spin-pure", "spin-perturbed:quartic", "spin-perturbed:cubic",
+                "spin-perturbed:squared", "qubit-fullrank")
+    #: the readers of the products, and lecam on other observables of the same shape
+    READERS = {**{name: BASE_READERS[name]
+                  for name in ("qclt", "lecam", "sandwich_qcf", "sandwich_report", "probe")},
+               "lecam_half": lambda m, h, qs, ns: qlan.lecam_report(
+                   m, [op / 2 for op in qlan.sld_set(m).l_ops], h, qs, ns)}
+
+    @pytest.fixture(autouse=True)
+    def own_memo(self, monkeypatch):
+        monkeypatch.setattr(qlan._bases, "entries", {})
+
+    @staticmethod
+    def outcome(call, m, scale) -> bytes:
+        """The bytes of ``call(m)`` at the CLI's queries times ``scale`` and an n grid of its own.
+
+        An error's type and text are the outcome where ``call`` raises.
+        """
+        h = cli._default_h(m.theta_dim)
+        queries = [scale * q[None] for q in cli._default_queries(m.theta_dim)]
+        try:
+            return result_bytes(call(m, h, queries, (10 * scale, 100 * scale, 1000 * scale)))
+        except Exception as exc:  # an error is an outcome too: the same on every call
+            return f"{type(exc).__name__}: {exc}".encode()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_reports_on_a_warm_base_equal_those_on_fresh_ones(self, family):
+        # two settings whose keys differ only in the bytes of the queries and the n
+        settings = [(name, scale) for name in self.READERS for scale in (1, 2)]
+        fresh = {(name, scale): self.outcome(self.READERS[name], models.get_model(family), scale)
+                 for name, scale in settings}
+        m = models.get_model(family)
+        for order in (settings, settings[::-1], settings):
+            assert {(name, scale): self.outcome(self.READERS[name], m, scale)
+                    for name, scale in order} == fresh
+        assert qlan._base(m, None).products.entries
+
+    def test_a_failing_factor_raises_the_same_error_on_every_call(self):
+        m = models.spin_perturbed_model()
+        # eta R(n) is not finite at any n, so each n's second slice fails
+        probe = lambda: qlan.infinitesimal_probe(lambda n: np.diag([1e300, -1e300]), m,
+                                                 [E1[None]], [1e10], (10, 100))
+        raised = []
+        for _ in range(2):
+            with pytest.raises(InvalidMatrixError) as exc:
+                probe()
+            raised.append(str(exc.value))
+        assert raised == ["matrix has non-finite entries"] * 2
+        # the failing build is not kept; a valid call then gives a fresh base's bytes
+        assert not qlan._base(m, None).products.entries
+        valid = lambda model: qlan.infinitesimal_probe(lambda n: np.diag([0.1, -0.1]), model,
+                                                       [E1[None], E2[None]], [0.5], (10, 100))
+        assert result_bytes(valid(m)) == result_bytes(valid(models.spin_perturbed_model()))
+
+    def test_the_kept_products_are_read_only(self):
+        m = models.spin_perturbed_model()
+        qlan.qclt_report(m, [E1[None]], (10, 100))
+        (prod, error), = qlan._base(m, None).products.entries.values()
+        assert error is None and prod.shape == (2, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            prod[...] = 0.0
+
+    def test_a_hit_still_checks_the_guard(self, monkeypatch):
+        m = models.spin_perturbed_model()
+        calls = []
+        real = qlan._exp_anti_hermitian
+        monkeypatch.setattr(qlan, "_exp_anti_hermitian", lambda a: calls.append(1) or real(a))
+        # every factor is finite, but rho0 traced against the product strays at n = 10
+        raised = []
+        for _ in range(2):
+            with pytest.raises(QueryOutOfSafeRangeError) as exc:
+                qlan.qclt_report(m, [np.array([[40.0, -25.0]])], (10, 100))
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
+        # the products were kept, and the second call read them
+        assert len(calls) == 1 and len(qlan._base(m, None).products.entries) == 1
+
+
 class TestQcltReport:
     def test_pure_model_converges_at_rate_one(self):
         rep = qlan.qclt_report(models.spin_pure_model(), [E1], (100, 1000, 10000))

@@ -1,12 +1,12 @@
 """Stacked spectral kernels against the point-by-point loops they replace.
 
 The q-LAN reports evaluate their grids through kernels that take a leading
-stack axis (the two exponentials of ``linalg``, ``decomp._qllr_stack``,
-``qlan._guarded_powers``, the checks of a q-LAN grid). Each test keeps the
-per-point loop over the public single-matrix functions as the reference:
-values must be equal to the last bit (``np.array_equal``), and a failing
-grid must raise the error, type and text, that the loop meets first, with no
-other error chained to it.
+stack axis (the two exponentials of ``linalg``, ``decomp._qllr_stack``, the
+QCF kernel ``qlan._factor_products`` and ``qlan._traced_powers``, the checks
+of a q-LAN grid). Each test keeps the per-point loop over the public
+single-matrix functions as the reference: values must be equal to the last
+bit (``np.array_equal``), and a failing grid must raise the error, type and
+text, that the loop meets first, with no other error chained to it.
 """
 
 import gc
@@ -196,6 +196,11 @@ def site_power_loop(state, ops, query, n, extra=None, eta=None, guard=qlan.QCF_G
     return complex(np.exp(n * np.log(z)))
 
 
+def site_powers(states, ops, queries, ns):
+    """The QCF kernel as a q-LAN base runs it: the factor products, then the traces."""
+    return qlan._traced_powers(states, qlan._factor_products(ops, queries, ns), len(queries), ns)
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_site_products_are_the_per_query_products(d):
     rng = np.random.default_rng(60 + d)
@@ -214,9 +219,9 @@ def test_site_products_are_the_per_query_products(d):
     queries = [as_query(q, 3) for q in queries]
     slices = [(q, eta) for q in queries for eta in (None, 0.5, -1.0)]
     # the remainder is one more site observable; its column holds eta, 0 for None
-    grid = qlan._guarded_powers(per_n, [ops + [extra] for extra in extras],
-                                [np.column_stack([q, np.full(len(q), eta or 0.0)])
-                                 for q, eta in slices], ns)
+    grid = site_powers(per_n, [ops + [extra] for extra in extras],
+                       [np.column_stack([q, np.full(len(q), eta or 0.0)]) for q, eta in slices],
+                       ns)
     assert len(grid) == len(ns)
     for n, extra, traced, powers in zip(ns, extras, per_n, grid):
         for state, values in zip(traced, powers):
@@ -236,7 +241,7 @@ def test_site_products_fail_at_the_first_failing_factor(order):
     queries = [as_query([[0.1, 0.0]], 2), as_query(failing, 2)]
     with np.errstate(over="ignore", invalid="ignore"):
         expected = first_error([lambda q=q: site_power_loop(state, ops, q, 1) for q in queries])
-        got = raised(lambda: qlan._guarded_powers([[state]], [ops], queries, [1]))
+        got = raised(lambda: site_powers([[state]], [ops], queries, [1]))
     assert expected[0] is (OverflowError if order == "overflow_first" else InvalidMatrixError)
     assert got == expected
 
@@ -593,7 +598,7 @@ def test_site_powers_are_the_scalar_powers_from_n_1_to_a_million(family):
     queries = [as_query(rng.uniform(-1.0, 1.0, (t, len(ops))) * rng.uniform(0.05, 1.0)
                         * scale / (t * len(ops)), len(ops))
                for t in (1, 1, 2, 3, 1, 2, 1, 3, 1, 1, 2, 1)]
-    grid = qlan._guarded_powers([[rho0, state]] * len(ns), [ops] * len(ns), queries, ns)
+    grid = site_powers([[rho0, state]] * len(ns), [ops] * len(ns), queries, ns)
     for n, powers in zip(ns, grid):
         for traced, values in zip((rho0, state), powers):
             for q, value in zip(queries, values):
